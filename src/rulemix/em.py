@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .binarizer import BinaryDataset
-from .mixture import MixtureModel, log_joint_matrix
+from .mixture import MixtureModel, gate_design, log_joint_matrix, log_softmax, log_sum_exp, softmax
 
 DEGENERATE_MASS_FACTOR = 1e-10
 MAX_RESEEDS_PER_RUN = 5
@@ -51,21 +50,9 @@ class EmConfig:
             raise ValueError("lambda_bounds must satisfy 0 < lo < hi")
 
 
-def _design(S: np.ndarray, intercept: bool) -> np.ndarray:
-    if not intercept:
-        return S
-    return np.concatenate([S, np.ones((len(S), 1))], axis=1)
-
-
-def _posterior(log_joint: np.ndarray) -> np.ndarray:
-    shifted = log_joint - log_joint.max(axis=1, keepdims=True)
-    p = np.exp(shifted)
-    return p / p.sum(axis=1, keepdims=True)
-
-
 def e_step(model: MixtureModel, data: BinaryDataset) -> np.ndarray:
     """Posterior responsibilities: rows are softmax of log gate + log density."""
-    return _posterior(log_joint_matrix(model, data))
+    return softmax(log_joint_matrix(model, data))
 
 
 def m_step_closed_form(beta: np.ndarray, data: BinaryDataset, lambda_bounds=(1e-6, 1e6)):
@@ -88,17 +75,12 @@ def m_step_closed_form(beta: np.ndarray, data: BinaryDataset, lambda_bounds=(1e-
 
 
 def gate_objective(weights: np.ndarray, beta: np.ndarray, design: np.ndarray, ridge: float) -> float:
-    logits = design @ weights.T
-    logp = logits - logsumexp(logits, axis=1, keepdims=True)
+    logp = log_softmax(design @ weights.T)
     return float((beta * logp).sum() - 0.5 * ridge * (weights * weights).sum())
 
 
 def gate_gradient(weights: np.ndarray, beta: np.ndarray, design: np.ndarray, ridge: float) -> np.ndarray:
-    logits = design @ weights.T
-    logits -= logits.max(axis=1, keepdims=True)
-    p = np.exp(logits)
-    p /= p.sum(axis=1, keepdims=True)
-    return (beta - p).T @ design - ridge * weights
+    return (beta - softmax(design @ weights.T)).T @ design - ridge * weights
 
 
 def m_step_gate(beta: np.ndarray, data: BinaryDataset, w_init: np.ndarray, config: EmConfig) -> np.ndarray:
@@ -107,7 +89,7 @@ def m_step_gate(beta: np.ndarray, data: BinaryDataset, w_init: np.ndarray, confi
     Only improving steps are accepted, so the returned weights never score
     below ``w_init`` on the ridge-penalized objective.
     """
-    S1 = _design(data.bits, config.intercept)
+    S1 = gate_design(data.bits, config.intercept)
     W = np.array(w_init, dtype=np.float64)
     if W.shape != (beta.shape[1], S1.shape[1]):
         raise ValueError(f"gate weights must have shape ({beta.shape[1]}, {S1.shape[1]})")
@@ -225,13 +207,13 @@ def _run_em(data: BinaryDataset, config: EmConfig, rng: np.random.Generator):
         weights = m_step_gate(beta, data, weights, config)
         model = MixtureModel(weights, eta, mu, lam, data.schema, config.intercept)
         lj = log_joint_matrix(model, data)
-        per_row = logsumexp(lj, axis=1)
+        per_row = log_sum_exp(lj)
         obj = float(per_row.sum())
         trace.append(obj)
         if prev is not None and abs(obj - prev) <= config.rel_tol * max(1.0, abs(prev)):
             break
         prev = obj
-        beta = _posterior(lj)
+        beta = softmax(lj)
         row_ll = per_row
     return model, RestartTrace(len(trace), trace, failed, reseeds)
 

@@ -8,13 +8,45 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .binarizer import BinaryDataset, SplitSchema
 
 # Bernoulli parameters are clamped only when densities are evaluated, so the
 # stored values (and the M-step closed forms) stay exact.
 BERNOULLI_EPS = 1e-6
+
+
+def gate_design(S: np.ndarray, intercept: bool) -> np.ndarray:
+    """Gate inputs: the bit rows, with a constant 1 column appended when
+    ``intercept`` is set."""
+    if not intercept:
+        return S
+    return np.concatenate([S, np.ones((len(S), 1))], axis=1)
+
+
+def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row maxima (as a column) and exp(logits - row max).  For finite
+    logits every entry of the second lies in [0, 1] and each row holds an
+    exact 1, so no ``exp`` overflows and no row sum falls below 1."""
+    top = logits.max(axis=1, keepdims=True)
+    return top, np.exp(logits - top)
+
+
+def log_sum_exp(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log sum_k exp(logits[:, k]) of an (n, K) array, as an (n,) array."""
+    top, e = _shifted_exp(logits)
+    return np.log(e.sum(axis=1)) + top[:, 0]
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log of the softmax of an (n, K) array."""
+    return logits - log_sum_exp(logits)[:, None]
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of an (n, K) array; each row sums to 1."""
+    _, e = _shifted_exp(logits)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -66,25 +98,19 @@ class MixtureModel:
             raise ValueError(f"bit vector must have length {len(self.schema)}")
         return s
 
-    def _design(self, S: np.ndarray) -> np.ndarray:
-        if not self.intercept:
-            return S
-        return np.concatenate([S, np.ones((len(S), 1))], axis=1)
-
     def gate(self, s) -> np.ndarray:
         """Softmax component weights for one bit vector (positive, sums to 1)."""
         s = self._check_bits(s)
         return self.gate_batch(s[None, :])[0]
 
+    def _gate_logits(self, S: np.ndarray) -> np.ndarray:
+        return gate_design(np.asarray(S, dtype=np.float64), self.intercept) @ self.gate_weights.T
+
     def gate_batch(self, S: np.ndarray) -> np.ndarray:
-        logits = self._design(np.asarray(S, dtype=np.float64)) @ self.gate_weights.T
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        return e / e.sum(axis=1, keepdims=True)
+        return softmax(self._gate_logits(S))
 
     def log_gate_batch(self, S: np.ndarray) -> np.ndarray:
-        logits = self._design(np.asarray(S, dtype=np.float64)) @ self.gate_weights.T
-        return logits - logsumexp(logits, axis=1, keepdims=True)
+        return log_softmax(self._gate_logits(S))
 
     def component_log_density(self, k: int, s, z: float) -> float:
         """log p(s | eta_k) + log N(z; mu_k, 1/lam_k), always finite."""
@@ -135,7 +161,7 @@ def log_joint_matrix(model: MixtureModel, data: BinaryDataset) -> np.ndarray:
 
 def joint_log_likelihood(model: MixtureModel, data: BinaryDataset) -> float:
     """Sum over rows of log sum_k gate_k(s) density_k(s, z), via log-sum-exp."""
-    return float(logsumexp(log_joint_matrix(model, data), axis=1).sum())
+    return float(log_sum_exp(log_joint_matrix(model, data)).sum())
 
 
 @dataclass

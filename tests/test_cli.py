@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rulemix
 from rulemix.cli import build_parser, run
 from rulemix.data import gen_xor, write_csv
 
@@ -29,6 +34,24 @@ def test_simplify_missing_model_exits_one(tmp_path, capsys, xor_csv):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "m.json" in err
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(rulemix.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, rulemix, rulemix.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_every_subcommand_help_exits_zero(capsys):

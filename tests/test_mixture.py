@@ -2,17 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp as scipy_logsumexp
 
 from conftest import random_dataset, random_model, schema_of_length
 from oracles import naive_joint_ll
 from rulemix.binarizer import BinaryDataset, SplitSchema
+from rulemix.em import gate_objective
 from rulemix.mixture import (
     MixtureModel,
     extract_rules,
+    gate_design,
     joint_log_likelihood,
+    log_softmax,
+    log_sum_exp,
     render_rules_text,
     rule_text,
     rules_to_json_dict,
+    softmax,
+)
+
+# Logits up to +-1000: a plain exp overflows above ~709.8 and underflows to 0
+# below ~-745, so only a max-shifted evaluation stays finite on these rows.
+logit_matrices = st.tuples(st.integers(1, 12), st.integers(1, 8)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(-1000.0, 1000.0))
 )
 
 
@@ -254,3 +269,65 @@ def test_render_text_has_header_and_rows():
     lines = text.splitlines()
     assert lines[0].endswith("rule")
     assert len(lines) == 3
+
+
+# log(1 + s) rounds a share s below half an ulp of 1 to zero where scipy's
+# log1p keeps it, so results that cancel to ~0 may differ by a few ulps of log K.
+LSE_ATOL = 1e-14
+
+
+@settings(deadline=None)
+@given(logit_matrices)
+@example(np.array([[1000.0, -1000.0, 0.0], [-800.0, -790.0, -1000.0], [700.0, 700.0, -700.0]]))
+def test_log_sum_exp_matches_scipy(a):
+    got = log_sum_exp(a)
+    assert got.shape == (len(a),)
+    np.testing.assert_allclose(got, scipy_logsumexp(a, axis=1), rtol=1e-12, atol=LSE_ATOL)
+
+
+@settings(deadline=None)
+@given(logit_matrices, st.floats(-1000.0, 1000.0))
+def test_log_sum_exp_shifts_with_row_constant(a, c):
+    # a + c rounds each entry by up to an ulp of 2000
+    np.testing.assert_allclose(log_sum_exp(a + c), log_sum_exp(a) + c, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(log_softmax(a + c), log_softmax(a), rtol=0, atol=1e-10)
+
+
+@settings(deadline=None)
+@given(logit_matrices)
+def test_softmax_rows_sum_to_one(a):
+    logp = log_softmax(a)
+    assert (logp <= 0.0).all()
+    np.testing.assert_allclose(np.exp(logp).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    p = softmax(a)
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(p, np.exp(logp), rtol=0, atol=1e-12)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 5),
+    st.integers(0, 6),
+    st.booleans(),
+    st.floats(0.0, 1.0),
+    st.floats(0.01, 100.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_gate_objective_matches_scipy_reference(n, k, l, intercept, ridge, scale, seed):
+    rng = np.random.default_rng(seed)
+    design = gate_design(rng.integers(0, 2, size=(n, l)).astype(float), intercept)
+    weights = rng.normal(0.0, scale, size=(k, design.shape[1]))
+    beta = rng.dirichlet(np.ones(k), size=n)
+    logits = design @ weights.T
+    expected = (beta * (logits - scipy_logsumexp(logits, axis=1, keepdims=True))).sum() - (
+        0.5 * ridge * (weights**2).sum()
+    )
+    got = gate_objective(weights, beta, design, ridge)
+    assert got == pytest.approx(expected, rel=1e-12, abs=n * LSE_ATOL)
+
+
+def test_gate_design_appends_intercept_column():
+    bits = np.array([[1.0, 0.0], [0.0, 0.0]])
+    assert gate_design(bits, False) is bits
+    assert np.array_equal(gate_design(bits, True), [[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
