@@ -6,8 +6,8 @@ the ensemble's own predictions, then reads each mixture component back as a
 conjunction of feature intervals with one predictor value.
 """
 
-from .baseline import CartConfig, fit_cart, leaf_count, tree_to_ruleset
-from .binarizer import BinaryDataset, SplitSchema, build_dataset, extract_splits, write_dataset_csv
+from .baseline import CartConfig, fit_cart, tree_to_ruleset
+from .binarizer import BinaryDataset, SplitSchema, build_dataset, extract_splits
 from .data import LabeledDataset, gen_energy_like, gen_xor, load_csv, mse, split3
 from .em import DegenerateComponentError, EmConfig, FitReport, e_step, fit, lower_bound, m_step_closed_form, m_step_gate
 from .ensemble import Tree, TreeEnsemble, count_regions, count_regions_exact
@@ -17,7 +17,6 @@ from .mixture import (
     extract_rules,
     joint_log_likelihood,
     render_rules_text,
-    rules_to_json,
     rules_to_json_dict,
 )
 from .trainer import GbtConfig, ParseError, fit_gbt, grow_tree, parse_ensemble_json, serialize_ensemble
@@ -49,7 +48,6 @@ __all__ = [
     "gen_xor",
     "grow_tree",
     "joint_log_likelihood",
-    "leaf_count",
     "load_csv",
     "lower_bound",
     "m_step_closed_form",
@@ -57,11 +55,9 @@ __all__ = [
     "mse",
     "parse_ensemble_json",
     "render_rules_text",
-    "rules_to_json",
     "rules_to_json_dict",
     "serialize_ensemble",
     "split3",
     "tree_to_ruleset",
-    "write_dataset_csv",
 ]
 __version__ = "0.1.0"

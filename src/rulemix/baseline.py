@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, mse
 from .ensemble import Tree
 from .mixture import RuleComponent, RuleInterval, RuleSet
 from .trainer import grow_tree
@@ -45,7 +45,7 @@ def cv_mse_by_depth(data: LabeledDataset, config: CartConfig) -> dict[int, float
                 data.xs[train_mask], data.ys[train_mask], depth, config.min_samples_leaf
             )
             preds = tree.value[tree.leaf_index_batch(data.xs[held_out])]
-            total += float(np.mean((preds - data.ys[held_out]) ** 2))
+            total += mse(preds, data.ys[held_out])
         scores[depth] = total / len(folds)
     return scores
 
@@ -63,10 +63,6 @@ def fit_cart(data: LabeledDataset, config: CartConfig) -> Tree:
             best = scores[depth]
             best_depth = depth
     return grow_tree(data.xs, data.ys, best_depth, config.min_samples_leaf)
-
-
-def leaf_count(tree: Tree) -> int:
-    return tree.n_leaves
 
 
 def tree_to_ruleset(tree: Tree, feature_names=None, data: LabeledDataset | None = None) -> RuleSet:

@@ -38,26 +38,12 @@ class SplitSchema:
     def min_dimension(self) -> int:
         return int(self.features.max()) + 1 if len(self) else 0
 
-    def encode(self, x) -> np.ndarray:
-        """Bit l is 1 iff x[feature_l] >= threshold_l."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or len(x) < self.min_dimension():
-            raise ValueError(
-                f"input of length {x.shape} cannot cover feature index "
-                f"{self.min_dimension() - 1}"
-            )
-        return (x[self.features] >= self.thresholds).astype(np.float64)
-
     def encode_batch(self, X) -> np.ndarray:
+        """Bit l of row n is 1 iff X[n, feature_l] >= threshold_l."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] < self.min_dimension():
             raise ValueError(f"input matrix {X.shape} too narrow for schema")
         return (X[:, self.features] >= self.thresholds[None, :]).astype(np.float64)
-
-    def name_of(self, d: int) -> str:
-        if self.feature_names is not None:
-            return self.feature_names[d]
-        return f"x_{d + 1}"
 
 
 def extract_splits(ensemble: TreeEnsemble) -> SplitSchema:
@@ -73,16 +59,15 @@ def extract_splits(ensemble: TreeEnsemble) -> SplitSchema:
 
 @dataclass(frozen=True)
 class BinaryDataset:
-    """Rows of (x, s, z): raw input, split-indicator bits, ensemble prediction."""
+    """Rows of (s, z): split-indicator bits and the ensemble's prediction."""
 
-    xs: np.ndarray
     bits: np.ndarray
     z: np.ndarray
     schema: SplitSchema
 
     def __post_init__(self):
-        if len(self.xs) != len(self.bits) or len(self.xs) != len(self.z):
-            raise ValueError("xs, bits and z must have the same number of rows")
+        if len(self.bits) != len(self.z):
+            raise ValueError("bits and z must have the same number of rows")
         if self.bits.shape[1] != len(self.schema):
             raise ValueError("bit width must match schema length")
 
@@ -101,21 +86,4 @@ def build_dataset(ensemble: TreeEnsemble, schema: SplitSchema, xs) -> BinaryData
         raise ValueError("xs must be a nonempty (n, D) matrix")
     bits = schema.encode_batch(X)
     z = ensemble.predict_batch(X)
-    return BinaryDataset(X, bits, z, schema)
-
-
-def write_dataset_csv(dataset: BinaryDataset, path) -> None:
-    """Debug dump: header x_1..x_D,s_1..s_L,z, one row per sample."""
-    d = dataset.xs.shape[1]
-    header = (
-        [f"x_{i + 1}" for i in range(d)]
-        + [f"s_{i + 1}" for i in range(dataset.n_bits)]
-        + ["z"]
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for x, s, z in zip(dataset.xs, dataset.bits, dataset.z):
-            cells = [repr(float(v)) for v in x]
-            cells += [str(int(v)) for v in s]
-            cells.append(repr(float(z)))
-            fh.write(",".join(cells) + "\n")
+    return BinaryDataset(bits, z, schema)

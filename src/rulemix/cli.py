@@ -11,7 +11,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import em
-from .baseline import CartConfig, cv_mse_by_depth, fit_cart, leaf_count, tree_to_ruleset
+from .baseline import CartConfig, cv_mse_by_depth, fit_cart, tree_to_ruleset
 from .binarizer import build_dataset, extract_splits
 from .data import (
     ENERGY_TARGET,
@@ -89,7 +89,7 @@ def cmd_simplify(args) -> int:
     report = {
         "counts": {"n_train": len(train), "split_rules": len(schema), "components": args.k},
         "rules": rules_to_json_dict(rules),
-        "train_mse_vs_atm": float(np.mean((model.predict_batch(dataset.bits) - dataset.z) ** 2)),
+        "train_mse_vs_atm": mse(model.predict_batch(dataset.bits), dataset.z),
         "fit": fit_report.to_json_dict(),
     }
     _emit_report(report, args.out, rules)
@@ -107,12 +107,12 @@ def cmd_baseline(args) -> int:
     tree = fit_cart(train, config)
     report = {
         "cv_mse_by_depth": {str(d): v for d, v in cv_mse_by_depth(train, config).items()},
-        "leaves": leaf_count(tree),
+        "leaves": tree.n_leaves,
     }
     rules = tree_to_ruleset(tree, train.feature_names, train)
     if args.test:
         test = load_csv(args.test, args.target)
-        report["test_mse"] = mse(lambda x: tree.value[tree.leaf_index(x)], test)
+        report["test_mse"] = mse(tree.value[tree.leaf_index_batch(test.xs)], test.ys)
     report["rules"] = rules_to_json_dict(rules)
     _emit_report(report, args.out, rules)
     return 0
@@ -121,7 +121,7 @@ def cmd_baseline(args) -> int:
 def cmd_evaluate(args) -> int:
     ensemble = _read_model(args.model)
     test = load_csv(args.test, args.target)
-    report = {"n_test": len(test), "test_mse": mse(ensemble.predict, test)}
+    report = {"n_test": len(test), "test_mse": mse(ensemble.predict_batch(test.xs), test.ys)}
     _emit(json.dumps(report, indent=2), args.out)
     return 0
 
@@ -135,13 +135,14 @@ def _pipeline_report(task, source, d_atm, d_train, d_test, gbt_config, em_config
     rules = extract_rules(model, tau, dataset)
     cart = fit_cart(d_train, cart_config)
 
-    atm_mse = mse(ensemble.predict, d_test)
+    atm_preds = ensemble.predict_batch(d_test.xs)
     test_bits = schema.encode_batch(d_test.xs)
     hard_preds = model.predict_batch(test_bits)
-    model_hard = float(np.mean((hard_preds - d_test.ys) ** 2))
-    model_soft = float(np.mean((model.predict_batch(test_bits, soft=True) - d_test.ys) ** 2))
-    fidelity = float(np.mean((hard_preds - ensemble.predict_batch(d_test.xs)) ** 2))
-    cart_mse = mse(lambda x: cart.value[cart.leaf_index(x)], d_test)
+    atm_mse = mse(atm_preds, d_test.ys)
+    model_hard = mse(hard_preds, d_test.ys)
+    model_soft = mse(model.predict_batch(test_bits, soft=True), d_test.ys)
+    fidelity = mse(hard_preds, atm_preds)
+    cart_mse = mse(cart.value[cart.leaf_index_batch(d_test.xs)], d_test.ys)
     regions, mode = _region_count(ensemble, np.concatenate([d_train.xs, d_test.xs]))
 
     best = fit_report.restarts[fit_report.best_restart]
@@ -163,7 +164,7 @@ def _pipeline_report(task, source, d_atm, d_train, d_test, gbt_config, em_config
             "region_count": regions,
             "region_count_mode": mode,
             "components": em_config.n_components,
-            "baseline_leaves": leaf_count(cart),
+            "baseline_leaves": cart.n_leaves,
         },
         "errors": {
             "atm_test_mse": atm_mse,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,12 +132,18 @@ def load_csv(path, target_column: str) -> LabeledDataset:
             values = []
             for col, cell in zip(header, row):
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ValueError(
                         f"{path}: row {row_number}, column {col!r}: "
                         f"non-numeric cell {cell!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}: row {row_number}, column {col!r}: "
+                        f"non-finite cell {cell!r}"
+                    )
+                values.append(value)
             ys.append(values.pop(target_idx))
             xs.append(values)
     if not xs:
@@ -169,9 +176,12 @@ def split3(data: LabeledDataset, fractions, seed: int = 0):
     return tuple(parts)
 
 
-def mse(predict_fn, data: LabeledDataset) -> float:
-    """Mean squared error of a pointwise predictor over the dataset."""
-    if len(data) == 0:
+def mse(preds, targets) -> float:
+    """Mean squared error between two equal-length arrays."""
+    preds = np.asarray(preds, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if len(targets) == 0:
         raise ValueError("empty dataset")
-    preds = np.array([predict_fn(x) for x in data.xs])
-    return float(np.mean((preds - data.ys) ** 2))
+    if preds.shape != targets.shape:
+        raise ValueError(f"{preds.shape} predictions for {targets.shape} targets")
+    return float(np.mean((preds - targets) ** 2))

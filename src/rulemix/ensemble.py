@@ -77,22 +77,11 @@ class Tree:
         return len(self.feature)
 
     @property
-    def is_leaf(self) -> np.ndarray:
-        return self.feature < 0
-
-    @property
     def n_leaves(self) -> int:
         return int(np.sum(self.feature < 0))
 
-    def leaf_index(self, x) -> int:
-        """Index of the unique leaf reached by ``x`` (path following)."""
-        i = 0
-        while self.feature[i] >= 0:
-            i = self.left[i] if x[self.feature[i]] < self.threshold[i] else self.right[i]
-        return int(i)
-
     def leaf_index_batch(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized ``leaf_index`` over the rows of ``X``."""
+        """Index of the unique leaf reached by each row of ``X``."""
         idx = np.zeros(len(X), dtype=np.int64)
         while True:
             feats = self.feature[idx]
@@ -142,35 +131,21 @@ class TreeEnsemble:
     def tree_count(self) -> int:
         return len(self.trees)
 
-    def _check_x(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.feature_count,):
-            raise ValueError(
-                f"input has {x.shape} entries, expected ({self.feature_count},)"
-            )
-        return x
-
     def predict(self, x) -> float:
-        """Weighted sum over trees of the leaf value reached by ``x``."""
-        x = self._check_x(x)
-        total = 0.0
-        for w, t in zip(self.weights, self.trees):
-            total += w * t.value[t.leaf_index(x)]
-        return float(total)
+        """``predict_batch`` of the single row ``x``."""
+        # Kept because bench/tracing.py wraps this name as a trace point.
+        return float(self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        """Weighted sum over trees of the leaf value reached by each row of ``X``."""
         X = self._check_batch(X)
         out = np.zeros(len(X))
         for w, t in zip(self.weights, self.trees):
             out += w * t.value[t.leaf_index_batch(X)]
         return out
 
-    def leaf_vector(self, x) -> np.ndarray:
-        """Per-tree leaf index reached by ``x``; identifies the region of x."""
-        x = self._check_x(x)
-        return np.array([t.leaf_index(x) for t in self.trees], dtype=np.int64)
-
     def leaf_vector_batch(self, X: np.ndarray) -> np.ndarray:
+        """(n, tree_count) leaf indices; equal rows mean the same region."""
         X = self._check_batch(X)
         return np.stack([t.leaf_index_batch(X) for t in self.trees], axis=1)
 

@@ -3,7 +3,6 @@ experts, Gaussian predictor experts, and interval-rule extraction."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -92,53 +91,30 @@ class MixtureModel:
     def n_components(self) -> int:
         return len(self.mu)
 
-    def _check_bits(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=np.float64)
-        if s.shape != (len(self.schema),):
-            raise ValueError(f"bit vector must have length {len(self.schema)}")
-        return s
-
-    def gate(self, s) -> np.ndarray:
-        """Softmax component weights for one bit vector (positive, sums to 1)."""
-        s = self._check_bits(s)
-        return self.gate_batch(s[None, :])[0]
-
     def _gate_logits(self, S: np.ndarray) -> np.ndarray:
         return gate_design(np.asarray(S, dtype=np.float64), self.intercept) @ self.gate_weights.T
 
     def gate_batch(self, S: np.ndarray) -> np.ndarray:
+        """(n, K) softmax component weights of the bit rows ``S``; each row
+        is positive and sums to 1."""
         return softmax(self._gate_logits(S))
 
     def log_gate_batch(self, S: np.ndarray) -> np.ndarray:
         return log_softmax(self._gate_logits(S))
 
-    def component_log_density(self, k: int, s, z: float) -> float:
-        """log p(s | eta_k) + log N(z; mu_k, 1/lam_k), always finite."""
-        if not 0 <= k < self.n_components:
-            raise IndexError(f"component index {k} out of range")
-        s = self._check_bits(s)
-        return float(self.log_density_matrix(s[None, :], np.array([z]))[0, k])
-
     def log_density_matrix(self, S: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """(n, K) matrix of per-component log densities of (s, z) rows."""
+        """(n, K) matrix of log p(s | eta_k) + log N(z; mu_k, 1/lam_k) over
+        the (s, z) rows, always finite."""
         eta = np.clip(self.eta, BERNOULLI_EPS, 1.0 - BERNOULLI_EPS)
         bern = S @ np.log(eta).T + (1.0 - S) @ np.log1p(-eta).T
         resid = z[:, None] - self.mu[None, :]
         gauss = 0.5 * np.log(self.lam / (2.0 * np.pi))[None, :] - 0.5 * self.lam[None, :] * resid**2
         return bern + gauss
 
-    def predict_point(self, s) -> tuple[int, float]:
-        """Hard prediction: argmax-gate component (ties to the lowest index)
-        and its predictor value."""
-        g = self.gate(s)
-        k = int(np.argmax(g))
-        return k, float(self.mu[k])
-
-    def predict_soft(self, s) -> float:
-        """Gate-weighted average of the component predictors."""
-        return float(self.gate(s) @ self.mu)
-
     def predict_batch(self, S: np.ndarray, soft: bool = False) -> np.ndarray:
+        """Per bit row, the predictor value of the argmax-gate component (ties
+        to the lowest index), or with ``soft`` the gate-weighted average of
+        the component predictors."""
         g = self.gate_batch(S)
         if soft:
             return g @ self.mu
@@ -198,9 +174,6 @@ class RuleSet:
         if self.feature_names is not None:
             return self.feature_names[d]
         return f"x_{d + 1}"
-
-    def active_components(self):
-        return [c for c in self.components if not c.catch_all]
 
 
 def extract_rules(model: MixtureModel, tau: float, data: BinaryDataset | None = None) -> RuleSet:
@@ -303,7 +276,3 @@ def rules_to_json_dict(ruleset: RuleSet) -> dict:
             }
         )
     return {"components": comps}
-
-
-def rules_to_json(ruleset: RuleSet) -> str:
-    return json.dumps(rules_to_json_dict(ruleset), indent=2)

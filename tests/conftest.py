@@ -38,10 +38,9 @@ def schema_of_length(l, dims=2) -> SplitSchema:
 def random_dataset(seed, n, l, dims=2) -> BinaryDataset:
     rng = np.random.default_rng(seed)
     schema = schema_of_length(l, dims)
-    xs = rng.random((n, dims))
     bits = rng.integers(0, 2, size=(n, l)).astype(float)
     z = rng.normal(0.0, 1.0, size=n)
-    return BinaryDataset(xs, bits, z, schema)
+    return BinaryDataset(bits, z, schema)
 
 
 def random_model(seed, k, schema, intercept=True) -> MixtureModel:

@@ -210,7 +210,7 @@ def small_two_group_dataset(seed=0):
         probs = np.array([0.7, 0.35]) if g == 0 else np.array([0.3, 0.65])
         rows.append(tuple((rng.random(2) < probs).astype(float)))
         zs.append(g * 1.0 + rng.normal(0, 0.55))
-    return BinaryDataset(rng.random((20, 2)), np.array(rows), np.array(zs), schema)
+    return BinaryDataset(np.array(rows), np.array(zs), schema)
 
 
 def test_criterion_7_matches_naive_em_optimum(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rulemix.baseline import CartConfig, cv_folds, cv_mse_by_depth, fit_cart, leaf_count, tree_to_ruleset
+from rulemix.baseline import CartConfig, cv_folds, cv_mse_by_depth, fit_cart, tree_to_ruleset
 from rulemix.data import LabeledDataset, gen_xor
 from rulemix.mixture import rule_text
 from rulemix.trainer import grow_tree
@@ -18,7 +18,7 @@ def skewed_noiseless_xor(n=400, seed=0) -> LabeledDataset:
 def test_constant_targets_give_single_leaf():
     data = LabeledDataset(np.random.default_rng(0).random((40, 2)), np.full(40, 3.0))
     tree = fit_cart(data, CartConfig(seed=0))
-    assert leaf_count(tree) == 1
+    assert tree.n_leaves == 1
     assert tree.value[0] == 3.0
 
 
@@ -35,7 +35,7 @@ def test_noiseless_xor_selects_depth_two():
 def test_noiseless_xor_depth_two_has_four_leaves():
     data = skewed_noiseless_xor(seed=2)
     tree = fit_cart(data, CartConfig(depth_grid=(1, 2), seed=2))
-    assert leaf_count(tree) == 4
+    assert tree.n_leaves == 4
 
 
 def test_perfect_depth_two_tree_has_four_leaves():
@@ -43,7 +43,7 @@ def test_perfect_depth_two_tree_has_four_leaves():
     xs = rng.random((200, 2))
     ys = 2.0 * (xs[:, 0] >= 0.5) + (xs[:, 1] >= 0.5)
     tree = grow_tree(xs, ys, max_depth=2, min_samples_leaf=5)
-    assert leaf_count(tree) == 2**2
+    assert tree.n_leaves == 2**2
 
 
 def test_cv_folds_partition_with_balanced_sizes():
@@ -83,7 +83,7 @@ def test_fit_cart_requires_enough_rows():
 def test_single_leaf_count():
     data = LabeledDataset(np.random.default_rng(8).random((20, 1)), np.zeros(20))
     tree = grow_tree(data.xs, data.ys, max_depth=3, min_samples_leaf=5)
-    assert leaf_count(tree) == 1
+    assert tree.n_leaves == 1
 
 
 def test_tree_renders_as_path_conjunctions():

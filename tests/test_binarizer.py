@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import stump, two_stump_ensemble
-from rulemix.binarizer import SplitSchema, build_dataset, extract_splits, write_dataset_csv
+from rulemix.binarizer import SplitSchema, build_dataset, extract_splits
 from rulemix.data import gen_xor
 from rulemix.ensemble import TreeEnsemble
 from rulemix.trainer import GbtConfig, fit_gbt, parse_ensemble_json, serialize_ensemble
@@ -27,21 +30,21 @@ def test_extract_sorts_by_feature_then_threshold():
 
 def test_encode_basic_and_boundary():
     schema = SplitSchema(np.array([0, 1]), np.array([0.5, 0.5]))
-    assert schema.encode([0.3, 0.7]).tolist() == [0.0, 1.0]
-    assert schema.encode([0.5, 0.5]).tolist() == [1.0, 1.0]
+    assert schema.encode_batch([[0.3, 0.7]]).tolist() == [[0.0, 1.0]]
+    assert schema.encode_batch([[0.5, 0.5]]).tolist() == [[1.0, 1.0]]
 
 
 def test_encode_dimension_mismatch():
     schema = SplitSchema(np.array([0, 1]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        schema.encode([0.3])
+        schema.encode_batch([[0.3]])
 
 
 def test_region_emits_only_matching_patterns():
     # region: first rule satisfied, third violated, second unconstrained
     schema = SplitSchema(np.array([0, 0, 1]), np.array([0.2, 0.6, 0.7]))
     inside = [np.array([0.4, 0.5]), np.array([0.8, 0.5])]
-    observed = [schema.encode(x).tolist() for x in inside]
+    observed = schema.encode_batch(inside).tolist()
     assert observed == [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]
     for s in observed:
         assert s[0] == 1.0 and s[2] == 0.0
@@ -52,7 +55,7 @@ def test_build_dataset_single_row():
     schema = extract_splits(ens)
     ds = build_dataset(ens, schema, [[0.7, 0.2]])
     assert len(ds) == 1
-    assert ds.bits[0].tolist() == schema.encode([0.7, 0.2]).tolist()
+    assert ds.bits.tolist() == schema.encode_batch([[0.7, 0.2]]).tolist()
     assert ds.z[0] == ens.predict([0.7, 0.2])
 
 
@@ -77,30 +80,36 @@ def test_encode_monotone_in_each_coordinate():
     ens = fit_gbt(data.xs, data.ys, GbtConfig(tree_count=8, max_depth=2))
     schema = extract_splits(ens)
     rng = np.random.default_rng(9)
-    for _ in range(200):
-        x = rng.random(2)
-        d = int(rng.integers(0, 2))
-        bumped = x.copy()
-        bumped[d] += rng.uniform(0.0, 0.5)
-        before = schema.encode(x)
-        after = schema.encode(bumped)
-        on_dim = schema.features == d
-        assert np.all(after[on_dim] >= before[on_dim])
-        assert np.array_equal(after[~on_dim], before[~on_dim])
+    xs = rng.random((200, 2))
+    d = rng.integers(0, 2, size=200)
+    bumped = xs.copy()
+    bumped[np.arange(200), d] += rng.uniform(0.0, 0.5, size=200)
+    before = schema.encode_batch(xs)
+    after = schema.encode_batch(bumped)
+    on_dim = schema.features[None, :] == d[:, None]
+    assert np.all(after[on_dim] >= before[on_dim])
+    assert np.array_equal(after[~on_dim], before[~on_dim])
 
 
-def test_bits_determine_leaf_vector():
-    data = gen_xor(100, seed=10)
-    ens = fit_gbt(data.xs, data.ys, GbtConfig(tree_count=5, max_depth=2))
-    schema = extract_splits(ens)
-    rng = np.random.default_rng(11)
-    xs = rng.random((300, 2))
-    groups = {}
-    for x in xs:
-        key = tuple(schema.encode(x).tolist())
-        vec = tuple(ens.leaf_vector(x).tolist())
-        groups.setdefault(key, set()).add(vec)
-    assert all(len(vecs) == 1 for vecs in groups.values())
+XOR_DATA = gen_xor(100, seed=10)
+XOR_GBT = fit_gbt(XOR_DATA.xs, XOR_DATA.ys, GbtConfig(tree_count=5, max_depth=2))
+XOR_SCHEMA = extract_splits(XOR_GBT)
+# Probe coordinates: anywhere around the unit square, or exactly on a split.
+probe_cells = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(XOR_SCHEMA.thresholds.tolist()))
+
+
+@settings(max_examples=50, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 60), st.just(2)), elements=probe_cells))
+def test_bits_determine_leaf_vector(xs):
+    # z is a function of s: every tree routes through schema comparisons only,
+    # so rows with equal bits reach the same leaves and the same prediction.
+    bits = XOR_SCHEMA.encode_batch(xs)
+    _, first, group = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    same_bits = first[group.ravel()]
+    leaves = XOR_GBT.leaf_vector_batch(xs)
+    z = XOR_GBT.predict_batch(xs)
+    assert np.array_equal(leaves, leaves[same_bits])
+    assert np.array_equal(z, z[same_bits])
 
 
 def test_schema_stable_under_round_trip():
@@ -109,17 +118,6 @@ def test_schema_stable_under_round_trip():
     reparsed = parse_ensemble_json(serialize_ensemble(ens))
     a, b = extract_splits(ens), extract_splits(reparsed)
     assert a.rules == b.rules
-
-
-def test_dataset_csv_dump(tmp_path):
-    ens = two_stump_ensemble()
-    schema = extract_splits(ens)
-    ds = build_dataset(ens, schema, [[0.7, 0.2], [0.1, 0.9]])
-    path = tmp_path / "dump.csv"
-    write_dataset_csv(ds, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x_1,x_2,s_1,s_2,z"
-    assert lines[1].split(",") == ["0.7", "0.2", "1", "0", "1.0"]
 
 
 def test_schema_rejects_unsorted_rules():

@@ -150,3 +150,12 @@ def test_bad_target_column_exits_one(tmp_path, capsys, xor_csv):
     )
     assert code == 1
     assert "nope" in capsys.readouterr().err
+
+
+def test_non_finite_cell_exits_one(tmp_path, capsys):
+    path = tmp_path / "train.csv"
+    path.write_text("x_1,x_2,y\n0.1,0.2,1.0\n0.3,nan,0.0\n")
+    assert run(["train-atm", "--train", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "row 2, column 'x_2': non-finite cell 'nan'" in err

@@ -79,6 +79,14 @@ def test_load_csv_names_bad_cell_location(tmp_path):
         load_csv(path, "y")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_load_csv_names_non_finite_cell(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"a,b,y\n1,2,3\n4,{cell},6\n")
+    with pytest.raises(ValueError, match=rf"bad.csv: row 2, column 'b': non-finite cell '{cell}'"):
+        load_csv(path, "y")
+
+
 def test_load_csv_missing_target(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n")
@@ -131,23 +139,25 @@ def test_split3_rejects_bad_fractions():
 
 
 def test_mse_examples():
-    data = LabeledDataset(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
-    assert mse(lambda x: x[0] + 1.0, LabeledDataset(np.array([[0.0]]), np.array([1.0]))) == 0.0
-    assert mse(lambda x: 0.0, data) == 1.0
+    assert mse(np.array([1.0]), np.array([1.0])) == 0.0
+    assert mse(np.zeros(2), np.array([1.0, 1.0])) == 1.0
+    with pytest.raises(ValueError):
+        mse(np.zeros(0), np.zeros(0))
+    with pytest.raises(ValueError):
+        mse(np.zeros((2, 1)), np.zeros(2))
 
 
 def test_mse_of_mean_is_population_variance():
     rng = np.random.default_rng(9)
     ys = rng.normal(size=50)
-    data = LabeledDataset(rng.random((50, 2)), ys)
-    assert mse(lambda x: ys.mean(), data) == pytest.approx(ys.var(), rel=1e-12)
+    assert mse(np.full(50, ys.mean()), ys) == pytest.approx(ys.var(), rel=1e-12)
 
 
 def test_mse_invariant_to_row_order():
     rng = np.random.default_rng(10)
     xs, ys = rng.random((30, 2)), rng.normal(size=30)
     perm = rng.permutation(30)
-    f = lambda x: x[0] - x[1]
-    a = mse(f, LabeledDataset(xs, ys))
-    b = mse(f, LabeledDataset(xs[perm], ys[perm]))
+    preds = xs[:, 0] - xs[:, 1]
+    a = mse(preds, ys)
+    b = mse(preds[perm], ys[perm])
     assert a == pytest.approx(b, rel=1e-12)

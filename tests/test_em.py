@@ -80,7 +80,7 @@ def test_m_step_single_component_is_plain_moments():
 
 def test_m_step_clamps_lambda_when_variance_vanishes():
     ds = random_dataset(7, n=10, l=2)
-    flat = BinaryDataset(ds.xs, ds.bits, np.full(10, 1.25), ds.schema)
+    flat = BinaryDataset(ds.bits, np.full(10, 1.25), ds.schema)
     _, _, lam = m_step_closed_form(np.ones((10, 1)), flat, lambda_bounds=(1e-6, 1e6))
     assert lam[0] == 1e6
 
@@ -121,7 +121,7 @@ def test_gate_separable_bit_reaches_full_accuracy():
     schema = schema_of_length(1)
     rng = np.random.default_rng(12)
     bits = rng.integers(0, 2, size=(40, 1)).astype(float)
-    ds = BinaryDataset(rng.random((40, 2)), bits, rng.normal(size=40), schema)
+    ds = BinaryDataset(bits, rng.normal(size=40), schema)
     beta = np.stack([bits[:, 0], 1.0 - bits[:, 0]], axis=1)
     config = EmConfig(n_components=2, seed=0, gate_max_iters=200)
     w0 = np.zeros((2, 2))
@@ -264,7 +264,7 @@ def test_fit_without_intercept_uses_uniform_gate_at_zero_bits():
     ds = random_dataset(45, n=30, l=3)
     model, _ = fit(ds, EmConfig(n_components=2, restarts=2, seed=3, intercept=False))
     assert model.gate_weights.shape == (2, 3)
-    assert np.allclose(model.gate(np.zeros(3)), 0.5, atol=1e-12)
+    assert np.allclose(model.gate_batch(np.zeros((1, 3))), 0.5, atol=1e-12)
 
 
 def test_config_validation():

@@ -40,18 +40,17 @@ def test_predict_dimension_mismatch():
 
 def test_leaf_vector_constant_tree():
     ens = TreeEnsemble((constant_tree(3.0),), np.array([1.0]), 1)
-    assert ens.leaf_vector([0.42]).tolist() == [0]
+    assert ens.leaf_vector_batch([[0.42], [-3.0]]).tolist() == [[0], [0]]
 
 
 def test_leaf_vector_stump_sides():
     ens = TreeEnsemble((stump(),), np.array([1.0]), 1)
-    assert ens.leaf_vector([0.2]).tolist() == [1]
-    assert ens.leaf_vector([0.9]).tolist() == [2]
+    assert ens.leaf_vector_batch([[0.2], [0.9], [0.5]]).tolist() == [[1], [2], [2]]
 
 
 def test_leaf_vector_two_stumps():
     ens = two_stump_ensemble()
-    assert ens.leaf_vector([0.7, 0.2]).tolist() == [2, 1]
+    assert ens.leaf_vector_batch([[0.7, 0.2], [0.2, 0.7]]).tolist() == [[2, 1], [1, 2]]
 
 
 def test_count_regions_exact_single_tree_equals_leaves():
@@ -110,15 +109,17 @@ def test_leaf_vector_piecewise_constant_under_small_moves():
     ens = fit_gbt(data.xs, data.ys, GbtConfig(tree_count=10, max_depth=2, min_samples_leaf=5))
     per_dim = thresholds_by_feature(ens)
     rng = np.random.default_rng(4)
-    for _ in range(200):
-        x = rng.random(2)
-        radius = np.array(
-            [np.min(np.abs(ts - x[d])) if len(ts) else 1.0 for d, ts in enumerate(per_dim)]
-        )
-        if (radius == 0).any():
-            continue
-        shift = rng.uniform(-0.99, 0.99, size=2) * radius
-        assert np.array_equal(ens.leaf_vector(x), ens.leaf_vector(x + shift))
+    xs = rng.random((200, 2))
+    radius = np.stack(
+        [
+            np.abs(ts[None, :] - xs[:, [d]]).min(axis=1) if len(ts) else np.ones(len(xs))
+            for d, ts in enumerate(per_dim)
+        ],
+        axis=1,
+    )
+    keep = (radius > 0).all(axis=1)
+    moved = xs + rng.uniform(-0.99, 0.99, size=xs.shape) * radius
+    assert np.array_equal(ens.leaf_vector_batch(xs[keep]), ens.leaf_vector_batch(moved[keep]))
 
 
 def test_leaf_vector_identifies_region():
@@ -126,12 +127,13 @@ def test_leaf_vector_identifies_region():
     ens = two_stump_ensemble()
     rng = np.random.default_rng(9)
     pts = rng.random((100, 2))
+    vecs = ens.leaf_vector_batch(pts)
     for i in range(0, 100, 3):
         for j in range(0, 100, 7):
             same_cell = (pts[i, 0] >= 0.5) == (pts[j, 0] >= 0.5) and (
                 pts[i, 1] >= 0.5
             ) == (pts[j, 1] >= 0.5)
-            same_vec = np.array_equal(ens.leaf_vector(pts[i]), ens.leaf_vector(pts[j]))
+            same_vec = np.array_equal(vecs[i], vecs[j])
             assert same_cell == same_vec
 
 

@@ -44,14 +44,14 @@ def uniform_gate_model(k=3, l=2, mu=None, lam=None, schema=None):
 
 def test_gate_uniform_when_weights_zero():
     model = uniform_gate_model(k=4)
-    assert np.allclose(model.gate([1.0, 0.0]), 0.25, atol=1e-15)
+    assert np.allclose(model.gate_batch([[1.0, 0.0], [0.0, 1.0]]), 0.25, atol=1e-15)
 
 
 def test_gate_log3_margin_gives_three_to_one():
     schema = schema_of_length(1)
     w = np.array([[0.0, math.log(3.0)], [0.0, 0.0]])
     model = MixtureModel(w, np.full((2, 1), 0.5), np.zeros(2), np.ones(2), schema)
-    assert np.allclose(model.gate([0.0]), [0.75, 0.25], atol=1e-12)
+    assert np.allclose(model.gate_batch([[0.0]]), [[0.75, 0.25]], atol=1e-12)
 
 
 def test_gate_shift_invariance():
@@ -61,9 +61,9 @@ def test_gate_shift_invariance():
     shift = rng.normal(size=4)
     m1 = MixtureModel(w, np.full((3, 3), 0.5), np.zeros(3), np.ones(3), schema)
     m2 = MixtureModel(w + shift, np.full((3, 3), 0.5), np.zeros(3), np.ones(3), schema)
-    s = np.array([1.0, 0.0, 1.0])
-    assert np.allclose(m1.gate(s), m2.gate(s), atol=1e-12)
-    assert m1.predict_point(s) == m2.predict_point(s)
+    S = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    assert np.allclose(m1.gate_batch(S), m2.gate_batch(S), atol=1e-12)
+    assert np.array_equal(m1.predict_batch(S), m2.predict_batch(S))
 
 
 def test_gate_outputs_on_simplex():
@@ -71,22 +71,22 @@ def test_gate_outputs_on_simplex():
     schema = schema_of_length(5)
     for _ in range(1000):
         model = random_model(int(rng.integers(1e9)), k=3, schema=schema)
-        s = rng.integers(0, 2, size=5).astype(float)
-        g = model.gate(s)
+        S = rng.integers(0, 2, size=(3, 5)).astype(float)
+        g = model.gate_batch(S)
         assert g.min() > 0.0
-        assert abs(g.sum() - 1.0) <= 1e-12
+        assert np.abs(g.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def test_density_half_eta_is_l_log_two():
     model = uniform_gate_model(k=2, l=4, lam=[2.0, 2.0])
     gauss = 0.5 * math.log(2.0 / (2 * math.pi))
-    got = model.component_log_density(0, [1, 0, 1, 1], 0.0)
+    got = model.log_density_matrix(np.array([[1.0, 0.0, 1.0, 1.0]]), np.array([0.0]))[0, 0]
     assert got == pytest.approx(-4 * math.log(2.0) + gauss, abs=1e-12)
 
 
 def test_density_at_mean_is_half_log_lam_over_two_pi():
     model = uniform_gate_model(k=1, l=1, mu=[1.5], lam=[3.0])
-    got = model.component_log_density(0, [1.0], 1.5)
+    got = model.log_density_matrix(np.array([[1.0]]), np.array([1.5]))[0, 0]
     assert got == pytest.approx(-math.log(2.0) + 0.5 * math.log(3.0 / (2 * math.pi)), abs=1e-12)
 
 
@@ -96,30 +96,21 @@ def test_density_clamps_hard_eta():
         np.zeros((1, 3)), np.array([[1.0, 0.0]]), np.zeros(1), np.ones(1), schema
     )
     gauss = 0.5 * math.log(1.0 / (2 * math.pi))
-    got = model.component_log_density(0, [1.0, 0.0], 0.0)
-    assert got - gauss == pytest.approx(2 * math.log(1 - 1e-6), abs=1e-15)
-    assert math.isfinite(model.component_log_density(0, [0.0, 1.0], 0.0))
-
-
-def test_density_component_index_checked():
-    model = uniform_gate_model(k=2)
-    with pytest.raises(IndexError):
-        model.component_log_density(2, [1.0, 0.0], 0.0)
+    got = model.log_density_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))[:, 0]
+    assert got[0] - gauss == pytest.approx(2 * math.log(1 - 1e-6), abs=1e-15)
+    assert math.isfinite(got[1])
 
 
 def test_joint_ll_single_component_is_density_sum():
     ds = random_dataset(2, n=12, l=3)
     model = random_model(3, k=1, schema=ds.schema)
-    expected = sum(
-        model.component_log_density(0, ds.bits[i], ds.z[i]) for i in range(len(ds))
-    )
+    expected = model.log_density_matrix(ds.bits, ds.z)[:, 0].sum()
     assert joint_log_likelihood(model, ds) == pytest.approx(expected, abs=1e-9)
 
 
 def test_joint_ll_additive_under_duplication():
     ds = random_dataset(4, n=10, l=3)
     doubled = BinaryDataset(
-        np.concatenate([ds.xs, ds.xs]),
         np.concatenate([ds.bits, ds.bits]),
         np.concatenate([ds.z, ds.z]),
         ds.schema,
@@ -163,22 +154,21 @@ def test_joint_ll_schema_mismatch_rejected():
 
 def test_predict_point_single_component():
     model = uniform_gate_model(k=1, mu=[4.2])
-    assert model.predict_point([1.0, 0.0]) == (0, 4.2)
+    assert model.predict_batch([[1.0, 0.0], [0.0, 1.0]]).tolist() == [4.2, 4.2]
 
 
 def test_predict_point_tie_breaks_low():
     model = uniform_gate_model(k=2, mu=[0.0, 5.0])
-    k, value = model.predict_point([1.0, 1.0])
-    assert (k, value) == (0, 0.0)
+    assert model.predict_batch([[1.0, 1.0]]).tolist() == [0.0]
 
 
 def test_predict_point_hard_and_soft():
     schema = schema_of_length(1)
     w = np.array([[0.0, math.log(0.9)], [0.0, math.log(0.1)]])
     model = MixtureModel(w, np.full((2, 1), 0.5), np.array([1.0, 3.0]), np.ones(2), schema)
-    assert np.allclose(model.gate([0.0]), [0.9, 0.1], atol=1e-12)
-    assert model.predict_point([0.0]) == (0, 1.0)
-    assert model.predict_soft([0.0]) == pytest.approx(1.2, abs=1e-12)
+    assert np.allclose(model.gate_batch([[0.0]]), [[0.9, 0.1]], atol=1e-12)
+    assert model.predict_batch([[0.0]]).tolist() == [1.0]
+    assert model.predict_batch([[0.0]], soft=True)[0] == pytest.approx(1.2, abs=1e-12)
 
 
 def test_extract_rules_interval_from_eta():
