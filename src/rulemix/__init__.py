@@ -6,7 +6,7 @@ the ensemble's own predictions, then reads each mixture component back as a
 conjunction of feature intervals with one predictor value.
 """
 
-from .baseline import CartConfig, fit_cart, tree_to_ruleset
+from .baseline import CartConfig, cv_mse_by_depth, fit_cart, tree_to_ruleset
 from .binarizer import BinaryDataset, SplitSchema, build_dataset, extract_splits
 from .data import LabeledDataset, gen_energy_like, gen_xor, load_csv, mse, split3
 from .em import DegenerateComponentError, EmConfig, FitReport, e_step, fit, lower_bound, m_step_closed_form, m_step_gate
@@ -38,6 +38,7 @@ __all__ = [
     "build_dataset",
     "count_regions",
     "count_regions_exact",
+    "cv_mse_by_depth",
     "e_step",
     "extract_rules",
     "extract_splits",

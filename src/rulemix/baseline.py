@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabeledDataset, mse
 from .ensemble import Tree
-from .mixture import RuleComponent, RuleInterval, RuleSet
+from .mixture import RuleComponent, RuleSet, tightest_intervals
 from .trainer import grow_tree
 
 
@@ -34,6 +33,9 @@ def cv_folds(n: int, folds: int, seed: int):
 
 
 def cv_mse_by_depth(data: LabeledDataset, config: CartConfig) -> dict[int, float]:
+    """Mean held-out MSE of a tree grown to each depth of the grid."""
+    if len(data) < config.folds:
+        raise ValueError("need at least one sample per fold")
     folds = cv_folds(len(data), config.folds, config.seed)
     scores: dict[int, float] = {}
     for depth in config.depth_grid:
@@ -44,24 +46,15 @@ def cv_mse_by_depth(data: LabeledDataset, config: CartConfig) -> dict[int, float
             tree = grow_tree(
                 data.xs[train_mask], data.ys[train_mask], depth, config.min_samples_leaf
             )
-            preds = tree.value[tree.leaf_index_batch(data.xs[held_out])]
-            total += mse(preds, data.ys[held_out])
+            total += mse(tree.predict_batch(data.xs[held_out]), data.ys[held_out])
         scores[depth] = total / len(folds)
     return scores
 
 
-def fit_cart(data: LabeledDataset, config: CartConfig) -> Tree:
-    """Pick the depth with lowest CV error (ties to the smaller depth), then
-    refit on all data."""
-    if len(data) < config.folds:
-        raise ValueError("need at least one sample per fold")
-    scores = cv_mse_by_depth(data, config)
-    best_depth = None
-    best = math.inf
-    for depth in config.depth_grid:
-        if scores[depth] < best:
-            best = scores[depth]
-            best_depth = depth
+def fit_cart(data: LabeledDataset, config: CartConfig, scores: dict[int, float]) -> Tree:
+    """Refit on all data at the depth of lowest CV error in ``scores`` (from
+    ``cv_mse_by_depth``); ties go to the earlier depth in the grid."""
+    best_depth = min(config.depth_grid, key=scores.__getitem__)
     return grow_tree(data.xs, data.ys, best_depth, config.min_samples_leaf)
 
 
@@ -77,27 +70,19 @@ def tree_to_ruleset(tree: Tree, feature_names=None, data: LabeledDataset | None 
 
     def walk(node, lowers, uppers):
         if tree.feature[node] < 0:
-            intervals = [
-                RuleInterval(d, lowers.get(d, -math.inf), uppers.get(d, math.inf))
-                for d in sorted(set(lowers) | set(uppers))
-            ]
             components.append(
                 RuleComponent(
                     mu=float(tree.value[node]),
-                    intervals=intervals,
+                    intervals=tightest_intervals(lowers, uppers),
                     share=None if shares is None else float(shares[node]),
                 )
             )
             return
         d = int(tree.feature[node])
         b = float(tree.threshold[node])
-        tighter = dict(uppers)
-        tighter[d] = min(b, uppers.get(d, math.inf))
-        walk(int(tree.left[node]), lowers, tighter)
-        tighter = dict(lowers)
-        tighter[d] = max(b, lowers.get(d, -math.inf))
-        walk(int(tree.right[node]), tighter, uppers)
+        walk(int(tree.left[node]), lowers, uppers + [(d, b)])
+        walk(int(tree.right[node]), lowers + [(d, b)], uppers)
 
-    walk(0, {}, {})
+    walk(0, [], [])
     names = tuple(feature_names) if feature_names is not None else None
     return RuleSet(components, names)

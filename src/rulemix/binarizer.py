@@ -22,8 +22,7 @@ class SplitSchema:
         object.__setattr__(self, "thresholds", np.asarray(self.thresholds, dtype=np.float64))
         if self.features.shape != self.thresholds.shape or self.features.ndim != 1:
             raise ValueError("features and thresholds must be parallel 1-d arrays")
-        pairs = list(zip(self.features.tolist(), self.thresholds.tolist()))
-        if sorted(set(pairs)) != pairs:
+        if sorted(set(self.rules)) != self.rules:
             raise ValueError("rules must be sorted by (feature, threshold) and unique")
         if self.feature_names is not None:
             object.__setattr__(self, "feature_names", tuple(self.feature_names))

@@ -73,24 +73,39 @@ def cmd_train_atm(args) -> int:
     return 0
 
 
+def _fit_rules(ensemble, xs, em_config, tau):
+    """Binarize ``xs`` on the ensemble's splits, fit the mixture by EM and read
+    off its rules.  ``warnings`` names a degenerate fit: fewer distinct bit
+    patterns than components (an empty schema has one pattern)."""
+    schema = extract_splits(ensemble)
+    dataset = build_dataset(ensemble, schema, xs)
+    model, fit_report = em.fit(dataset, em_config)
+    rules = extract_rules(model, tau, dataset)
+    k, patterns = em_config.n_components, len(np.unique(dataset.bits, axis=0))
+    note = f"K={k} but {patterns} distinct bit pattern(s): spare components repeat a rule"
+    warnings = [note] if patterns < k else []
+    return dataset, model, fit_report, rules, warnings
+
+
+def _fit_baseline(data, cart_config):
+    """Cross-validate the depth grid once, then refit CART at the best depth."""
+    scores = cv_mse_by_depth(data, cart_config)
+    return scores, fit_cart(data, cart_config, scores)
+
+
 def cmd_simplify(args) -> int:
     ensemble = _read_model(args.model)
     train = load_csv(args.train, args.target)
-    schema = extract_splits(ensemble)
-    dataset = build_dataset(ensemble, schema, train.xs)
     config = em.EmConfig(
-        n_components=args.k,
-        restarts=args.restarts,
-        seed=args.seed,
-        intercept=args.intercept == "on",
+        args.k, restarts=args.restarts, seed=args.seed, intercept=args.intercept == "on"
     )
-    model, fit_report = em.fit(dataset, config)
-    rules = extract_rules(model, args.tau, dataset)
+    dataset, model, fit_report, rules, warnings = _fit_rules(ensemble, train.xs, config, args.tau)
     report = {
-        "counts": {"n_train": len(train), "split_rules": len(schema), "components": args.k},
+        "counts": {"n_train": len(train), "split_rules": dataset.n_bits, "components": args.k},
         "rules": rules_to_json_dict(rules),
         "train_mse_vs_atm": mse(model.predict_batch(dataset.bits), dataset.z),
         "fit": fit_report.to_json_dict(),
+        "warnings": warnings,
     }
     _emit_report(report, args.out, rules)
     return 0
@@ -98,21 +113,14 @@ def cmd_simplify(args) -> int:
 
 def cmd_baseline(args) -> int:
     train = load_csv(args.train, args.target)
-    config = CartConfig(
-        tuple(range(args.min_depth, args.max_depth + 1)),
-        args.folds,
-        args.min_samples_leaf,
-        args.seed,
-    )
-    tree = fit_cart(train, config)
-    report = {
-        "cv_mse_by_depth": {str(d): v for d, v in cv_mse_by_depth(train, config).items()},
-        "leaves": tree.n_leaves,
-    }
+    depths = tuple(range(args.min_depth, args.max_depth + 1))
+    config = CartConfig(depths, args.folds, args.min_samples_leaf, args.seed)
+    scores, tree = _fit_baseline(train, config)
+    report = {"cv_mse_by_depth": {str(d): v for d, v in scores.items()}, "leaves": tree.n_leaves}
     rules = tree_to_ruleset(tree, train.feature_names, train)
     if args.test:
         test = load_csv(args.test, args.target)
-        report["test_mse"] = mse(tree.value[tree.leaf_index_batch(test.xs)], test.ys)
+        report["test_mse"] = mse(tree.predict_batch(test.xs), test.ys)
     report["rules"] = rules_to_json_dict(rules)
     _emit_report(report, args.out, rules)
     return 0
@@ -129,20 +137,17 @@ def cmd_evaluate(args) -> int:
 def _pipeline_report(task, source, d_atm, d_train, d_test, gbt_config, em_config, cart_config, tau):
     start = time.perf_counter()
     ensemble = fit_gbt(d_atm.xs, d_atm.ys, gbt_config, d_atm.feature_names)
-    schema = extract_splits(ensemble)
-    dataset = build_dataset(ensemble, schema, d_train.xs)
-    model, fit_report = em.fit(dataset, em_config)
-    rules = extract_rules(model, tau, dataset)
-    cart = fit_cart(d_train, cart_config)
+    dataset, model, fit_report, rules, warnings = _fit_rules(ensemble, d_train.xs, em_config, tau)
+    _, cart = _fit_baseline(d_train, cart_config)
 
     atm_preds = ensemble.predict_batch(d_test.xs)
-    test_bits = schema.encode_batch(d_test.xs)
+    test_bits = dataset.schema.encode_batch(d_test.xs)
     hard_preds = model.predict_batch(test_bits)
     atm_mse = mse(atm_preds, d_test.ys)
     model_hard = mse(hard_preds, d_test.ys)
     model_soft = mse(model.predict_batch(test_bits, soft=True), d_test.ys)
     fidelity = mse(hard_preds, atm_preds)
-    cart_mse = mse(cart.value[cart.leaf_index_batch(d_test.xs)], d_test.ys)
+    cart_mse = mse(cart.predict_batch(d_test.xs), d_test.ys)
     regions, mode = _region_count(ensemble, np.concatenate([d_train.xs, d_test.xs]))
 
     best = fit_report.restarts[fit_report.best_restart]
@@ -152,15 +157,15 @@ def _pipeline_report(task, source, d_atm, d_train, d_test, gbt_config, em_config
         "dataset": source,
         "config": {
             "gbt": asdict(gbt_config),
-            "em": {**asdict(em_config), "lambda_bounds": list(em_config.lambda_bounds)},
-            "cart": {**asdict(cart_config), "depth_grid": list(cart_config.depth_grid)},
+            "em": asdict(em_config),
+            "cart": asdict(cart_config),
             "tau": tau,
         },
         "counts": {
             "n_atm": len(d_atm),
             "n_train": len(d_train),
             "n_test": len(d_test),
-            "split_rules": len(schema),
+            "split_rules": dataset.n_bits,
             "region_count": regions,
             "region_count_mode": mode,
             "components": em_config.n_components,
@@ -181,6 +186,7 @@ def _pipeline_report(task, source, d_atm, d_train, d_test, gbt_config, em_config
             "final_objective": best.objective_trace[-1],
             "reseed_events": sum(r.reseed_events for r in fit_report.restarts),
         },
+        "warnings": warnings,
         "wall_time_s": time.perf_counter() - start,
     }
     return report, rules

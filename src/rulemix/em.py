@@ -18,6 +18,8 @@ from .mixture import MixtureModel, gate_design, log_joint_matrix, log_softmax, l
 
 DEGENERATE_MASS_FACTOR = 1e-10
 MAX_RESEEDS_PER_RUN = 5
+GATE_RIDGE = 1e-8  # ridge penalty of the gate M-step
+LAMBDA_BOUNDS = (1e-6, 1e6)  # clamp on the Gaussian precisions
 
 
 class DegenerateComponentError(RuntimeError):
@@ -33,21 +35,14 @@ class EmConfig:
     rel_tol: float = 1e-6
     restarts: int = 10
     seed: int = 0
-    gate_ridge: float = 1e-8
     gate_max_iters: int = 50
-    lambda_bounds: tuple = (1e-6, 1e6)
     intercept: bool = True
 
     def __post_init__(self):
-        if self.n_components < 1 or self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("n_components, max_iters and restarts must be >= 1")
+        if min(self.n_components, self.max_iters, self.restarts, self.gate_max_iters) < 1:
+            raise ValueError("n_components, max_iters, restarts and gate_max_iters must be >= 1")
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
-        if self.gate_ridge < 0 or self.gate_max_iters < 1:
-            raise ValueError("gate_ridge must be >= 0, gate_max_iters >= 1")
-        lo, hi = self.lambda_bounds
-        if not 0 < lo < hi:
-            raise ValueError("lambda_bounds must satisfy 0 < lo < hi")
 
 
 def e_step(model: MixtureModel, data: BinaryDataset) -> np.ndarray:
@@ -55,7 +50,7 @@ def e_step(model: MixtureModel, data: BinaryDataset) -> np.ndarray:
     return softmax(log_joint_matrix(model, data))
 
 
-def m_step_closed_form(beta: np.ndarray, data: BinaryDataset, lambda_bounds=(1e-6, 1e6)):
+def m_step_closed_form(beta: np.ndarray, data: BinaryDataset):
     """Exact weighted-moment updates for (eta, mu, lam) given responsibilities."""
     beta = np.asarray(beta, dtype=np.float64)
     if beta.ndim != 2 or len(beta) != len(data):
@@ -70,7 +65,7 @@ def m_step_closed_form(beta: np.ndarray, data: BinaryDataset, lambda_bounds=(1e-
     denom = (beta * (data.z[:, None] - mu[None, :]) ** 2).sum(axis=0)
     with np.errstate(divide="ignore"):
         lam = np.where(denom > 0.0, mass / np.where(denom > 0.0, denom, 1.0), np.inf)
-    lam = np.clip(lam, lambda_bounds[0], lambda_bounds[1])
+    lam = np.clip(lam, *LAMBDA_BOUNDS)
     return eta, mu, lam
 
 
@@ -93,12 +88,12 @@ def m_step_gate(beta: np.ndarray, data: BinaryDataset, w_init: np.ndarray, confi
     W = np.array(w_init, dtype=np.float64)
     if W.shape != (beta.shape[1], S1.shape[1]):
         raise ValueError(f"gate weights must have shape ({beta.shape[1]}, {S1.shape[1]})")
-    J = gate_objective(W, beta, S1, config.gate_ridge)
+    J = gate_objective(W, beta, S1, GATE_RIDGE)
     if not math.isfinite(J):
         raise RuntimeError("gate objective non-finite at the initial point")
     step = 1.0
     for it in range(config.gate_max_iters):
-        G = gate_gradient(W, beta, S1, config.gate_ridge)
+        G = gate_gradient(W, beta, S1, GATE_RIDGE)
         gsq = float((G * G).sum())
         if gsq <= 1e-18 * max(1.0, len(data) ** 2):
             break
@@ -106,7 +101,7 @@ def m_step_gate(beta: np.ndarray, data: BinaryDataset, w_init: np.ndarray, confi
         t = step
         while t > 1e-20:
             W_try = W + t * G
-            J_try = gate_objective(W_try, beta, S1, config.gate_ridge)
+            J_try = gate_objective(W_try, beta, S1, GATE_RIDGE)
             if not math.isfinite(J_try):
                 raise RuntimeError(
                     f"gate objective became non-finite during line search (iteration {it})"
@@ -203,7 +198,7 @@ def _run_em(data: BinaryDataset, config: EmConfig, rng: np.random.Generator):
             if reseeds > MAX_RESEEDS_PER_RUN:
                 failed = True
                 break
-        eta, mu, lam = m_step_closed_form(beta, data, config.lambda_bounds)
+        eta, mu, lam = m_step_closed_form(beta, data)
         weights = m_step_gate(beta, data, weights, config)
         model = MixtureModel(weights, eta, mu, lam, data.schema, config.intercept)
         lj = log_joint_matrix(model, data)

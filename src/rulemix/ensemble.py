@@ -93,6 +93,10 @@ class Tree:
             go_left = X[rows, feats[rows]] < self.threshold[sub]
             idx[rows] = np.where(go_left, self.left[sub], self.right[sub])
 
+    def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        """Value of the leaf reached by each row of ``X``."""
+        return self.value[self.leaf_index_batch(X)]
+
     def split_pairs(self):
         """All internal-node (feature, threshold) pairs, duplicates included."""
         internal = self.feature >= 0
@@ -141,7 +145,7 @@ class TreeEnsemble:
         X = self._check_batch(X)
         out = np.zeros(len(X))
         for w, t in zip(self.weights, self.trees):
-            out += w * t.value[t.leaf_index_batch(X)]
+            out += w * t.predict_batch(X)
         return out
 
     def leaf_vector_batch(self, X: np.ndarray) -> np.ndarray:

@@ -156,11 +156,14 @@ class RuleComponent:
     mu: float
     intervals: list = field(default_factory=list)
     share: float | None = None
-    degenerate: bool = False
 
     @property
     def catch_all(self) -> bool:
         return len(self.intervals) == 0
+
+    @property
+    def degenerate(self) -> bool:
+        return any(iv.degenerate for iv in self.intervals)
 
 
 @dataclass
@@ -174,6 +177,22 @@ class RuleSet:
         if self.feature_names is not None:
             return self.feature_names[d]
         return f"x_{d + 1}"
+
+
+def tightest_intervals(lower_splits, upper_splits) -> list:
+    """Intervals for the conjunction of ``x_d >= b`` over the (d, b) pairs of
+    ``lower_splits`` and ``x_d < b`` over those of ``upper_splits``: per
+    feature the tightest bound on each side, sorted by feature."""
+    lowers: dict[int, float] = {}
+    uppers: dict[int, float] = {}
+    for d, b in lower_splits:
+        lowers[d] = max(b, lowers.get(d, -math.inf))
+    for d, b in upper_splits:
+        uppers[d] = min(b, uppers.get(d, math.inf))
+    return [
+        RuleInterval(d, lowers.get(d, -math.inf), uppers.get(d, math.inf))
+        for d in sorted(set(lowers) | set(uppers))
+    ]
 
 
 def extract_rules(model: MixtureModel, tau: float, data: BinaryDataset | None = None) -> RuleSet:
@@ -194,29 +213,17 @@ def extract_rules(model: MixtureModel, tau: float, data: BinaryDataset | None = 
         assign = np.argmax(model.gate_batch(data.bits), axis=1)
         shares = np.bincount(assign, minlength=model.n_components) / len(data)
 
-    feats = model.schema.features
-    thrs = model.schema.thresholds
+    splits = model.schema.rules
     components = []
     for k in range(model.n_components):
-        lowers: dict[int, float] = {}
-        uppers: dict[int, float] = {}
-        for d, b, e in zip(feats.tolist(), thrs.tolist(), model.eta[k].tolist()):
-            if e >= 1.0 - tau:
-                lowers[d] = max(b, lowers.get(d, -math.inf))
-            elif e <= tau:
-                uppers[d] = min(b, uppers.get(d, math.inf))
-        intervals = []
-        degenerate = False
-        for d in sorted(set(lowers) | set(uppers)):
-            iv = RuleInterval(d, lowers.get(d, -math.inf), uppers.get(d, math.inf))
-            degenerate = degenerate or iv.degenerate
-            intervals.append(iv)
+        eta = model.eta[k].tolist()
+        lower = [split for split, e in zip(splits, eta) if e >= 1.0 - tau]
+        upper = [split for split, e in zip(splits, eta) if e <= tau]
         components.append(
             RuleComponent(
                 mu=float(model.mu[k]),
-                intervals=intervals,
+                intervals=tightest_intervals(lower, upper),
                 share=None if shares is None else float(shares[k]),
-                degenerate=degenerate,
             )
         )
     return RuleSet(components, model.schema.feature_names)

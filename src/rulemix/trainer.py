@@ -136,7 +136,7 @@ def fit_gbt(xs, ys, config: GbtConfig, feature_names=None) -> TreeEnsemble:
     for _ in range(config.tree_count):
         residuals = y - current
         t = grow_tree(X, residuals, config.max_depth, config.min_samples_leaf)
-        current += config.learning_rate * t.value[t.leaf_index_batch(X)]
+        current += config.learning_rate * t.predict_batch(X)
         trees.append(t)
         weights.append(config.learning_rate)
     return TreeEnsemble(tuple(trees), np.array(weights), X.shape[1], feature_names)

@@ -22,7 +22,7 @@ from oracles import (
 )
 from rulemix.binarizer import BinaryDataset
 from rulemix.cli import energy_pipeline, run, synthetic_pipeline
-from rulemix.em import EmConfig, e_step, fit, gate_gradient, gate_objective, lower_bound, m_step_closed_form
+from rulemix.em import LAMBDA_BOUNDS, EmConfig, e_step, fit, gate_gradient, gate_objective, lower_bound, m_step_closed_form
 from rulemix.mixture import joint_log_likelihood
 
 PIPELINE_SEED = 0
@@ -147,17 +147,16 @@ def test_criterion_4_em_monotonicity(capsys):
 
 def test_criterion_5_m_step_oracles(capsys):
     rng = np.random.default_rng(99)
-    bounds = (1e-6, 1e6)
     for case in range(20):
         n = int(rng.integers(4, 11))
         l = int(rng.integers(1, 4))
         ds = random_dataset(int(rng.integers(1e9)), n=n, l=l)
         beta = rng.dirichlet(np.ones(2), size=n)
-        eta, mu, lam = m_step_closed_form(beta, ds, bounds)
+        eta, mu, lam = m_step_closed_form(beta, ds)
         for k in range(2):
             ours = component_bound(eta[k], mu[k], lam[k], beta[:, k], ds.bits, ds.z)
             challenger = maximize_component_bound(
-                beta[:, k], ds.bits, ds.z, bounds, seed=case * 2 + k
+                beta[:, k], ds.bits, ds.z, LAMBDA_BOUNDS, seed=case * 2 + k
             )
             assert ours >= challenger - 1e-8
 

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulemix.baseline import CartConfig, cv_folds, cv_mse_by_depth, fit_cart, tree_to_ruleset
 from rulemix.data import LabeledDataset, gen_xor
 from rulemix.mixture import rule_text
 from rulemix.trainer import grow_tree
+
+
+def cart(data, config):
+    return fit_cart(data, config, cv_mse_by_depth(data, config))
 
 
 def skewed_noiseless_xor(n=400, seed=0) -> LabeledDataset:
@@ -17,7 +23,7 @@ def skewed_noiseless_xor(n=400, seed=0) -> LabeledDataset:
 
 def test_constant_targets_give_single_leaf():
     data = LabeledDataset(np.random.default_rng(0).random((40, 2)), np.full(40, 3.0))
-    tree = fit_cart(data, CartConfig(seed=0))
+    tree = cart(data, CartConfig(seed=0))
     assert tree.n_leaves == 1
     assert tree.value[0] == 3.0
 
@@ -28,13 +34,13 @@ def test_noiseless_xor_selects_depth_two():
     scores = cv_mse_by_depth(data, config)
     assert scores[1] > 0.15  # a single split cannot express the pattern
     assert scores[2] < 0.05
-    tree = fit_cart(data, config)
+    tree = fit_cart(data, config, scores)
     assert tree.feature[0] >= 0 and max(tree.left[0], tree.right[0]) > 0
 
 
 def test_noiseless_xor_depth_two_has_four_leaves():
     data = skewed_noiseless_xor(seed=2)
-    tree = fit_cart(data, CartConfig(depth_grid=(1, 2), seed=2))
+    tree = cart(data, CartConfig(depth_grid=(1, 2), seed=2))
     assert tree.n_leaves == 4
 
 
@@ -60,7 +66,7 @@ def test_deeper_trees_never_raise_training_mse():
     prev = np.inf
     for depth in range(1, 8):
         tree = grow_tree(data.xs, data.ys, depth, min_samples_leaf=5)
-        cur = float(np.mean((tree.value[tree.leaf_index_batch(data.xs)] - data.ys) ** 2))
+        cur = float(np.mean((tree.predict_batch(data.xs) - data.ys) ** 2))
         assert cur <= prev + 1e-12
         prev = cur
 
@@ -68,16 +74,24 @@ def test_deeper_trees_never_raise_training_mse():
 def test_fit_cart_deterministic():
     data = gen_xor(200, seed=6)
     config = CartConfig(seed=7)
-    a = fit_cart(data, config)
-    b = fit_cart(data, config)
+    a = cart(data, config)
+    b = cart(data, config)
     assert np.array_equal(a.feature, b.feature)
     assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
 
 
 def test_fit_cart_requires_enough_rows():
     data = LabeledDataset(np.zeros((3, 1)), np.zeros(3))
-    with pytest.raises(ValueError):
-        fit_cart(data, CartConfig(folds=5))
+    with pytest.raises(ValueError, match="one sample per fold"):
+        cart(data, CartConfig(folds=5))
+
+
+def test_fit_cart_refits_at_lowest_score_ties_to_earlier_depth():
+    data = skewed_noiseless_xor(seed=1)
+    config = CartConfig(depth_grid=(1, 2), seed=1)
+    assert fit_cart(data, config, {1: 0.2, 2: 0.2}).n_leaves == 2
+    assert fit_cart(data, config, {1: 0.2, 2: 0.1}).n_leaves == 4
+    assert fit_cart(data, CartConfig(depth_grid=(2, 1)), {1: 0.2, 2: 0.2}).n_leaves == 4
 
 
 def test_single_leaf_count():
@@ -98,3 +112,42 @@ def test_tree_renders_as_path_conjunctions():
     assert any("alpha" in t and "beta" in t for t in texts)
     ordered = sorted(rules.components, key=lambda c: c.mu)
     assert [round(c.mu) for c in ordered] == [0, 1, 2, 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(1, 4),
+    dims=st.integers(1, 3),
+    min_leaf=st.integers(1, 8),
+)
+def test_tree_rules_partition_rows_by_leaf(seed, depth, dims, min_leaf):
+    # Coarse grid values give ties; probes also sit exactly on every split
+    # threshold, where a row must go right (x >= b) and match one rule only.
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, 6, size=(60, dims)) / 5.0
+    tree = grow_tree(xs, rng.normal(size=60), depth, min_leaf)
+    on_split = xs[rng.integers(0, 60, size=tree.node_count)]
+    internal = np.nonzero(tree.feature >= 0)[0]
+    on_split[internal, tree.feature[internal]] = tree.threshold[internal]
+    probes = np.concatenate([xs, on_split[internal]])
+    rules = tree_to_ruleset(tree, data=LabeledDataset(probes, np.zeros(len(probes))))
+
+    inside = np.ones((len(probes), len(rules.components)), dtype=bool)
+    for j, c in enumerate(rules.components):
+        for iv in c.intervals:
+            inside[:, j] &= (probes[:, iv.feature] >= iv.lower) & (probes[:, iv.feature] < iv.upper)
+    assert (inside.sum(axis=1) == 1).all()
+    rule_of_row = inside.argmax(axis=1)
+    leaf_of_row = tree.leaf_index_batch(probes)
+
+    assert len(rules.components) == tree.n_leaves
+    rule_of_leaf = {}
+    for leaf, rule in zip(leaf_of_row.tolist(), rule_of_row.tolist()):
+        assert rule_of_leaf.setdefault(leaf, rule) == rule
+    assert len(set(rule_of_leaf.values())) == len(rule_of_leaf)
+    for leaf, rule in rule_of_leaf.items():
+        assert rules.components[rule].mu == tree.value[leaf]
+        assert rules.components[rule].share == np.mean(leaf_of_row == leaf)
+    unreached = set(range(tree.n_leaves)) - set(rule_of_leaf.values())
+    assert all(rules.components[r].share == 0.0 for r in unreached)

@@ -4,11 +4,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import constant_tree, stump
 
 import rulemix
-from rulemix.cli import build_parser, run
-from rulemix.data import gen_xor, write_csv
+import rulemix.baseline
+import rulemix.cli
+from rulemix.baseline import CartConfig, cv_mse_by_depth
+from rulemix.cli import build_parser, energy_pipeline, run
+from rulemix.data import gen_xor, load_csv, write_csv
+from rulemix.ensemble import TreeEnsemble
+from rulemix.trainer import serialize_ensemble
 
 
 @pytest.fixture
@@ -121,6 +128,26 @@ def test_simplify_end_to_end(tmp_path, capsys, xor_csv):
     assert len(doc["rules"]["components"]) == 4
     assert doc["counts"]["split_rules"] > 0
     assert doc["fit"]["best_restart"] in range(3)
+    assert doc["warnings"] == []
+
+
+@pytest.mark.parametrize(
+    "tree, k, patterns",
+    [(stump(0), 4, 2), (constant_tree(1.5), 3, 1)],
+    ids=["one-stump-k4", "constant-k3"],
+)
+def test_simplify_warns_on_degenerate_fit(tmp_path, capsys, xor_csv, tree, k, patterns):
+    # Fewer distinct bit patterns than components (a constant tree has an
+    # empty schema, hence one pattern): the spare components repeat a rule.
+    model_path = tmp_path / "model.json"
+    model_path.write_text(serialize_ensemble(TreeEnsemble((tree,), np.ones(1), 2)))
+    args = ["simplify", "--model", str(model_path), "--train", str(xor_csv), "--k", str(k)]
+    assert run(args + ["--restarts", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["warnings"] == [
+        f"K={k} but {patterns} distinct bit pattern(s): spare components repeat a rule"
+    ]
+    assert len(doc["rules"]["components"]) == k
 
 
 def test_baseline_command(tmp_path, capsys, xor_csv):
@@ -142,6 +169,33 @@ def test_baseline_command(tmp_path, capsys, xor_csv):
     assert report["leaves"] >= 1
     assert report["test_mse"] > 0.0
     assert set(report["cv_mse_by_depth"]) == {"2", "3", "4"}
+
+
+@pytest.fixture
+def cv_calls(monkeypatch):
+    # Counts cross-validation passes made through either module's binding.
+    calls = []
+    for module in (rulemix.cli, rulemix.baseline):
+        def counted(*args, _module=module, _original=module.cv_mse_by_depth, **kwargs):
+            calls.append(_module.__name__)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "cv_mse_by_depth", counted)
+    return calls
+
+
+def test_baseline_cross_validates_once(capsys, xor_csv, cv_calls):
+    assert run(["baseline", "--train", str(xor_csv), "--max-depth", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(cv_calls) == 1
+    direct = cv_mse_by_depth(load_csv(xor_csv, "y"), CartConfig((2, 3, 4)))
+    assert report["cv_mse_by_depth"] == {str(d): v for d, v in direct.items()}
+
+
+def test_pipeline_cross_validates_once(cv_calls):
+    report, _ = energy_pipeline(0, restarts=1)
+    assert len(cv_calls) == 1
+    assert report["warnings"] == []
 
 
 def test_bad_target_column_exits_one(tmp_path, capsys, xor_csv):

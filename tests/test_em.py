@@ -13,6 +13,8 @@ from oracles import (
 )
 from rulemix.binarizer import BinaryDataset
 from rulemix.em import (
+    GATE_RIDGE,
+    LAMBDA_BOUNDS,
     DegenerateComponentError,
     EmConfig,
     e_step,
@@ -81,7 +83,7 @@ def test_m_step_single_component_is_plain_moments():
 def test_m_step_clamps_lambda_when_variance_vanishes():
     ds = random_dataset(7, n=10, l=2)
     flat = BinaryDataset(ds.bits, np.full(10, 1.25), ds.schema)
-    _, _, lam = m_step_closed_form(np.ones((10, 1)), flat, lambda_bounds=(1e-6, 1e6))
+    _, _, lam = m_step_closed_form(np.ones((10, 1)), flat)
     assert lam[0] == 1e6
 
 
@@ -98,11 +100,10 @@ def test_m_step_not_beaten_by_numerical_maximizer():
     ds = random_dataset(9, n=5, l=2)
     rng = np.random.default_rng(10)
     beta = rng.dirichlet(np.ones(2), size=5)
-    bounds = (1e-6, 1e6)
-    eta, mu, lam = m_step_closed_form(beta, ds, bounds)
+    eta, mu, lam = m_step_closed_form(beta, ds)
     for k in range(2):
         ours = component_bound(eta[k], mu[k], lam[k], beta[:, k], ds.bits, ds.z)
-        challenger = maximize_component_bound(beta[:, k], ds.bits, ds.z, bounds, seed=k)
+        challenger = maximize_component_bound(beta[:, k], ds.bits, ds.z, LAMBDA_BOUNDS, seed=k)
         assert ours >= challenger - 1e-8
 
 
@@ -114,7 +115,7 @@ def test_gate_uniform_beta_keeps_symmetric_optimum():
     w0 = np.zeros((k, 4))
     w = m_step_gate(beta, ds, w0, config)
     design = np.concatenate([ds.bits, np.ones((20, 1))], axis=1)
-    assert gate_objective(w, beta, design, config.gate_ridge) >= 20 * math.log(1.0 / k) - 1e-12
+    assert gate_objective(w, beta, design, GATE_RIDGE) >= 20 * math.log(1.0 / k) - 1e-12
 
 
 def test_gate_separable_bit_reaches_full_accuracy():
@@ -127,8 +128,8 @@ def test_gate_separable_bit_reaches_full_accuracy():
     w0 = np.zeros((2, 2))
     w = m_step_gate(beta, ds, w0, config)
     design = np.concatenate([bits, np.ones((40, 1))], axis=1)
-    j0 = gate_objective(w0, beta, design, config.gate_ridge)
-    assert gate_objective(w, beta, design, config.gate_ridge) > j0
+    j0 = gate_objective(w0, beta, design, GATE_RIDGE)
+    assert gate_objective(w, beta, design, GATE_RIDGE) > j0
     pred = np.argmax(design @ w.T, axis=1)
     assert np.array_equal(pred, np.argmax(beta, axis=1))
 
@@ -157,8 +158,8 @@ def test_gate_never_returns_worse_than_start():
         beta = rng.dirichlet(np.ones(3), size=30)
         w0 = rng.normal(scale=2.0, size=(3, 5))
         w = m_step_gate(beta, ds, w0, config)
-        assert gate_objective(w, beta, design, config.gate_ridge) >= (
-            gate_objective(w0, beta, design, config.gate_ridge) - 1e-12
+        assert gate_objective(w, beta, design, GATE_RIDGE) >= (
+            gate_objective(w0, beta, design, GATE_RIDGE) - 1e-12
         )
 
 
@@ -273,4 +274,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EmConfig(n_components=2, rel_tol=1.5)
     with pytest.raises(ValueError):
-        EmConfig(n_components=2, lambda_bounds=(1.0, 0.5))
+        EmConfig(n_components=2, gate_max_iters=0)

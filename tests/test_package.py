@@ -1,9 +1,19 @@
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import rulemix
+from rulemix.cli import energy_pipeline
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing():
+    # Loaded read-only from its file; the benchmark package is not imported.
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def test_every_export_resolves():
@@ -14,12 +24,28 @@ def test_every_export_resolves():
 def test_trace_points_name_existing_attributes():
     # The benchmark tracer installs its wrappers through vars(owner)[attr], so
     # deleting or renaming a traced name breaks traced runs with a KeyError.
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     missing = [
         (getattr(owner, "__name__", owner), attr)
         for owner, attr, _, _ in tracing.TRACE_POINTS
         if attr not in vars(owner)
     ]
     assert missing == []
+
+
+def test_pipeline_stages_hit_their_trace_points():
+    # A stage called through a binding the tracer does not wrap (for example
+    # a step moved out of rulemix.cli) would record no span and silently zero
+    # its per-layer benchmark metrics.
+    with load_tracing().Tracer() as tracer:
+        energy_pipeline(0, restarts=1)
+    spans = Counter(span.name for span in tracer.spans)
+    for name in (
+        "binarizer.extract_splits",
+        "binarizer.build_dataset",
+        "em.fit",
+        "mixture.extract_rules",
+        "baseline.fit_cart",
+    ):
+        assert spans[name] >= 1, name
+    assert spans["baseline.cv_mse_by_depth"] == 1
