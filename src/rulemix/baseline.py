@@ -24,6 +24,9 @@ class CartConfig:
             raise ValueError("folds must be >= 2")
         if len(self.depth_grid) == 0:
             raise ValueError("depth_grid must be nonempty")
+        for depth in self.depth_grid:
+            if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 0:
+                raise ValueError(f"depth_grid entries must be integers >= 0, got {depth!r}")
 
 
 def cv_folds(n: int, folds: int, seed: int):
@@ -33,22 +36,26 @@ def cv_folds(n: int, folds: int, seed: int):
 
 
 def cv_mse_by_depth(data: LabeledDataset, config: CartConfig) -> dict[int, float]:
-    """Mean held-out MSE of a tree grown to each depth of the grid."""
+    """Mean held-out MSE of a tree grown to each depth of the grid.
+
+    Each fold grows one tree to the deepest depth in the grid and scores
+    every depth from it cut at that depth, which is the tree grown to that
+    depth (see ``grow_tree``).
+    """
     if len(data) < config.folds:
         raise ValueError("need at least one sample per fold")
     folds = cv_folds(len(data), config.folds, config.seed)
-    scores: dict[int, float] = {}
-    for depth in config.depth_grid:
-        total = 0.0
-        for held_out in folds:
-            train_mask = np.ones(len(data), dtype=bool)
-            train_mask[held_out] = False
-            tree = grow_tree(
-                data.xs[train_mask], data.ys[train_mask], depth, config.min_samples_leaf
-            )
-            total += mse(tree.predict_batch(data.xs[held_out]), data.ys[held_out])
-        scores[depth] = total / len(folds)
-    return scores
+    totals = dict.fromkeys(config.depth_grid, 0.0)
+    for held_out in folds:
+        train_mask = np.ones(len(data), dtype=bool)
+        train_mask[held_out] = False
+        tree = grow_tree(
+            data.xs[train_mask], data.ys[train_mask], max(totals), config.min_samples_leaf
+        )
+        for depth in totals:
+            preds = tree.predict_batch(data.xs[held_out], depth)
+            totals[depth] += mse(preds, data.ys[held_out])
+    return {depth: total / len(folds) for depth, total in totals.items()}
 
 
 def fit_cart(data: LabeledDataset, config: CartConfig, scores: dict[int, float]) -> Tree:

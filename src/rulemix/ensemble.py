@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,10 +15,14 @@ class Tree:
     """A binary regression tree stored as parallel node arrays.
 
     Node ``i`` is internal when ``feature[i] >= 0`` (then ``threshold``,
-    ``left`` and ``right`` are meaningful) and a leaf otherwise (then
-    ``value`` is meaningful).  Node 0 is the root.  Routing convention:
-    ``x[feature] < threshold`` goes left, ``x[feature] >= threshold`` goes
-    right.
+    ``left`` and ``right`` are meaningful) and a leaf otherwise.  Node 0 is
+    the root.  Routing convention: ``x[feature] < threshold`` goes left,
+    ``x[feature] >= threshold`` goes right.
+
+    ``value`` holds each leaf's prediction.  In a tree from ``grow_tree`` an
+    internal node's ``value`` is the mean of its training rows (what the
+    tree cut at that node would predict); a parsed tree holds ``nan``
+    there.  Only leaf values are serialized.
     """
 
     feature: np.ndarray
@@ -80,22 +85,26 @@ class Tree:
     def n_leaves(self) -> int:
         return int(np.sum(self.feature < 0))
 
-    def leaf_index_batch(self, X: np.ndarray) -> np.ndarray:
-        """Index of the unique leaf reached by each row of ``X``."""
+    def leaf_index_batch(self, X: np.ndarray, depth: int | None = None) -> np.ndarray:
+        """Index of the unique leaf reached by each row of ``X``; with
+        ``depth``, of the node where a row stops after at most ``depth``
+        splits (the leaf of the tree cut at that depth)."""
         idx = np.zeros(len(X), dtype=np.int64)
-        while True:
+        for _ in itertools.count() if depth is None else range(depth):
             feats = self.feature[idx]
             active = feats >= 0
             if not active.any():
-                return idx
+                break
             rows = np.nonzero(active)[0]
             sub = idx[rows]
             go_left = X[rows, feats[rows]] < self.threshold[sub]
             idx[rows] = np.where(go_left, self.left[sub], self.right[sub])
+        return idx
 
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Value of the leaf reached by each row of ``X``."""
-        return self.value[self.leaf_index_batch(X)]
+    def predict_batch(self, X: np.ndarray, depth: int | None = None) -> np.ndarray:
+        """Value of the node ``leaf_index_batch(X, depth)`` reaches for each
+        row of ``X``."""
+        return self.value[self.leaf_index_batch(X, depth)]
 
     def split_pairs(self):
         """All internal-node (feature, threshold) pairs, duplicates included."""

@@ -39,7 +39,8 @@ def _best_split(X, y, rows, min_samples_leaf):
 
     Returns (feature, threshold, gain) or None.  Candidate thresholds are
     midpoints of consecutive distinct sorted feature values; ties broken by
-    (lower feature index, lower threshold) through the scan order.
+    (lower feature index, lower threshold).  All features are scanned at
+    once, one row of each (D, n) array per feature.
     """
     n = len(rows)
     if n < 2 * min_samples_leaf:
@@ -48,35 +49,42 @@ def _best_split(X, y, rows, min_samples_leaf):
     total = ysub.sum()
     total_sq = (ysub * ysub).sum()
     sse_parent = total_sq - total * total / n
-    best = None
-    for d in range(X.shape[1]):
-        xs = X[rows, d]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        ys_sorted = ysub[order]
-        csum = np.cumsum(ys_sorted)
-        csq = np.cumsum(ys_sorted * ys_sorted)
-        # split before position i: left = [0, i), right = [i, n)
-        pos = np.arange(min_samples_leaf, n - min_samples_leaf + 1)
-        pos = pos[xs_sorted[pos - 1] < xs_sorted[pos]]
-        if len(pos) == 0:
-            continue
-        ls = csum[pos - 1]
-        lq = csq[pos - 1]
-        sse_left = lq - ls * ls / pos
-        rs = total - ls
-        rq = total_sq - lq
-        sse_right = rq - rs * rs / (n - pos)
-        gains = sse_parent - sse_left - sse_right
-        i = int(np.argmax(gains))
-        if gains[i] > 0.0 and (best is None or gains[i] > best[2]):
-            threshold = (xs_sorted[pos[i] - 1] + xs_sorted[pos[i]]) / 2.0
-            best = (d, threshold, float(gains[i]))
-    return best
+    xs = X[rows].T
+    order = np.argsort(xs, axis=1, kind="stable")
+    xs_sorted = np.take_along_axis(xs, order, axis=1)
+    ys_sorted = ysub[order]
+    csum = np.cumsum(ys_sorted, axis=1)
+    csq = np.cumsum(ys_sorted * ys_sorted, axis=1)
+    # split before position p: left = [0, p), right = [p, n)
+    pos = np.arange(min_samples_leaf, n - min_samples_leaf + 1)
+    before = slice(min_samples_leaf - 1, n - min_samples_leaf)
+    after = slice(min_samples_leaf, n - min_samples_leaf + 1)
+    ls = csum[:, before]
+    lq = csq[:, before]
+    sse_left = lq - ls * ls / pos
+    rs = total - ls
+    rq = total_sq - lq
+    sse_right = rq - rs * rs / (n - pos)
+    gains = sse_parent - sse_left - sse_right
+    gains[xs_sorted[:, before] >= xs_sorted[:, after]] = -np.inf
+    # first maximum per feature, then the first feature with the largest
+    # positive gain (a strictly-greater scan over features)
+    at = np.argmax(gains, axis=1)
+    best = gains[np.arange(len(at)), at]
+    d = int(np.argmax(np.where(best > 0.0, best, -np.inf)))
+    if not best[d] > 0.0:
+        return None
+    p = pos[at[d]]
+    return (d, (xs_sorted[d, p - 1] + xs_sorted[d, p]) / 2.0, float(best[d]))
 
 
 def grow_tree(X, y, max_depth, min_samples_leaf) -> Tree:
-    """Greedy least-squares regression tree (shared by boosting and CART)."""
+    """Greedy least-squares regression tree (shared by boosting and CART).
+
+    Every node's ``value`` is the mean of its training rows, internal nodes
+    included: a node's split depends only on its own rows, so the tree cut
+    at depth d (``leaf_index_batch(X, d)``) is the tree grown to depth d.
+    """
     feature, threshold, left, right, value = [], [], [], [], []
 
     def new_node():
@@ -88,11 +96,11 @@ def grow_tree(X, y, max_depth, min_samples_leaf) -> Tree:
         return len(feature) - 1
 
     def build(rows, depth, node):
+        value[node] = float(y[rows].mean())
         split = None
         if depth < max_depth:
             split = _best_split(X, y, rows, min_samples_leaf)
         if split is None:
-            value[node] = float(y[rows].mean())
             return
         d, b, _ = split
         feature[node] = d

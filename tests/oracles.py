@@ -2,13 +2,22 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, direct probability arithmetic, generic numerical optimizers) and
-shares no code paths with the package internals it checks.
+shares no code paths with the package internals it checks.  The two
+exact references (``per_feature_best_split`` and ``cv_mse_per_depth``) are
+the package's earlier loops, kept so that the faster forms can be required
+to return the very same floats; ``cv_mse_per_depth`` calls the package's
+``grow_tree``, ``cv_folds`` and ``mse``, because what it checks is only the
+one-tree-per-fold cut, not the grower.
 """
 
 import math
 
 import numpy as np
 from scipy.optimize import minimize
+
+from rulemix.baseline import cv_folds
+from rulemix.data import mse
+from rulemix.trainer import grow_tree
 
 
 def predict_by_path(ensemble, x):
@@ -46,6 +55,65 @@ def brute_force_best_split(X, y, min_samples_leaf):
             if gain > 0 and (best is None or gain > best[2] + 1e-12):
                 best = (feat, threshold, gain)
     return best
+
+
+def per_feature_best_split(X, y, rows, min_samples_leaf):
+    """Best variance-reduction split for one node, one feature at a time.
+
+    Returns (feature, threshold, gain) or None.  Candidate thresholds are
+    midpoints of consecutive distinct sorted feature values; ties broken by
+    (lower feature index, lower threshold) through the scan order.
+    """
+    n = len(rows)
+    if n < 2 * min_samples_leaf:
+        return None
+    ysub = y[rows]
+    total = ysub.sum()
+    total_sq = (ysub * ysub).sum()
+    sse_parent = total_sq - total * total / n
+    best = None
+    for d in range(X.shape[1]):
+        xs = X[rows, d]
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
+        ys_sorted = ysub[order]
+        csum = np.cumsum(ys_sorted)
+        csq = np.cumsum(ys_sorted * ys_sorted)
+        # split before position i: left = [0, i), right = [i, n)
+        pos = np.arange(min_samples_leaf, n - min_samples_leaf + 1)
+        pos = pos[xs_sorted[pos - 1] < xs_sorted[pos]]
+        if len(pos) == 0:
+            continue
+        ls = csum[pos - 1]
+        lq = csq[pos - 1]
+        sse_left = lq - ls * ls / pos
+        rs = total - ls
+        rq = total_sq - lq
+        sse_right = rq - rs * rs / (n - pos)
+        gains = sse_parent - sse_left - sse_right
+        i = int(np.argmax(gains))
+        if gains[i] > 0.0 and (best is None or gains[i] > best[2]):
+            threshold = (xs_sorted[pos[i] - 1] + xs_sorted[pos[i]]) / 2.0
+            best = (d, threshold, float(gains[i]))
+    return best
+
+
+def cv_mse_per_depth(data, config):
+    """Mean held-out MSE per grid depth, growing a fresh tree for every
+    (depth, fold) pair and summing each depth's fold MSEs in fold order."""
+    folds = cv_folds(len(data), config.folds, config.seed)
+    scores = {}
+    for depth in config.depth_grid:
+        total = 0.0
+        for held_out in folds:
+            train_mask = np.ones(len(data), dtype=bool)
+            train_mask[held_out] = False
+            tree = grow_tree(
+                data.xs[train_mask], data.ys[train_mask], depth, config.min_samples_leaf
+            )
+            total += mse(tree.predict_batch(data.xs[held_out]), data.ys[held_out])
+        scores[depth] = total / len(folds)
+    return scores
 
 
 def naive_component_density(model, k, s, z):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cv_mse_per_depth
 from rulemix.baseline import CartConfig, cv_folds, cv_mse_by_depth, fit_cart, tree_to_ruleset
 from rulemix.data import LabeledDataset, gen_xor
 from rulemix.mixture import rule_text
@@ -84,6 +85,39 @@ def test_fit_cart_requires_enough_rows():
     data = LabeledDataset(np.zeros((3, 1)), np.zeros(3))
     with pytest.raises(ValueError, match="one sample per fold"):
         cart(data, CartConfig(folds=5))
+
+
+def test_config_validation():
+    with pytest.raises(ValueError, match="folds must be >= 2"):
+        CartConfig(folds=1)
+    with pytest.raises(ValueError, match="depth_grid must be nonempty"):
+        CartConfig(depth_grid=())
+    with pytest.raises(ValueError, match="depth_grid entries must be integers >= 0, got 2.5"):
+        CartConfig(depth_grid=(2, 2.5))
+    for bad in (-1, True, "3", None):
+        with pytest.raises(ValueError, match="depth_grid entries must be integers >= 0"):
+            CartConfig(depth_grid=(bad,))
+    assert CartConfig(depth_grid=(0, np.int64(3))).depth_grid == (0, np.int64(3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.sampled_from([(2, 3, 4), (5, 1, 3), (4, 4, 2), (3,), (0,), (0, 1), (1, 0, 6, 2, 2)]),
+    folds=st.integers(2, 5),
+    min_leaf=st.integers(1, 6),
+    n=st.integers(10, 90),
+)
+def test_cv_scores_equal_per_depth_reference(seed, grid, folds, min_leaf, n):
+    # One tree per fold, cut at every depth, gives the very floats of a tree
+    # grown per (depth, fold), in the grid's key order.
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, 6, size=(n, 3)) / 5.0
+    ys = np.sin(4 * xs[:, 0]) + xs[:, 1] + 0.3 * rng.normal(size=n)
+    data = LabeledDataset(xs, ys)
+    config = CartConfig(depth_grid=grid, folds=folds, min_samples_leaf=min_leaf, seed=seed)
+    scores = cv_mse_by_depth(data, config)
+    assert list(scores.items()) == list(cv_mse_per_depth(data, config).items())
 
 
 def test_fit_cart_refits_at_lowest_score_ties_to_earlier_depth():

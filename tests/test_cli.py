@@ -43,22 +43,40 @@ def test_simplify_missing_model_exits_one(tmp_path, capsys, xor_csv):
     assert "m.json" in err
 
 
-def test_import_loads_no_scipy():
+def src_env(**extra):
+    """This process's environment with the imported rulemix first on the path."""
     src = str(Path(rulemix.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def test_import_loads_no_scipy():
     code = (
         "import sys, rulemix, rulemix.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_report_independent_of_blas_threads():
+    argv = [sys.executable, "-m", "rulemix.cli", "reproduce", "energy", "--seed", "0", "--restarts", "2"]
+    reports = []
+    for threads in ("1", "2"):
+        blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+        done = subprocess.run(argv, env=src_env(**blas), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        del report["wall_time_s"]
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_every_subcommand_help_exits_zero(capsys):

@@ -2,13 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import brute_force_best_split
+from oracles import brute_force_best_split, per_feature_best_split
 from rulemix.data import gen_xor
 from rulemix.ensemble import TreeEnsemble
 from rulemix.trainer import (
     GbtConfig,
     ParseError,
+    _best_split,
     fit_gbt,
     grow_tree,
     parse_ensemble_json,
@@ -99,6 +103,53 @@ def test_greedy_split_matches_brute_force_oracle():
         assert float(tree.threshold[0]) == pytest.approx(expected[1], rel=1e-12)
 
 
+@st.composite
+def split_inputs(draw):
+    """(X, y, rows, min_samples_leaf) with heavily tied values: small-integer
+    x (constant columns included) and y, often a repeated column, and rows a
+    sorted subset of X's rows."""
+    min_leaf = draw(st.integers(1, 5))
+    n = draw(st.integers(2 * min_leaf, 60))
+    total = n + draw(st.integers(0, 10))
+    dims = draw(st.integers(1, 4))
+    xs = draw(arrays(np.float64, (total, dims), elements=st.integers(0, 4).map(float)))
+    if dims > 1 and draw(st.booleans()):
+        xs[:, -1] = xs[:, 0]
+    ys = draw(arrays(np.float64, total, elements=st.integers(0, 3).map(float)))
+    rows = np.sort(draw(st.permutations(range(total)))[:n])
+    return xs, ys, rows, min_leaf
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_inputs())
+# y = 1 0 0 1 over distinct x: gains tie exactly at thresholds 0.5 and 2.5.
+@example((np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),
+          np.array([1.0, 0.0, 0.0, 1.0]), np.arange(4), 1))
+def test_best_split_equals_per_feature_reference(inputs):
+    # Exact equality, None included: ties in gain must go to the lower
+    # feature, then the lower threshold, as the one-feature-at-a-time scan does.
+    assert _best_split(*inputs) == per_feature_best_split(*inputs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(0, 6),
+    min_leaf=st.integers(1, 5),
+    dims=st.integers(1, 3),
+    levels=st.integers(1, 6),
+)
+def test_tree_cut_at_depth_is_tree_grown_to_depth(seed, depth, min_leaf, dims, levels):
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, levels, size=(80, dims)) / 4.0
+    ys = rng.normal(size=80)
+    tree = grow_tree(xs, ys, depth, min_leaf)
+    probes = np.concatenate([xs, rng.random((20, dims)) * levels / 4.0])
+    for d in range(depth + 1):
+        cut = tree.value[tree.leaf_index_batch(probes, d)]
+        assert np.array_equal(cut, grow_tree(xs, ys, d, min_leaf).predict_batch(probes))
+
+
 def test_rejects_empty_and_nonfinite_data():
     with pytest.raises(ValueError):
         fit_gbt(np.zeros((0, 2)), np.zeros(0), GbtConfig())
@@ -114,6 +165,29 @@ def test_round_trip_preserves_predictions():
     assert serialize_ensemble(parsed) == text
     probes = np.random.default_rng(6).random((100, 2))
     assert np.allclose(ens.predict_batch(probes), parsed.predict_batch(probes), atol=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    dims=st.integers(1, 3),
+    trees=st.integers(1, 6),
+    depth=st.integers(1, 4),
+    min_leaf=st.integers(1, 5),
+)
+def test_round_trip_property(seed, n, dims, trees, depth, min_leaf):
+    # Grown trees hold node means at internal nodes; the leaf-only format
+    # must neither write them nor need them to predict.
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, 5, size=(n, dims)) / 4.0
+    ys = rng.normal(size=n)
+    ens = fit_gbt(xs, ys, GbtConfig(tree_count=trees, max_depth=depth, min_samples_leaf=min_leaf))
+    text = serialize_ensemble(ens)
+    parsed = parse_ensemble_json(text)
+    assert serialize_ensemble(parsed) == text
+    probes = np.concatenate([xs, rng.random((20, dims))])
+    assert np.array_equal(ens.predict_batch(probes), parsed.predict_batch(probes))
 
 
 def test_hand_written_two_stump_file():
