@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -46,6 +47,17 @@ def _emit_report(report: dict, out_path, rules=None) -> None:
 def _read_model(path):
     with open(path, encoding="utf-8") as fh:
         return parse_ensemble_json(fh.read())
+
+
+def _read_csv_for(ensemble, path, target):
+    """``load_csv``, requiring the feature columns to be the model's, in order,
+    when the model names its features."""
+    data = load_csv(path, target)
+    expected = ensemble.feature_names or data.feature_names
+    for i, (got, want) in enumerate(itertools.zip_longest(data.feature_names, expected)):
+        if got != want:
+            raise ValueError(f"{path}: feature column {i + 1} is {got!r}, model expects {want!r}")
+    return data
 
 
 def _region_count(ensemble, probes):
@@ -95,7 +107,7 @@ def _fit_baseline(data, cart_config):
 
 def cmd_simplify(args) -> int:
     ensemble = _read_model(args.model)
-    train = load_csv(args.train, args.target)
+    train = _read_csv_for(ensemble, args.train, args.target)
     config = em.EmConfig(
         args.k, restarts=args.restarts, seed=args.seed, intercept=args.intercept == "on"
     )
@@ -104,7 +116,7 @@ def cmd_simplify(args) -> int:
         "counts": {"n_train": len(train), "split_rules": dataset.n_bits, "components": args.k},
         "rules": rules_to_json_dict(rules),
         "train_mse_vs_atm": mse(model.predict_batch(dataset.bits), dataset.z),
-        "fit": fit_report.to_json_dict(),
+        "fit": asdict(fit_report),
         "warnings": warnings,
     }
     _emit_report(report, args.out, rules)
@@ -128,7 +140,7 @@ def cmd_baseline(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ensemble = _read_model(args.model)
-    test = load_csv(args.test, args.target)
+    test = _read_csv_for(ensemble, args.test, args.target)
     report = {"n_test": len(test), "test_mse": mse(ensemble.predict_batch(test.xs), test.ys)}
     _emit(json.dumps(report, indent=2), args.out)
     return 0

@@ -63,9 +63,9 @@ def m_step_closed_form(beta: np.ndarray, data: BinaryDataset):
     eta = np.clip((beta.T @ data.bits) / mass[:, None], 0.0, 1.0)
     mu = (beta.T @ data.z) / mass
     denom = (beta * (data.z[:, None] - mu[None, :]) ** 2).sum(axis=0)
-    with np.errstate(divide="ignore"):
-        lam = np.where(denom > 0.0, mass / np.where(denom > 0.0, denom, 1.0), np.inf)
-    lam = np.clip(lam, *LAMBDA_BOUNDS)
+    # mass > 0, so a zero or tiny denom gives inf, clipped to the upper bound
+    with np.errstate(divide="ignore", over="ignore"):
+        lam = np.clip(mass / denom, *LAMBDA_BOUNDS)
     return eta, mu, lam
 
 
@@ -97,7 +97,6 @@ def m_step_gate(beta: np.ndarray, data: BinaryDataset, w_init: np.ndarray, confi
         gsq = float((G * G).sum())
         if gsq <= 1e-18 * max(1.0, len(data) ** 2):
             break
-        accepted = False
         t = step
         while t > 1e-20:
             W_try = W + t * G
@@ -109,10 +108,9 @@ def m_step_gate(beta: np.ndarray, data: BinaryDataset, w_init: np.ndarray, confi
             if J_try >= J + 1e-4 * t * gsq:
                 W, J = W_try, J_try
                 step = min(t * 2.0, 1e8)
-                accepted = True
                 break
             t /= 2.0
-        if not accepted:
+        else:
             break
     return W
 
@@ -138,25 +136,11 @@ class RestartTrace:
     failed: bool
     reseed_events: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "iters": self.iters,
-            "objective_trace": list(self.objective_trace),
-            "failed": self.failed,
-            "reseed_events": self.reseed_events,
-        }
-
 
 @dataclass
 class FitReport:
     restarts: list
     best_restart: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "restarts": [r.to_json_dict() for r in self.restarts],
-            "best_restart": self.best_restart,
-        }
 
 
 def reseed_components(beta: np.ndarray, bad, scores: np.ndarray) -> int:
@@ -182,12 +166,9 @@ def _run_em(data: BinaryDataset, config: EmConfig, rng: np.random.Generator):
     beta = rng.dirichlet(np.ones(k), size=n)
     width = data.n_bits + (1 if config.intercept else 0)
     weights = np.zeros((k, width))
-    model = None
-    row_ll = None
+    model = row_ll = None
     trace: list[float] = []
     reseeds = 0
-    failed = False
-    prev = None
 
     for _ in range(config.max_iters):
         mass = beta.sum(axis=0)
@@ -196,42 +177,29 @@ def _run_em(data: BinaryDataset, config: EmConfig, rng: np.random.Generator):
             scores = row_ll if row_ll is not None else rng.random(n)
             reseeds += reseed_components(beta, bad, scores)
             if reseeds > MAX_RESEEDS_PER_RUN:
-                failed = True
-                break
+                return model, RestartTrace(len(trace), trace, True, reseeds)
         eta, mu, lam = m_step_closed_form(beta, data)
         weights = m_step_gate(beta, data, weights, config)
         model = MixtureModel(weights, eta, mu, lam, data.schema, config.intercept)
         lj = log_joint_matrix(model, data)
-        per_row = log_sum_exp(lj)
-        obj = float(per_row.sum())
-        trace.append(obj)
-        if prev is not None and abs(obj - prev) <= config.rel_tol * max(1.0, abs(prev)):
+        row_ll = log_sum_exp(lj)
+        trace.append(float(row_ll.sum()))
+        if len(trace) > 1 and (
+            abs(trace[-1] - trace[-2]) <= config.rel_tol * max(1.0, abs(trace[-2]))
+        ):
             break
-        prev = obj
         beta = softmax(lj)
-        row_ll = per_row
-    return model, RestartTrace(len(trace), trace, failed, reseeds)
+    return model, RestartTrace(len(trace), trace, False, reseeds)
 
 
 def fit(data: BinaryDataset, config: EmConfig):
     """Best-of-restarts EM fit; returns (model, report with per-run traces)."""
     if len(data) < config.n_components:
         raise ValueError("need at least one row per component")
-    best_model = None
-    best_obj = -math.inf
-    best_index = -1
-    traces = []
-    for r in range(config.restarts):
-        rng = np.random.default_rng([config.seed, r])
-        model, trace = _run_em(data, config, rng)
-        traces.append(trace)
-        if trace.failed or model is None:
-            continue
-        final = trace.objective_trace[-1]
-        if final > best_obj:
-            best_obj = final
-            best_model = model
-            best_index = r
-    if best_model is None:
+    rngs = (np.random.default_rng([config.seed, r]) for r in range(config.restarts))
+    models, traces = zip(*(_run_em(data, config, rng) for rng in rngs))
+    done = [r for r, trace in enumerate(traces) if not trace.failed]
+    if not done:
         raise RuntimeError("all EM restarts failed (persistent degenerate components)")
-    return best_model, FitReport(traces, best_index)
+    best = max(done, key=lambda r: traces[r].objective_trace[-1])  # first of equal maxima
+    return models[best], FitReport(list(traces), best)

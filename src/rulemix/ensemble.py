@@ -38,22 +38,26 @@ class Tree:
                 raise ValueError("node arrays must share one length")
         if n == 0:
             raise ValueError("tree must have at least one node")
+        # one walk from the root: every node is reached exactly once
         internal = self.feature >= 0
-        if internal.any():
-            children = np.concatenate([self.left[internal], self.right[internal]])
-            if children.min() < 0 or children.max() >= n:
-                raise ValueError("child index out of range")
-            if 0 in children:
-                raise ValueError("root must not be a child")
-            counts = np.bincount(children, minlength=n)
-            if counts.max() > 1:
-                raise ValueError("node has more than one parent")
-            if int(internal.sum()) * 2 != n - 1:
-                raise ValueError("orphan node: not a single rooted tree")
-            if not np.isfinite(self.threshold[internal]).all():
-                raise ValueError("internal node with non-finite threshold")
-        elif n != 1:
-            raise ValueError("orphan node: not a single rooted tree")
+        is_internal, left, right = internal.tolist(), self.left.tolist(), self.right.tolist()
+        seen = [False] * n
+        seen[0] = True
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            if is_internal[i]:
+                for side, child in (("left", left[i]), ("right", right[i])):
+                    if not 0 <= child < n:
+                        raise ValueError(f"node {i}: {side} child index out of range")
+                    if seen[child]:
+                        raise ValueError(f"node {child}: reached twice from the root")
+                    seen[child] = True
+                    stack.append(child)
+        if not all(seen):
+            raise ValueError(f"node {seen.index(False)}: not reachable from the root")
+        if not np.isfinite(self.threshold[internal]).all():
+            raise ValueError("internal node with non-finite threshold")
         if not np.isfinite(self.value[~internal]).all():
             raise ValueError("leaf with non-finite value")
 
@@ -103,8 +107,14 @@ class Tree:
 
     def predict_batch(self, X: np.ndarray, depth: int | None = None) -> np.ndarray:
         """Value of the node ``leaf_index_batch(X, depth)`` reaches for each
-        row of ``X``."""
-        return self.value[self.leaf_index_batch(X, depth)]
+        row of ``X``; a cut that stops at an internal node without a value
+        (as in a parsed tree) raises ``ValueError``."""
+        idx = self.leaf_index_batch(X, depth)
+        out = self.value[idx]
+        if depth is not None and np.isnan(out).any():
+            node = int(idx[np.isnan(out)][0])
+            raise ValueError(f"node {node} has no value to predict at depth {depth}")
+        return out
 
     def split_pairs(self):
         """All internal-node (feature, threshold) pairs, duplicates included."""

@@ -233,14 +233,9 @@ def parse_ensemble_json(text: str) -> TreeEnsemble:
         if not isinstance(nodes, list) or len(nodes) == 0:
             raise ParseError(f"tree {ti}: 'nodes' must be a nonempty list")
         parsed = [_parse_node(i, n, feature_count) for i, n in enumerate(nodes)]
-        for i, n in enumerate(parsed):
-            if "feature" in n:
-                for side in ("left", "right"):
-                    if not 0 <= n[side] < len(parsed):
-                        raise ParseError(f"node {i}: {side} child index out of range")
         try:
             trees.append(Tree.from_nodes(parsed))
-        except ValueError as e:
+        except (ValueError, OverflowError) as e:  # OverflowError: child index beyond int64
             raise ParseError(f"tree {ti}: {e}") from e
     try:
         return TreeEnsemble(tuple(trees), np.array(weights), feature_count, names)

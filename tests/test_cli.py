@@ -13,7 +13,7 @@ import rulemix.baseline
 import rulemix.cli
 from rulemix.baseline import CartConfig, cv_mse_by_depth
 from rulemix.cli import build_parser, energy_pipeline, run
-from rulemix.data import gen_xor, load_csv, write_csv
+from rulemix.data import LabeledDataset, gen_xor, load_csv, write_csv
 from rulemix.ensemble import TreeEnsemble
 from rulemix.trainer import serialize_ensemble
 
@@ -214,6 +214,20 @@ def test_pipeline_cross_validates_once(cv_calls):
     report, _ = energy_pipeline(0, restarts=1)
     assert len(cv_calls) == 1
     assert report["warnings"] == []
+
+
+@pytest.mark.parametrize("command", ["simplify", "evaluate"])
+def test_feature_columns_must_match_model(tmp_path, capsys, xor_csv, command):
+    model_path = tmp_path / "model.json"
+    run(["train-atm", "--train", str(xor_csv), "--trees", "10", "--out", str(model_path)])
+    data = load_csv(xor_csv, "y")
+    swapped = tmp_path / "swapped.csv"
+    write_csv(LabeledDataset(data.xs[:, ::-1], data.ys, ("x_2", "x_1")), swapped, "y")
+    capsys.readouterr()
+    csv_flag = "--train" if command == "simplify" else "--test"
+    assert run([command, "--model", str(model_path), csv_flag, str(swapped)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {swapped}: feature column 1 is 'x_2', model expects 'x_1'\n"
 
 
 def test_bad_target_column_exits_one(tmp_path, capsys, xor_csv):

@@ -1,9 +1,13 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rulemix.em
 from conftest import random_dataset, random_model, schema_of_length
 from oracles import (
     component_bound,
@@ -17,6 +21,7 @@ from rulemix.em import (
     LAMBDA_BOUNDS,
     DegenerateComponentError,
     EmConfig,
+    RestartTrace,
     e_step,
     fit,
     gate_gradient,
@@ -26,7 +31,7 @@ from rulemix.em import (
     m_step_gate,
     reseed_components,
 )
-from rulemix.mixture import MixtureModel, joint_log_likelihood
+from rulemix.mixture import MixtureModel, gate_design, joint_log_likelihood
 
 
 def test_e_step_uniform_for_identical_components():
@@ -210,7 +215,7 @@ def test_fit_is_deterministic():
     config = EmConfig(n_components=2, restarts=3, seed=5)
     m1, r1 = fit(ds, config)
     m2, r2 = fit(ds, config)
-    assert json.dumps(r1.to_json_dict()) == json.dumps(r2.to_json_dict())
+    assert json.dumps(asdict(r1)) == json.dumps(asdict(r2))
     assert np.array_equal(m1.gate_weights, m2.gate_weights)
     assert np.array_equal(m1.eta, m2.eta)
     assert np.array_equal(m1.mu, m2.mu)
@@ -220,13 +225,80 @@ def test_fit_is_deterministic():
 def test_fit_report_json_layout():
     ds = random_dataset(41, n=20, l=3)
     _, report = fit(ds, EmConfig(n_components=2, restarts=2, seed=1))
-    doc = report.to_json_dict()
+    doc = asdict(report)
     assert set(doc) == {"restarts", "best_restart"}
     assert len(doc["restarts"]) == 2
     for run in doc["restarts"]:
         assert set(run) == {"iters", "objective_trace", "failed", "reseed_events"}
         assert run["iters"] == len(run["objective_trace"])
         assert run["failed"] is False
+
+
+def three_clusters():
+    """Ten rows at each of z = -5, 0, 5, each cluster with its own bit pattern."""
+    rng = np.random.default_rng(46)
+    bits = np.repeat([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], 10, axis=0)
+    z = np.repeat([-5.0, 0.0, 5.0], 10) + rng.normal(0.0, 0.1, 30)
+    return BinaryDataset(bits, z, schema_of_length(2))
+
+
+# No small natural dataset drives a component's mass below 1e-10 * N, so the
+# tests below raise DEGENERATE_MASS_FACTOR (and lower MAX_RESEEDS_PER_RUN) to
+# reach the reseed and failure paths of the EM driver.
+
+
+def test_fit_restarts_reseed_and_finish(monkeypatch):
+    monkeypatch.setattr(rulemix.em, "DEGENERATE_MASS_FACTOR", 0.3)
+    model, report = fit(three_clusters(), EmConfig(n_components=3, restarts=6, seed=0))
+    runs = report.restarts
+    assert any(r.reseed_events > 0 for r in runs)
+    assert not any(r.failed for r in runs)
+    finals = [r.objective_trace[-1] for r in runs]
+    assert report.best_restart == finals.index(max(finals))
+    # every restart, reseeded or not, converges (rel_tol 1e-6) to the three-cluster optimum
+    assert finals == pytest.approx([max(finals)] * 6, rel=1e-6)
+    assert joint_log_likelihood(model, three_clusters()) == max(finals)
+
+
+def test_fit_best_restart_skips_failed_restarts(monkeypatch):
+    monkeypatch.setattr(rulemix.em, "DEGENERATE_MASS_FACTOR", 0.3)
+    monkeypatch.setattr(rulemix.em, "MAX_RESEEDS_PER_RUN", 0)
+    _, report = fit(three_clusters(), EmConfig(n_components=3, restarts=6, seed=0))
+    failed = [r.failed for r in report.restarts]
+    assert len(failed) == 6 and any(failed) and not all(failed)
+    assert any(r.failed and r.objective_trace for r in report.restarts)  # failed mid-run
+    for r in report.restarts:
+        assert r.iters == len(r.objective_trace)
+        assert r.failed == (r.reseed_events > 0)
+    finals = {i: r.objective_trace[-1] for i, r in enumerate(report.restarts) if not r.failed}
+    assert report.best_restart == max(finals, key=finals.get)
+
+
+def test_fit_best_restart_rule(monkeypatch):
+    # stubbed restarts: a failed one with the highest objective, then a tie
+    finals = [(1.0, False), (9.0, True), (3.0, False), (3.0, False), (2.0, False)]
+    runs = iter(
+        (f"model {r}", RestartTrace(1, [obj], failed, 0)) for r, (obj, failed) in enumerate(finals)
+    )
+    monkeypatch.setattr(rulemix.em, "_run_em", lambda *args: next(runs))
+    model, report = fit(random_dataset(48, n=10, l=2), EmConfig(n_components=2, restarts=5))
+    assert (model, report.best_restart) == ("model 2", 2)
+    assert [r.failed for r in report.restarts] == [f for _, f in finals]
+
+
+def test_fit_all_restarts_failed_raises(monkeypatch):
+    # every component of a K=2 fit holds less than all N rows
+    monkeypatch.setattr(rulemix.em, "DEGENERATE_MASS_FACTOR", 1.0)
+    with pytest.raises(RuntimeError, match="all EM restarts failed"):
+        fit(three_clusters(), EmConfig(n_components=2, restarts=3, seed=0))
+
+
+def test_fit_equal_objectives_pick_earliest_restart():
+    ds = random_dataset(47, n=20, l=3)
+    _, report = fit(ds, EmConfig(n_components=1, restarts=4, seed=0))
+    finals = [r.objective_trace[-1] for r in report.restarts]
+    assert finals == [finals[0]] * 4
+    assert report.best_restart == 0
 
 
 def test_fit_requires_enough_rows():
@@ -275,3 +347,49 @@ def test_config_validation():
         EmConfig(n_components=2, rel_tol=1.5)
     with pytest.raises(ValueError):
         EmConfig(n_components=2, gate_max_iters=0)
+
+
+def permuted_and_doubled(seed, n, l, k):
+    """A random dataset with responsibilities, a row permutation of both, and
+    both with every row repeated once."""
+    ds = random_dataset(seed, n=n, l=l)
+    rng = np.random.default_rng(seed + 1)
+    beta = rng.dirichlet(np.ones(k), size=n)
+    perm = rng.permutation(n)
+    shuffled = BinaryDataset(ds.bits[perm], ds.z[perm], ds.schema)
+    doubled = BinaryDataset(np.tile(ds.bits, (2, 1)), np.tile(ds.z, 2), ds.schema)
+    return ds, beta, (shuffled, beta[perm]), (doubled, np.tile(beta, (2, 1)))
+
+
+row_sets = dict(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 40),
+    l=st.integers(1, 5),
+    k=st.integers(1, 4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**row_sets)
+def test_closed_form_m_step_invariant_to_row_order_and_duplication(seed, n, l, k):
+    ds, beta, shuffled, doubled = permuted_and_doubled(seed, n, l, k)
+    expected = m_step_closed_form(beta, ds)
+    for data, b in (shuffled, doubled):
+        for got, want in zip(m_step_closed_form(b, data), expected):
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**row_sets, intercept=st.booleans())
+def test_gate_objective_and_gradient_are_sums_over_rows(seed, n, l, k, intercept):
+    # at ridge 0 both are sums of per-row terms: row order does not matter
+    # and repeating every row doubles them
+    ds, beta, shuffled, doubled = permuted_and_doubled(seed, n, l, k)
+    weights = np.random.default_rng(seed + 2).normal(size=(k, l + intercept))
+    design = gate_design(ds.bits, intercept)
+    value = gate_objective(weights, beta, design, 0.0)
+    grad = gate_gradient(weights, beta, design, 0.0)
+    for (data, b), scale in ((shuffled, 1.0), (doubled, 2.0)):
+        d = gate_design(data.bits, intercept)
+        assert gate_objective(weights, b, d, 0.0) == pytest.approx(scale * value, rel=1e-9)
+        assert np.allclose(gate_gradient(weights, b, d, 0.0), scale * grad, rtol=1e-9, atol=1e-9)

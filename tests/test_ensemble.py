@@ -138,7 +138,7 @@ def test_leaf_vector_identifies_region():
 
 
 def test_tree_rejects_multi_parent():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="node 1: reached twice"):
         Tree.from_nodes(
             [
                 {"feature": 0, "threshold": 0.5, "left": 1, "right": 1},
@@ -148,7 +148,7 @@ def test_tree_rejects_multi_parent():
 
 
 def test_tree_rejects_orphan_node():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="node 3: not reachable"):
         Tree.from_nodes(
             [
                 {"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
@@ -157,6 +157,25 @@ def test_tree_rejects_orphan_node():
                 {"value": 2.0},
             ]
         )
+
+
+def test_tree_rejects_root_as_child():
+    with pytest.raises(ValueError, match="node 0: reached twice"):
+        Tree.from_nodes(
+            [
+                {"feature": 0, "threshold": 0.5, "left": 1, "right": 0},
+                {"value": 0.0},
+            ]
+        )
+
+
+def test_depth_cut_without_internal_values_names_node():
+    # from_nodes, which the model parser uses, stores leaf values only
+    tree = stump()
+    X = np.array([[0.2, 0.0], [0.7, 0.0]])
+    assert tree.predict_batch(X, depth=1).tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError, match="node 0 has no value"):
+        tree.predict_batch(X, depth=0)
 
 
 def test_tree_rejects_non_finite_leaf():

@@ -224,12 +224,32 @@ def test_extract_rules_keeps_tightest_bounds():
     assert comp.intervals[0].upper == 0.9
 
 
-def test_extract_rules_shares_from_data():
-    ds = random_dataset(13, n=50, l=4)
-    model = random_model(14, k=3, schema=ds.schema)
-    rules = extract_rules(model, 0.05, ds)
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    l=st.integers(1, 4),
+    k=st.integers(1, 6),
+    span=st.integers(0, 2),
+    intercept=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(n=9, l=1, k=5, span=1, intercept=True, seed=0)  # K above the 2 patterns
+@example(n=4, l=2, k=3, span=0, intercept=False, seed=0)  # all gates tie
+def test_extract_rules_shares_from_data(n, l, k, span, intercept, seed):
+    # Integer gate weights in [-span, span] make equal logits exact ties.
+    rng = np.random.default_rng(seed)
+    schema = schema_of_length(l)
+    bits = rng.integers(0, 2, size=(n, l)).astype(float)
+    weights = rng.integers(-span, span + 1, size=(k, l + intercept)).astype(float)
+    model = MixtureModel(weights, rng.random((k, l)), np.zeros(k), np.ones(k), schema, intercept)
+    rules = extract_rules(model, 0.05, BinaryDataset(bits, rng.normal(size=n), schema))
+    counts = [0] * k
+    for row in bits.tolist():
+        design = row + [1.0] * intercept
+        logits = [sum(w * s for w, s in zip(wk, design)) for wk in weights.tolist()]
+        counts[logits.index(max(logits))] += 1  # ties go to the lower index
     shares = [c.share for c in rules.components]
-    assert all(s is not None for s in shares)
+    assert shares == [c / n for c in counts]
     assert sum(shares) == pytest.approx(1.0, abs=1e-12)
 
 

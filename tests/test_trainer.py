@@ -230,6 +230,29 @@ def test_child_index_out_of_range_rejected():
         parse_ensemble_json(json.dumps(bad))
 
 
+def test_child_index_beyond_int64_rejected():
+    bad = json.loads(TWO_STUMP_JSON)
+    bad["trees"][0]["nodes"][0]["right"] = 2**70
+    with pytest.raises(ParseError, match="tree 0: "):
+        parse_ensemble_json(json.dumps(bad))
+
+
+def test_detached_cycle_rejected_naming_node():
+    # root 0 -> (1, 2); nodes 3 -> (4, 5) and 5 -> (3, 6) form a cycle no input reaches
+    nodes = [
+        {"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
+        {"value": 0.0},
+        {"value": 1.0},
+        {"feature": 1, "threshold": 0.1, "left": 4, "right": 5},
+        {"value": 2.0},
+        {"feature": 1, "threshold": 0.9, "left": 3, "right": 6},
+        {"value": 3.0},
+    ]
+    text = json.dumps({"feature_count": 2, "trees": [{"weight": 1.0, "nodes": nodes}]})
+    with pytest.raises(ParseError, match="tree 0: node 3: not reachable from the root"):
+        parse_ensemble_json(text)
+
+
 def test_malformed_json_rejected():
     with pytest.raises(ParseError, match="malformed JSON"):
         parse_ensemble_json("{not json")
