@@ -7,10 +7,10 @@ conjunction of feature intervals with one predictor value.
 """
 
 from .baseline import CartConfig, cv_mse_by_depth, fit_cart, tree_to_ruleset
-from .binarizer import BinaryDataset, SplitSchema, build_dataset, extract_splits
+from .binarizer import BinaryDataset, SplitSchema, build_dataset, count_regions_exact, extract_splits
 from .data import LabeledDataset, gen_energy_like, gen_xor, load_csv, mse, split3
 from .em import DegenerateComponentError, EmConfig, FitReport, e_step, fit, lower_bound, m_step_closed_form, m_step_gate
-from .ensemble import Tree, TreeEnsemble, count_regions, count_regions_exact
+from .ensemble import Tree, TreeEnsemble, count_regions
 from .mixture import (
     MixtureModel,
     RuleSet,

@@ -65,14 +65,12 @@ def fit_cart(data: LabeledDataset, config: CartConfig, scores: dict[int, float])
     return grow_tree(data.xs, data.ys, best_depth, config.min_samples_leaf)
 
 
-def tree_to_ruleset(tree: Tree, feature_names=None, data: LabeledDataset | None = None) -> RuleSet:
+def tree_to_ruleset(tree: Tree, data: LabeledDataset) -> RuleSet:
     """Render a tree through the rule machinery: one component per leaf, with
-    the root-to-leaf split conditions as its intervals."""
-    shares = None
-    if data is not None:
-        reached = tree.leaf_index_batch(data.xs)
-        shares = np.bincount(reached, minlength=tree.node_count) / len(data)
-
+    the root-to-leaf split conditions as its intervals and the leaf's share
+    of the rows of ``data``; feature names come from ``data``."""
+    reached = tree.leaf_index_batch(data.xs)
+    shares = np.bincount(reached, minlength=tree.node_count) / len(data)
     components = []
 
     def walk(node, lowers, uppers):
@@ -81,7 +79,7 @@ def tree_to_ruleset(tree: Tree, feature_names=None, data: LabeledDataset | None 
                 RuleComponent(
                     mu=float(tree.value[node]),
                     intervals=tightest_intervals(lowers, uppers),
-                    share=None if shares is None else float(shares[node]),
+                    share=float(shares[node]),
                 )
             )
             return
@@ -91,5 +89,4 @@ def tree_to_ruleset(tree: Tree, feature_names=None, data: LabeledDataset | None 
         walk(int(tree.right[node]), lowers + [(d, b)], uppers)
 
     walk(0, [], [])
-    names = tuple(feature_names) if feature_names is not None else None
-    return RuleSet(components, names)
+    return RuleSet(components, data.feature_names)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import TreeEnsemble
+from .ensemble import TreeEnsemble, count_regions
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,10 @@ class SplitSchema:
     def rules(self) -> list[tuple[int, float]]:
         return list(zip(self.features.tolist(), self.thresholds.tolist()))
 
-    def min_dimension(self) -> int:
-        return int(self.features.max()) + 1 if len(self) else 0
-
     def encode_batch(self, X) -> np.ndarray:
         """Bit l of row n is 1 iff X[n, feature_l] >= threshold_l."""
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] < self.min_dimension():
+        if X.ndim != 2 or X.shape[1] <= self.features.max(initial=-1):
             raise ValueError(f"input matrix {X.shape} too narrow for schema")
         return (X[:, self.features] >= self.thresholds[None, :]).astype(np.float64)
 
@@ -49,11 +46,34 @@ def extract_splits(ensemble: TreeEnsemble) -> SplitSchema:
     """Collect every internal-node (feature, threshold) pair once, sorted."""
     pairs = set()
     for t in ensemble.trees:
-        pairs.update(t.split_pairs())
+        internal = t.feature >= 0
+        pairs.update(zip(t.feature[internal].tolist(), t.threshold[internal].tolist()))
     ordered = sorted(pairs)
     features = np.array([d for d, _ in ordered], dtype=np.int64)
     thresholds = np.array([b for _, b in ordered])
     return SplitSchema(features, thresholds, ensemble.feature_names)
+
+
+def count_regions_exact(ensemble: TreeEnsemble) -> int:
+    """Exact region count via one probe per cell of the grid that the
+    ``extract_splits`` thresholds cut each feature axis into.
+
+    Only supported for feature_count <= 2 (the grid is exponential in D).
+    """
+    if ensemble.feature_count > 2:
+        raise ValueError("exact region counting supported only for D <= 2")
+    schema = extract_splits(ensemble)
+    axes = []
+    for d in range(ensemble.feature_count):
+        ts = schema.thresholds[schema.features == d]
+        if len(ts) == 0:
+            axes.append(np.array([0.0]))
+        else:
+            inner = (ts[:-1] + ts[1:]) / 2.0
+            axes.append(np.concatenate([[ts[0] - 1.0], inner, [ts[-1] + 1.0]]))
+    grids = np.meshgrid(*axes, indexing="ij")
+    probes = np.stack([g.ravel() for g in grids], axis=1)
+    return count_regions(ensemble, probes)
 
 
 @dataclass(frozen=True)

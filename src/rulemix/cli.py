@@ -13,7 +13,7 @@ import numpy as np
 
 from . import em
 from .baseline import CartConfig, cv_mse_by_depth, fit_cart, tree_to_ruleset
-from .binarizer import build_dataset, extract_splits
+from .binarizer import build_dataset, count_regions_exact, extract_splits
 from .data import (
     ENERGY_TARGET,
     gen_energy_like,
@@ -23,8 +23,8 @@ from .data import (
     split3,
     write_csv,
 )
-from .ensemble import count_regions, count_regions_exact, thresholds_by_feature
-from .mixture import extract_rules, render_rules_text, rules_to_json_dict
+from .ensemble import count_regions
+from .mixture import check_tau, extract_rules, render_rules_text, rules_to_json_dict
 from .trainer import GbtConfig, fit_gbt, parse_ensemble_json, serialize_ensemble
 
 EXACT_REGION_CELL_CAP = 2_000_000
@@ -49,22 +49,20 @@ def _read_model(path):
         return parse_ensemble_json(fh.read())
 
 
-def _read_csv_for(ensemble, path, target):
-    """``load_csv``, requiring the feature columns to be the model's, in order,
-    when the model names its features."""
+def _read_csv_for(expected, path, target):
+    """``load_csv``, requiring the feature columns to be ``expected``, in
+    order, unless ``expected`` is None."""
     data = load_csv(path, target)
-    expected = ensemble.feature_names or data.feature_names
+    expected = expected or data.feature_names
     for i, (got, want) in enumerate(itertools.zip_longest(data.feature_names, expected)):
         if got != want:
-            raise ValueError(f"{path}: feature column {i + 1} is {got!r}, model expects {want!r}")
+            raise ValueError(f"{path}: feature column {i + 1} is {got!r}, expected {want!r}")
     return data
 
 
-def _region_count(ensemble, probes):
+def _region_count(ensemble, schema, probes):
     if ensemble.feature_count <= 2:
-        cells = 1
-        for ts in thresholds_by_feature(ensemble):
-            cells *= len(ts) + 1
+        cells = np.prod(np.bincount(schema.features, minlength=ensemble.feature_count) + 1)
         if cells <= EXACT_REGION_CELL_CAP:
             return count_regions_exact(ensemble), "exact"
     return count_regions(ensemble, probes), "sampled"
@@ -89,6 +87,7 @@ def _fit_rules(ensemble, xs, em_config, tau):
     """Binarize ``xs`` on the ensemble's splits, fit the mixture by EM and read
     off its rules.  ``warnings`` names a degenerate fit: fewer distinct bit
     patterns than components (an empty schema has one pattern)."""
+    check_tau(tau)
     schema = extract_splits(ensemble)
     dataset = build_dataset(ensemble, schema, xs)
     model, fit_report = em.fit(dataset, em_config)
@@ -107,7 +106,7 @@ def _fit_baseline(data, cart_config):
 
 def cmd_simplify(args) -> int:
     ensemble = _read_model(args.model)
-    train = _read_csv_for(ensemble, args.train, args.target)
+    train = _read_csv_for(ensemble.feature_names, args.train, args.target)
     config = em.EmConfig(
         args.k, restarts=args.restarts, seed=args.seed, intercept=args.intercept == "on"
     )
@@ -129,9 +128,9 @@ def cmd_baseline(args) -> int:
     config = CartConfig(depths, args.folds, args.min_samples_leaf, args.seed)
     scores, tree = _fit_baseline(train, config)
     report = {"cv_mse_by_depth": {str(d): v for d, v in scores.items()}, "leaves": tree.n_leaves}
-    rules = tree_to_ruleset(tree, train.feature_names, train)
+    rules = tree_to_ruleset(tree, train)
     if args.test:
-        test = load_csv(args.test, args.target)
+        test = _read_csv_for(train.feature_names, args.test, args.target)
         report["test_mse"] = mse(tree.predict_batch(test.xs), test.ys)
     report["rules"] = rules_to_json_dict(rules)
     _emit_report(report, args.out, rules)
@@ -140,9 +139,9 @@ def cmd_baseline(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ensemble = _read_model(args.model)
-    test = _read_csv_for(ensemble, args.test, args.target)
+    test = _read_csv_for(ensemble.feature_names, args.test, args.target)
     report = {"n_test": len(test), "test_mse": mse(ensemble.predict_batch(test.xs), test.ys)}
-    _emit(json.dumps(report, indent=2), args.out)
+    _emit_report(report, args.out)
     return 0
 
 
@@ -160,7 +159,7 @@ def _pipeline_report(task, source, d_atm, d_train, d_test, gbt_config, em_config
     model_soft = mse(model.predict_batch(test_bits, soft=True), d_test.ys)
     fidelity = mse(hard_preds, atm_preds)
     cart_mse = mse(cart.predict_batch(d_test.xs), d_test.ys)
-    regions, mode = _region_count(ensemble, np.concatenate([d_train.xs, d_test.xs]))
+    regions, mode = _region_count(ensemble, dataset.schema, np.vstack([d_train.xs, d_test.xs]))
 
     best = fit_report.restarts[fit_report.best_restart]
     report = {
@@ -208,7 +207,7 @@ def synthetic_pipeline(seed, k=4, tau=0.05, restarts=10, intercept=True, n=1000)
     d_atm = gen_xor(n, seed=seed)
     d_train = gen_xor(n, seed=seed + 1)
     d_test = gen_xor(n, seed=seed + 2)
-    gbt = GbtConfig(tree_count=100, max_depth=3, learning_rate=0.1, min_samples_leaf=50, seed=seed)
+    gbt = GbtConfig(min_samples_leaf=50, seed=seed)
     emc = em.EmConfig(n_components=k, restarts=restarts, seed=seed, intercept=intercept)
     cart = CartConfig(min_samples_leaf=15, seed=seed)
     return _pipeline_report("synthetic", "generated", d_atm, d_train, d_test, gbt, emc, cart, tau)
@@ -222,7 +221,7 @@ def energy_pipeline(seed, data_path=None, k=4, tau=0.05, restarts=10, intercept=
         full = gen_energy_like(seed=seed)
         source = "synthetic stand-in"
     d_atm, d_train, d_test = split3(full, (0.4, 0.3, 0.3), seed)
-    gbt = GbtConfig(tree_count=100, max_depth=3, learning_rate=0.1, min_samples_leaf=10, seed=seed)
+    gbt = GbtConfig(min_samples_leaf=10, seed=seed)
     emc = em.EmConfig(n_components=k, restarts=restarts, seed=seed, intercept=intercept)
     cart = CartConfig(seed=seed)
     return _pipeline_report("energy", source, d_atm, d_train, d_test, gbt, emc, cart, tau)

@@ -119,6 +119,9 @@ def load_csv(path, target_column: str) -> LabeledDataset:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise ValueError(f"{path}: column {name!r} appears twice")
         if target_column not in header:
             raise ValueError(f"{path}: no column named {target_column!r}")
         target_idx = header.index(target_column)

@@ -45,9 +45,11 @@ class EmConfig:
             raise ValueError("rel_tol must lie in (0, 1)")
 
 
-def e_step(model: MixtureModel, data: BinaryDataset) -> np.ndarray:
-    """Posterior responsibilities: rows are softmax of log gate + log density."""
-    return softmax(log_joint_matrix(model, data))
+def e_step(model: MixtureModel, data: BinaryDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior responsibilities (row softmax of log gate + log density) and
+    each row's log-likelihood (their log-sum-exp), from one joint matrix."""
+    lj = log_joint_matrix(model, data)
+    return softmax(lj), log_sum_exp(lj)
 
 
 def m_step_closed_form(beta: np.ndarray, data: BinaryDataset):
@@ -181,14 +183,12 @@ def _run_em(data: BinaryDataset, config: EmConfig, rng: np.random.Generator):
         eta, mu, lam = m_step_closed_form(beta, data)
         weights = m_step_gate(beta, data, weights, config)
         model = MixtureModel(weights, eta, mu, lam, data.schema, config.intercept)
-        lj = log_joint_matrix(model, data)
-        row_ll = log_sum_exp(lj)
+        beta, row_ll = e_step(model, data)
         trace.append(float(row_ll.sum()))
         if len(trace) > 1 and (
             abs(trace[-1] - trace[-2]) <= config.rel_tol * max(1.0, abs(trace[-2]))
         ):
             break
-        beta = softmax(lj)
     return model, RestartTrace(len(trace), trace, False, reseeds)
 
 

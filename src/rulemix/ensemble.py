@@ -77,8 +77,9 @@ class Tree:
             else:
                 feature[i] = node["feature"]
                 threshold[i] = node["threshold"]
-                left[i] = node["left"]
-                right[i] = node["right"]
+                # clamped: an index outside [0, n) stays outside it and fits int64
+                left[i] = min(max(node["left"], LEAF), n)
+                right[i] = min(max(node["right"], LEAF), n)
         return cls(feature, threshold, left, right, value)
 
     @property
@@ -116,11 +117,6 @@ class Tree:
             raise ValueError(f"node {node} has no value to predict at depth {depth}")
         return out
 
-    def split_pairs(self):
-        """All internal-node (feature, threshold) pairs, duplicates included."""
-        internal = self.feature >= 0
-        return list(zip(self.feature[internal].tolist(), self.threshold[internal].tolist()))
-
 
 @dataclass(frozen=True)
 class TreeEnsemble:
@@ -148,6 +144,9 @@ class TreeEnsemble:
             names = tuple(self.feature_names)
             if len(names) != self.feature_count:
                 raise ValueError("feature_names length must equal feature_count")
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ValueError(f"feature name {name!r} appears twice")
             object.__setattr__(self, "feature_names", names)
 
     @property
@@ -181,15 +180,6 @@ class TreeEnsemble:
         return X
 
 
-def thresholds_by_feature(ensemble: TreeEnsemble) -> list[np.ndarray]:
-    """Sorted distinct split thresholds per feature, over the whole ensemble."""
-    per_dim = [set() for _ in range(ensemble.feature_count)]
-    for t in ensemble.trees:
-        for d, b in t.split_pairs():
-            per_dim[d].add(b)
-    return [np.array(sorted(s)) for s in per_dim]
-
-
 def count_regions(ensemble: TreeEnsemble, probes) -> int:
     """Number of distinct regions hit by ``probes`` (a lower bound on the
     exact region count)."""
@@ -198,22 +188,3 @@ def count_regions(ensemble: TreeEnsemble, probes) -> int:
         raise ValueError("probes must be a nonempty (n, D) matrix")
     vectors = ensemble.leaf_vector_batch(probes)
     return len(np.unique(vectors, axis=0))
-
-
-def count_regions_exact(ensemble: TreeEnsemble) -> int:
-    """Exact region count via one probe per cell of the split-threshold grid.
-
-    Only supported for feature_count <= 2 (the grid is exponential in D).
-    """
-    if ensemble.feature_count > 2:
-        raise ValueError("exact region counting supported only for D <= 2")
-    axes = []
-    for ts in thresholds_by_feature(ensemble):
-        if len(ts) == 0:
-            axes.append(np.array([0.0]))
-        else:
-            inner = (ts[:-1] + ts[1:]) / 2.0
-            axes.append(np.concatenate([[ts[0] - 1.0], inner, [ts[-1] + 1.0]]))
-    grids = np.meshgrid(*axes, indexing="ij")
-    probes = np.stack([g.ravel() for g in grids], axis=1)
-    return count_regions(ensemble, probes)

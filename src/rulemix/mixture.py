@@ -4,7 +4,7 @@ experts, Gaussian predictor experts, and interval-rule extraction."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,9 +99,6 @@ class MixtureModel:
         is positive and sums to 1."""
         return softmax(self._gate_logits(S))
 
-    def log_gate_batch(self, S: np.ndarray) -> np.ndarray:
-        return log_softmax(self._gate_logits(S))
-
     def log_density_matrix(self, S: np.ndarray, z: np.ndarray) -> np.ndarray:
         """(n, K) matrix of log p(s | eta_k) + log N(z; mu_k, 1/lam_k) over
         the (s, z) rows, always finite."""
@@ -122,17 +119,14 @@ class MixtureModel:
 
 
 def _check_schema(model: MixtureModel, data: BinaryDataset) -> None:
-    same = np.array_equal(model.schema.features, data.schema.features) and np.array_equal(
-        model.schema.thresholds, data.schema.thresholds
-    )
-    if not same:
+    if model.schema.rules != data.schema.rules:
         raise ValueError("dataset schema does not match model schema")
 
 
 def log_joint_matrix(model: MixtureModel, data: BinaryDataset) -> np.ndarray:
     """(N, K) matrix of log gate_k(s_n) + log density_k(s_n, z_n)."""
     _check_schema(model, data)
-    return model.log_gate_batch(data.bits) + model.log_density_matrix(data.bits, data.z)
+    return log_softmax(model._gate_logits(data.bits)) + model.log_density_matrix(data.bits, data.z)
 
 
 def joint_log_likelihood(model: MixtureModel, data: BinaryDataset) -> float:
@@ -154,8 +148,8 @@ class RuleInterval:
 @dataclass
 class RuleComponent:
     mu: float
-    intervals: list = field(default_factory=list)
-    share: float | None = None
+    intervals: list
+    share: float
 
     @property
     def catch_all(self) -> bool:
@@ -195,23 +189,25 @@ def tightest_intervals(lower_splits, upper_splits) -> list:
     ]
 
 
-def extract_rules(model: MixtureModel, tau: float, data: BinaryDataset | None = None) -> RuleSet:
+def check_tau(tau: float) -> None:
+    if not 0.0 < tau < 0.5:
+        raise ValueError("tau must lie in (0, 0.5)")
+
+
+def extract_rules(model: MixtureModel, tau: float, data: BinaryDataset) -> RuleSet:
     """Threshold the Bernoulli parameters into interval rules.
 
     A bit is an active lower bound when eta >= 1 - tau (the component almost
     surely satisfies x >= b) and an active upper bound when eta <= tau; per
     feature the tightest bounds are kept.  Components with inconsistent
     bounds are flagged degenerate rather than dropped; components with no
-    active bit get the catch-all rule.  When ``data`` is given, each
-    component's share of argmax-gate rows is recorded.
+    active bit get the catch-all rule.  Each component's share is its
+    fraction of the argmax-gate rows of ``data``.
     """
-    if not 0.0 < tau < 0.5:
-        raise ValueError("tau must lie in (0, 0.5)")
-    shares = None
-    if data is not None:
-        _check_schema(model, data)
-        assign = np.argmax(model.gate_batch(data.bits), axis=1)
-        shares = np.bincount(assign, minlength=model.n_components) / len(data)
+    check_tau(tau)
+    _check_schema(model, data)
+    assign = np.argmax(model.gate_batch(data.bits), axis=1)
+    shares = np.bincount(assign, minlength=model.n_components) / len(data)
 
     splits = model.schema.rules
     components = []
@@ -223,7 +219,7 @@ def extract_rules(model: MixtureModel, tau: float, data: BinaryDataset | None = 
             RuleComponent(
                 mu=float(model.mu[k]),
                 intervals=tightest_intervals(lower, upper),
-                share=None if shares is None else float(shares[k]),
+                share=float(shares[k]),
             )
         )
     return RuleSet(components, model.schema.feature_names)
@@ -251,8 +247,7 @@ def render_rules_text(ruleset: RuleSet) -> str:
     """Aligned plain-text table: predictor value, share, rule conjunction."""
     rows = []
     for c in ruleset.components:
-        share = "" if c.share is None else f"{c.share:.2f}"
-        rows.append((f"{c.mu:.4g}", share, rule_text(ruleset, c)))
+        rows.append((f"{c.mu:.4g}", f"{c.share:.2f}", rule_text(ruleset, c)))
     w0 = max(len(r[0]) for r in rows)
     w1 = max([len(r[1]) for r in rows] + [len("share")])
     lines = [f"{'z':>{w0}}  {'share':>{w1}}  rule"]

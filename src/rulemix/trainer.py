@@ -195,10 +195,20 @@ def _parse_node(i, node, feature_count):
     return {"value": _check_real(node["value"], f"node {i}: value")}
 
 
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_ensemble_json(text: str) -> TreeEnsemble:
-    """Parse the ensemble interchange format (strict: unknown fields rejected)."""
+    """Parse the ensemble interchange format (strict: unknown fields and
+    repeated keys rejected)."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed JSON: {e}") from e
     if not isinstance(obj, dict):
@@ -235,7 +245,7 @@ def parse_ensemble_json(text: str) -> TreeEnsemble:
         parsed = [_parse_node(i, n, feature_count) for i, n in enumerate(nodes)]
         try:
             trees.append(Tree.from_nodes(parsed))
-        except (ValueError, OverflowError) as e:  # OverflowError: child index beyond int64
+        except ValueError as e:
             raise ParseError(f"tree {ti}: {e}") from e
     try:
         return TreeEnsemble(tuple(trees), np.array(weights), feature_count, names)

@@ -182,7 +182,7 @@ def test_criterion_6_bound_tightness(capsys):
         k = int(rng.integers(1, 5))
         ds = random_dataset(int(rng.integers(1e9)), n=n, l=l)
         model = random_model(int(rng.integers(1e9)), k=k, schema=ds.schema)
-        beta = e_step(model, ds)
+        beta, _ = e_step(model, ds)
         ll = joint_log_likelihood(model, ds)
         assert lower_bound(model, beta, ds) == pytest.approx(ll, abs=1e-8)
     with capsys.disabled():

@@ -139,7 +139,7 @@ def test_tree_renders_as_path_conjunctions():
     xs = rng.random((200, 2))
     ys = 2.0 * (xs[:, 0] >= 0.5) + (xs[:, 1] >= 0.5)
     tree = grow_tree(xs, ys, max_depth=2, min_samples_leaf=5)
-    rules = tree_to_ruleset(tree, ("alpha", "beta"), LabeledDataset(xs, ys))
+    rules = tree_to_ruleset(tree, LabeledDataset(xs, ys, ("alpha", "beta")))
     assert len(rules.components) == 4
     assert sum(c.share for c in rules.components) == pytest.approx(1.0)
     texts = [rule_text(rules, c) for c in rules.components]
@@ -165,7 +165,7 @@ def test_tree_rules_partition_rows_by_leaf(seed, depth, dims, min_leaf):
     internal = np.nonzero(tree.feature >= 0)[0]
     on_split[internal, tree.feature[internal]] = tree.threshold[internal]
     probes = np.concatenate([xs, on_split[internal]])
-    rules = tree_to_ruleset(tree, data=LabeledDataset(probes, np.zeros(len(probes))))
+    rules = tree_to_ruleset(tree, LabeledDataset(probes, np.zeros(len(probes))))
 
     inside = np.ones((len(probes), len(rules.components)), dtype=bool)
     for j, c in enumerate(rules.components):

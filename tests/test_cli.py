@@ -11,6 +11,7 @@ from conftest import constant_tree, stump
 import rulemix
 import rulemix.baseline
 import rulemix.cli
+import rulemix.em
 from rulemix.baseline import CartConfig, cv_mse_by_depth
 from rulemix.cli import build_parser, energy_pipeline, run
 from rulemix.data import LabeledDataset, gen_xor, load_csv, write_csv
@@ -216,18 +217,45 @@ def test_pipeline_cross_validates_once(cv_calls):
     assert report["warnings"] == []
 
 
-@pytest.mark.parametrize("command", ["simplify", "evaluate"])
+@pytest.mark.parametrize("command", ["simplify", "evaluate", "baseline"])
 def test_feature_columns_must_match_model(tmp_path, capsys, xor_csv, command):
     model_path = tmp_path / "model.json"
     run(["train-atm", "--train", str(xor_csv), "--trees", "10", "--out", str(model_path)])
     data = load_csv(xor_csv, "y")
     swapped = tmp_path / "swapped.csv"
     write_csv(LabeledDataset(data.xs[:, ::-1], data.ys, ("x_2", "x_1")), swapped, "y")
+    one_column = tmp_path / "one_column.csv"
+    write_csv(LabeledDataset(data.xs[:, :1], data.ys, ("x_1",)), one_column, "y")
     capsys.readouterr()
-    csv_flag = "--train" if command == "simplify" else "--test"
-    assert run([command, "--model", str(model_path), csv_flag, str(swapped)]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: {swapped}: feature column 1 is 'x_2', model expects 'x_1'\n"
+    cases = (
+        (swapped, "feature column 1 is 'x_2', expected 'x_1'"),
+        (one_column, "feature column 2 is None, expected 'x_2'"),
+    )
+    for path, message in cases:
+        if command == "baseline":  # the test CSV must have the train CSV's columns
+            argv = ["baseline", "--train", str(xor_csv), "--test", str(path)]
+        else:
+            csv_flag = "--train" if command == "simplify" else "--test"
+            argv = [command, "--model", str(model_path), csv_flag, str(path)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["simplify", "reproduce"])
+def test_tau_checked_before_fit(monkeypatch, tmp_path, capsys, xor_csv, command):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("em.fit ran before tau was checked")
+
+    monkeypatch.setattr(rulemix.em, "fit", no_fit)
+    if command == "simplify":
+        model_path = tmp_path / "model.json"
+        run(["train-atm", "--train", str(xor_csv), "--trees", "2", "--out", str(model_path)])
+        argv = ["simplify", "--model", str(model_path), "--train", str(xor_csv)]
+    else:
+        argv = ["reproduce", "energy", "--restarts", "1"]
+    capsys.readouterr()
+    assert run(argv + ["--tau", "0.7"]) == 1
+    assert capsys.readouterr().err == "error: tau must lie in (0, 0.5)\n"
 
 
 def test_bad_target_column_exits_one(tmp_path, capsys, xor_csv):

@@ -94,6 +94,15 @@ def test_load_csv_missing_target(tmp_path):
         load_csv(path, "y")
 
 
+@pytest.mark.parametrize("header, repeated", [("x,y,y", "y"), ("a,a,y", "a")])
+def test_load_csv_rejects_repeated_column(tmp_path, header, repeated):
+    # a second target column would otherwise be loaded as a feature
+    path = tmp_path / "twice.csv"
+    path.write_text(f"{header}\n1,2,3\n")
+    with pytest.raises(ValueError, match=f"twice.csv: column '{repeated}' appears twice"):
+        load_csv(path, "y")
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_csv(tmp_path / "nope.csv", "y")

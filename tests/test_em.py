@@ -40,7 +40,7 @@ def test_e_step_uniform_for_identical_components():
     model = MixtureModel(
         np.zeros((3, l + 1)), np.full((3, l), 0.4), np.zeros(3), np.ones(3), ds.schema
     )
-    beta = e_step(model, ds)
+    beta, _ = e_step(model, ds)
     assert np.allclose(beta, 1.0 / 3.0, atol=1e-14)
 
 
@@ -54,7 +54,7 @@ def test_e_step_near_one_hot_when_one_component_dominates():
         np.array([1.0, 1.0]),
         ds.schema,
     )
-    beta = e_step(model, ds)
+    beta, _ = e_step(model, ds)
     assert np.all(beta[:, 0] >= 1.0 - 1e-6)
     assert np.allclose(beta.sum(axis=1), 1.0, atol=1e-10)
 
@@ -62,7 +62,7 @@ def test_e_step_near_one_hot_when_one_component_dominates():
 def test_e_step_matches_bayes_rule_oracle():
     ds = random_dataset(2, n=2, l=2)
     model = random_model(3, k=2, schema=ds.schema)
-    beta = e_step(model, ds)
+    beta, _ = e_step(model, ds)
     for i in range(2):
         expected = naive_posterior_row(model, ds.bits[i], ds.z[i])
         assert np.allclose(beta[i], expected, atol=1e-10)
@@ -71,9 +71,11 @@ def test_e_step_matches_bayes_rule_oracle():
 def test_e_step_rows_sum_to_one():
     ds = random_dataset(4, n=60, l=6)
     model = random_model(5, k=4, schema=ds.schema)
-    beta = e_step(model, ds)
+    beta, row_ll = e_step(model, ds)
     assert np.all(beta >= 0) and np.all(beta <= 1)
     assert np.allclose(beta.sum(axis=1), 1.0, atol=1e-10)
+    assert row_ll.shape == (60,)
+    assert float(row_ll.sum()) == joint_log_likelihood(model, ds)
 
 
 def test_m_step_single_component_is_plain_moments():
@@ -171,7 +173,7 @@ def test_gate_never_returns_worse_than_start():
 def test_lower_bound_tight_at_posterior():
     ds = random_dataset(16, n=30, l=4)
     model = random_model(17, k=3, schema=ds.schema)
-    beta = e_step(model, ds)
+    beta, _ = e_step(model, ds)
     ll = joint_log_likelihood(model, ds)
     assert lower_bound(model, beta, ds) == pytest.approx(ll, abs=1e-8)
 

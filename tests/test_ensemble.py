@@ -3,14 +3,9 @@ import pytest
 
 from conftest import constant_tree, stump, two_stump_ensemble
 from oracles import predict_by_path
+from rulemix.binarizer import count_regions_exact, extract_splits
 from rulemix.data import gen_xor
-from rulemix.ensemble import (
-    Tree,
-    TreeEnsemble,
-    count_regions,
-    count_regions_exact,
-    thresholds_by_feature,
-)
+from rulemix.ensemble import Tree, TreeEnsemble, count_regions
 from rulemix.trainer import GbtConfig, fit_gbt
 
 
@@ -107,7 +102,8 @@ def test_predict_matches_path_following_oracle():
 def test_leaf_vector_piecewise_constant_under_small_moves():
     data = gen_xor(200, seed=3)
     ens = fit_gbt(data.xs, data.ys, GbtConfig(tree_count=10, max_depth=2, min_samples_leaf=5))
-    per_dim = thresholds_by_feature(ens)
+    schema = extract_splits(ens)
+    per_dim = [schema.thresholds[schema.features == d] for d in range(ens.feature_count)]
     rng = np.random.default_rng(4)
     xs = rng.random((200, 2))
     radius = np.stack(

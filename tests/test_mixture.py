@@ -42,6 +42,12 @@ def uniform_gate_model(k=3, l=2, mu=None, lam=None, schema=None):
     )
 
 
+def one_row(model):
+    """A one all-zero bit row on the model's schema: the rule builders take
+    data to compute shares."""
+    return BinaryDataset(np.zeros((1, len(model.schema))), np.zeros(1), model.schema)
+
+
 def test_gate_uniform_when_weights_zero():
     model = uniform_gate_model(k=4)
     assert np.allclose(model.gate_batch([[1.0, 0.0], [0.0, 1.0]]), 0.25, atol=1e-15)
@@ -176,7 +182,7 @@ def test_extract_rules_interval_from_eta():
     model = MixtureModel(
         np.zeros((1, 3)), np.array([[0.99, 0.01]]), np.zeros(1), np.ones(1), schema
     )
-    rules = extract_rules(model, tau=0.05)
+    rules = extract_rules(model, 0.05, one_row(model))
     comp = rules.components[0]
     assert len(comp.intervals) == 1
     iv = comp.intervals[0]
@@ -186,7 +192,7 @@ def test_extract_rules_interval_from_eta():
 
 def test_extract_rules_catch_all():
     model = uniform_gate_model(k=1, l=3)
-    rules = extract_rules(model, tau=0.05)
+    rules = extract_rules(model, 0.05, one_row(model))
     assert rules.components[0].catch_all
     assert rule_text(rules, rules.components[0]) == "any x"
 
@@ -196,7 +202,7 @@ def test_extract_rules_flags_degenerate():
     model = MixtureModel(
         np.zeros((1, 3)), np.array([[0.01, 0.99]]), np.zeros(1), np.ones(1), schema
     )
-    rules = extract_rules(model, tau=0.05)
+    rules = extract_rules(model, 0.05, one_row(model))
     comp = rules.components[0]
     assert comp.degenerate
     assert len(rules.components) == 1  # reported, not dropped
@@ -208,7 +214,7 @@ def test_extract_rules_tiny_tau_reads_pattern():
     model = MixtureModel(
         np.zeros((1, 4)), np.array([[1.0, 0.5, 0.0]]), np.zeros(1), np.ones(1), schema
     )
-    rules = extract_rules(model, tau=1e-9)
+    rules = extract_rules(model, 1e-9, one_row(model))
     ivs = {iv.feature: iv for iv in rules.components[0].intervals}
     assert ivs[0].lower == 0.2 and ivs[0].upper == math.inf
     assert ivs[1].upper == 0.8 and ivs[1].lower == -math.inf
@@ -219,7 +225,7 @@ def test_extract_rules_keeps_tightest_bounds():
     model = MixtureModel(
         np.zeros((1, 4)), np.array([[0.99, 0.97, 0.02]]), np.zeros(1), np.ones(1), schema
     )
-    comp = extract_rules(model, tau=0.05).components[0]
+    comp = extract_rules(model, 0.05, one_row(model)).components[0]
     assert comp.intervals[0].lower == 0.3
     assert comp.intervals[0].upper == 0.9
 
@@ -257,7 +263,7 @@ def test_extract_rules_tau_range_checked():
     model = uniform_gate_model()
     for bad in (0.0, 0.5, -0.1):
         with pytest.raises(ValueError):
-            extract_rules(model, bad)
+            extract_rules(model, bad, one_row(model))
 
 
 def test_rules_json_layout():
@@ -265,7 +271,7 @@ def test_rules_json_layout():
     model = MixtureModel(
         np.zeros((1, 3)), np.array([[0.99, 0.01]]), np.array([2.0]), np.ones(1), schema
     )
-    doc = rules_to_json_dict(extract_rules(model, 0.05))
+    doc = rules_to_json_dict(extract_rules(model, 0.05, one_row(model)))
     comp = doc["components"][0]
     assert comp["mu"] == 2.0
     assert comp["intervals"] == [
@@ -275,10 +281,9 @@ def test_rules_json_layout():
 
 def test_render_text_has_header_and_rows():
     model = uniform_gate_model(k=2, mu=[1.0, 2.0])
-    text = render_rules_text(extract_rules(model, 0.05))
-    lines = text.splitlines()
-    assert lines[0].endswith("rule")
-    assert len(lines) == 3
+    text = render_rules_text(extract_rules(model, 0.05, one_row(model)))
+    # the uniform gate ties, so the one row goes to the lower index
+    assert text.splitlines() == ["z  share  rule", "1   1.00  any x", "2   0.00  any x"]
 
 
 # log(1 + s) rounds a share s below half an ulp of 1 to zero where scipy's

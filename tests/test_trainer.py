@@ -232,8 +232,30 @@ def test_child_index_out_of_range_rejected():
 
 def test_child_index_beyond_int64_rejected():
     bad = json.loads(TWO_STUMP_JSON)
-    bad["trees"][0]["nodes"][0]["right"] = 2**70
-    with pytest.raises(ParseError, match="tree 0: "):
+    for index in (2**70, -(2**70)):
+        bad["trees"][0]["nodes"][0]["right"] = index
+        with pytest.raises(ParseError, match="^tree 0: node 0: right child index out of range$"):
+            parse_ensemble_json(json.dumps(bad))
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ('{"value": 1.0}', '{"value": 1.0, "value": 5.0}', "value"),
+        ('"weight": 1.0,', '"weight": 1.0, "weight": 2.0,', "weight"),
+    ],
+    ids=["leaf-value", "tree-weight"],
+)
+def test_repeated_json_key_rejected(old, new, key):
+    assert old in TWO_STUMP_JSON
+    with pytest.raises(ParseError, match=f"^repeated key '{key}'$"):
+        parse_ensemble_json(TWO_STUMP_JSON.replace(old, new, 1))
+
+
+def test_repeated_feature_names_rejected():
+    bad = json.loads(TWO_STUMP_JSON)
+    bad["feature_names"] = ["a", "a"]
+    with pytest.raises(ParseError, match="^feature name 'a' appears twice$"):
         parse_ensemble_json(json.dumps(bad))
 
 
