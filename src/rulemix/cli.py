@@ -27,8 +27,6 @@ from .ensemble import count_regions
 from .mixture import check_tau, extract_rules, render_rules_text, rules_to_json_dict
 from .trainer import GbtConfig, fit_gbt, parse_ensemble_json, serialize_ensemble
 
-EXACT_REGION_CELL_CAP = 2_000_000
-
 
 def _emit(text: str, out_path) -> None:
     if out_path:
@@ -60,11 +58,9 @@ def _read_csv_for(expected, path, target):
     return data
 
 
-def _region_count(ensemble, schema, probes):
+def _region_count(ensemble, probes):
     if ensemble.feature_count <= 2:
-        cells = np.prod(np.bincount(schema.features, minlength=ensemble.feature_count) + 1)
-        if cells <= EXACT_REGION_CELL_CAP:
-            return count_regions_exact(ensemble), "exact"
+        return count_regions_exact(ensemble), "exact"
     return count_regions(ensemble, probes), "sampled"
 
 
@@ -78,16 +74,15 @@ def cmd_synth(args) -> int:
 def cmd_train_atm(args) -> int:
     data = load_csv(args.train, args.target)
     config = GbtConfig(args.trees, args.depth, args.lr, args.min_samples_leaf, args.seed)
-    ensemble = fit_gbt(data.xs, data.ys, config, data.feature_names)
+    ensemble = fit_gbt(data, config)
     _emit(serialize_ensemble(ensemble), args.out)
     return 0
 
 
 def _fit_rules(ensemble, xs, em_config, tau):
     """Binarize ``xs`` on the ensemble's splits, fit the mixture by EM and read
-    off its rules.  ``warnings`` names a degenerate fit: fewer distinct bit
-    patterns than components (an empty schema has one pattern)."""
-    check_tau(tau)
+    off its rules; callers check ``tau`` first.  ``warnings`` names a degenerate
+    fit: fewer distinct bit patterns than components (an empty schema has one pattern)."""
     schema = extract_splits(ensemble)
     dataset = build_dataset(ensemble, schema, xs)
     model, fit_report = em.fit(dataset, em_config)
@@ -105,11 +100,10 @@ def _fit_baseline(data, cart_config):
 
 
 def cmd_simplify(args) -> int:
+    check_tau(args.tau)
     ensemble = _read_model(args.model)
     train = _read_csv_for(ensemble.feature_names, args.train, args.target)
-    config = em.EmConfig(
-        args.k, restarts=args.restarts, seed=args.seed, intercept=args.intercept == "on"
-    )
+    config = em.EmConfig(args.k, restarts=args.restarts, seed=args.seed)
     dataset, model, fit_report, rules, warnings = _fit_rules(ensemble, train.xs, config, args.tau)
     report = {
         "counts": {"n_train": len(train), "split_rules": dataset.n_bits, "components": args.k},
@@ -126,11 +120,11 @@ def cmd_baseline(args) -> int:
     train = load_csv(args.train, args.target)
     depths = tuple(range(args.min_depth, args.max_depth + 1))
     config = CartConfig(depths, args.folds, args.min_samples_leaf, args.seed)
+    test = _read_csv_for(train.feature_names, args.test, args.target) if args.test else None
     scores, tree = _fit_baseline(train, config)
     report = {"cv_mse_by_depth": {str(d): v for d, v in scores.items()}, "leaves": tree.n_leaves}
     rules = tree_to_ruleset(tree, train)
-    if args.test:
-        test = _read_csv_for(train.feature_names, args.test, args.target)
+    if test is not None:
         report["test_mse"] = mse(tree.predict_batch(test.xs), test.ys)
     report["rules"] = rules_to_json_dict(rules)
     _emit_report(report, args.out, rules)
@@ -146,8 +140,9 @@ def cmd_evaluate(args) -> int:
 
 
 def _pipeline_report(task, source, d_atm, d_train, d_test, gbt_config, em_config, cart_config, tau):
+    check_tau(tau)
     start = time.perf_counter()
-    ensemble = fit_gbt(d_atm.xs, d_atm.ys, gbt_config, d_atm.feature_names)
+    ensemble = fit_gbt(d_atm, gbt_config)
     dataset, model, fit_report, rules, warnings = _fit_rules(ensemble, d_train.xs, em_config, tau)
     _, cart = _fit_baseline(d_train, cart_config)
 
@@ -159,7 +154,7 @@ def _pipeline_report(task, source, d_atm, d_train, d_test, gbt_config, em_config
     model_soft = mse(model.predict_batch(test_bits, soft=True), d_test.ys)
     fidelity = mse(hard_preds, atm_preds)
     cart_mse = mse(cart.predict_batch(d_test.xs), d_test.ys)
-    regions, mode = _region_count(ensemble, dataset.schema, np.vstack([d_train.xs, d_test.xs]))
+    regions, mode = _region_count(ensemble, np.vstack([d_train.xs, d_test.xs]))
 
     best = fit_report.restarts[fit_report.best_restart]
     report = {
@@ -203,17 +198,17 @@ def _pipeline_report(task, source, d_atm, d_train, d_test, gbt_config, em_config
     return report, rules
 
 
-def synthetic_pipeline(seed, k=4, tau=0.05, restarts=10, intercept=True, n=1000):
+def synthetic_pipeline(seed, k=4, tau=0.05, restarts=10, n=1000):
     d_atm = gen_xor(n, seed=seed)
     d_train = gen_xor(n, seed=seed + 1)
     d_test = gen_xor(n, seed=seed + 2)
     gbt = GbtConfig(min_samples_leaf=50, seed=seed)
-    emc = em.EmConfig(n_components=k, restarts=restarts, seed=seed, intercept=intercept)
+    emc = em.EmConfig(n_components=k, restarts=restarts, seed=seed)
     cart = CartConfig(min_samples_leaf=15, seed=seed)
     return _pipeline_report("synthetic", "generated", d_atm, d_train, d_test, gbt, emc, cart, tau)
 
 
-def energy_pipeline(seed, data_path=None, k=4, tau=0.05, restarts=10, intercept=True):
+def energy_pipeline(seed, data_path=None, k=4, tau=0.05, restarts=10):
     if data_path:
         full = load_csv(data_path, ENERGY_TARGET)
         source = str(data_path)
@@ -222,20 +217,16 @@ def energy_pipeline(seed, data_path=None, k=4, tau=0.05, restarts=10, intercept=
         source = "synthetic stand-in"
     d_atm, d_train, d_test = split3(full, (0.4, 0.3, 0.3), seed)
     gbt = GbtConfig(min_samples_leaf=10, seed=seed)
-    emc = em.EmConfig(n_components=k, restarts=restarts, seed=seed, intercept=intercept)
+    emc = em.EmConfig(n_components=k, restarts=restarts, seed=seed)
     cart = CartConfig(seed=seed)
     return _pipeline_report("energy", source, d_atm, d_train, d_test, gbt, emc, cart, tau)
 
 
 def cmd_reproduce(args) -> int:
     if args.task == "synthetic":
-        report, rules = synthetic_pipeline(
-            args.seed, args.k, args.tau, args.restarts, args.intercept == "on"
-        )
+        report, rules = synthetic_pipeline(args.seed, args.k, args.tau, args.restarts)
     else:
-        report, rules = energy_pipeline(
-            args.seed, args.data, args.k, args.tau, args.restarts, args.intercept == "on"
-        )
+        report, rules = energy_pipeline(args.seed, args.data, args.k, args.tau, args.restarts)
     _emit_report(report, args.out, rules)
     return 0
 
@@ -273,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=0.05)
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--intercept", choices=("on", "off"), default="on")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simplify)
 
@@ -303,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=0.05)
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--intercept", choices=("on", "off"), default="on")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_reproduce)
     return parser

@@ -36,7 +36,6 @@ class EmConfig:
     restarts: int = 10
     seed: int = 0
     gate_max_iters: int = 50
-    intercept: bool = True
 
     def __post_init__(self):
         if min(self.n_components, self.max_iters, self.restarts, self.gate_max_iters) < 1:
@@ -86,7 +85,7 @@ def m_step_gate(beta: np.ndarray, data: BinaryDataset, w_init: np.ndarray, confi
     Only improving steps are accepted, so the returned weights never score
     below ``w_init`` on the ridge-penalized objective.
     """
-    S1 = gate_design(data.bits, config.intercept)
+    S1 = gate_design(data.bits)
     W = np.array(w_init, dtype=np.float64)
     if W.shape != (beta.shape[1], S1.shape[1]):
         raise ValueError(f"gate weights must have shape ({beta.shape[1]}, {S1.shape[1]})")
@@ -166,8 +165,7 @@ def reseed_components(beta: np.ndarray, bad, scores: np.ndarray) -> int:
 def _run_em(data: BinaryDataset, config: EmConfig, rng: np.random.Generator):
     n, k = len(data), config.n_components
     beta = rng.dirichlet(np.ones(k), size=n)
-    width = data.n_bits + (1 if config.intercept else 0)
-    weights = np.zeros((k, width))
+    weights = np.zeros((k, data.n_bits + 1))
     model = row_ll = None
     trace: list[float] = []
     reseeds = 0
@@ -182,7 +180,7 @@ def _run_em(data: BinaryDataset, config: EmConfig, rng: np.random.Generator):
                 return model, RestartTrace(len(trace), trace, True, reseeds)
         eta, mu, lam = m_step_closed_form(beta, data)
         weights = m_step_gate(beta, data, weights, config)
-        model = MixtureModel(weights, eta, mu, lam, data.schema, config.intercept)
+        model = MixtureModel(weights, eta, mu, lam, data.schema)
         beta, row_ll = e_step(model, data)
         trace.append(float(row_ll.sum()))
         if len(trace) > 1 and (

@@ -15,11 +15,8 @@ from .binarizer import BinaryDataset, SplitSchema
 BERNOULLI_EPS = 1e-6
 
 
-def gate_design(S: np.ndarray, intercept: bool) -> np.ndarray:
-    """Gate inputs: the bit rows, with a constant 1 column appended when
-    ``intercept`` is set."""
-    if not intercept:
-        return S
+def gate_design(S: np.ndarray) -> np.ndarray:
+    """Gate inputs: the bit rows with a constant 1 column appended."""
     return np.concatenate([S, np.ones((len(S), 1))], axis=1)
 
 
@@ -52,8 +49,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 class MixtureModel:
     """K-component mixture over (z, s) pairs.
 
-    ``gate_weights`` has one row per component; when ``intercept`` is set the
-    last column multiplies a constant 1 appended to the bit vector.
+    ``gate_weights`` has one row per component; its last column multiplies a
+    constant 1 appended to the bit vector.
     """
 
     gate_weights: np.ndarray
@@ -61,7 +58,6 @@ class MixtureModel:
     mu: np.ndarray
     lam: np.ndarray
     schema: SplitSchema
-    intercept: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "gate_weights", np.asarray(self.gate_weights, dtype=np.float64))
@@ -71,7 +67,7 @@ class MixtureModel:
         k = len(self.mu)
         if k < 1:
             raise ValueError("need at least one component")
-        width = len(self.schema) + (1 if self.intercept else 0)
+        width = len(self.schema) + 1
         if self.gate_weights.shape != (k, width):
             raise ValueError(f"gate_weights must be ({k}, {width})")
         if self.eta.shape != (k, len(self.schema)):
@@ -92,7 +88,7 @@ class MixtureModel:
         return len(self.mu)
 
     def _gate_logits(self, S: np.ndarray) -> np.ndarray:
-        return gate_design(np.asarray(S, dtype=np.float64), self.intercept) @ self.gate_weights.T
+        return gate_design(np.asarray(S, dtype=np.float64)) @ self.gate_weights.T
 
     def gate_batch(self, S: np.ndarray) -> np.ndarray:
         """(n, K) softmax component weights of the bit rows ``S``; each row

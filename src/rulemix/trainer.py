@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import LabeledDataset
 from .ensemble import LEAF, Tree, TreeEnsemble
 
 
@@ -121,21 +122,16 @@ def grow_tree(X, y, max_depth, min_samples_leaf) -> Tree:
     )
 
 
-def fit_gbt(xs, ys, config: GbtConfig, feature_names=None) -> TreeEnsemble:
+def fit_gbt(data: LabeledDataset, config: GbtConfig) -> TreeEnsemble:
     """Stagewise least-squares boosting.
 
     Tree 0 is a single-leaf constant (mean of y, weight 1); each later tree
     fits the current residuals and enters with weight ``learning_rate``.
-    Deterministic for fixed inputs regardless of seed.
+    Carries ``data.feature_names``; deterministic for fixed inputs regardless of seed.
     """
-    X = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("xs must be a (n, D) matrix")
-    if len(X) != len(y) or len(y) < 2:
+    X, y = data.xs, data.ys
+    if len(y) < 2:
         raise ValueError("need at least 2 samples with one target each")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("non-finite training data")
 
     base = Tree.from_nodes([{"value": float(y.mean())}])
     trees = [base]
@@ -147,7 +143,7 @@ def fit_gbt(xs, ys, config: GbtConfig, feature_names=None) -> TreeEnsemble:
         current += config.learning_rate * t.predict_batch(X)
         trees.append(t)
         weights.append(config.learning_rate)
-    return TreeEnsemble(tuple(trees), np.array(weights), X.shape[1], feature_names)
+    return TreeEnsemble(tuple(trees), np.array(weights), X.shape[1], data.feature_names)
 
 
 _NODE_SPLIT_KEYS = {"feature", "threshold", "left", "right"}

@@ -43,15 +43,13 @@ def random_dataset(seed, n, l, dims=2) -> BinaryDataset:
     return BinaryDataset(bits, z, schema)
 
 
-def random_model(seed, k, schema, intercept=True) -> MixtureModel:
+def random_model(seed, k, schema) -> MixtureModel:
     rng = np.random.default_rng(seed)
     l = len(schema)
-    width = l + (1 if intercept else 0)
     return MixtureModel(
-        gate_weights=rng.normal(0.0, 1.0, size=(k, width)),
+        gate_weights=rng.normal(0.0, 1.0, size=(k, l + 1)),
         eta=rng.random((k, l)),
         mu=rng.normal(0.0, 2.0, size=k),
         lam=rng.uniform(0.5, 3.0, size=k),
         schema=schema,
-        intercept=intercept,
     )

@@ -128,7 +128,7 @@ def naive_component_density(model, k, s, z):
 
 
 def naive_gate(model, s):
-    s = list(s) + ([1.0] if model.intercept else [])
+    s = list(s) + [1.0]
     scores = [math.exp(sum(w * v for w, v in zip(row, s))) for row in model.gate_weights]
     total = sum(scores)
     return [v / total for v in scores]
@@ -203,8 +203,7 @@ def finite_diff_gate_gradient(objective, weights, h=1e-5):
     return grad
 
 
-def naive_em(data, k, seed, ridge=1e-8, lambda_bounds=(1e-6, 1e6), intercept=True,
-             max_iters=3000, tol=1e-12):
+def naive_em(data, k, seed, ridge=1e-8, lambda_bounds=(1e-6, 1e6), max_iters=3000, tol=1e-12):
     """Independently coded EM over the same model family, scipy-optimized gate.
 
     Returns the final data log-likelihood of one run.
@@ -213,7 +212,7 @@ def naive_em(data, k, seed, ridge=1e-8, lambda_bounds=(1e-6, 1e6), intercept=Tru
     n = len(data)
     bits = np.asarray(data.bits, dtype=float)
     z = np.asarray(data.z, dtype=float)
-    design = np.concatenate([bits, np.ones((n, 1))], axis=1) if intercept else bits
+    design = np.concatenate([bits, np.ones((n, 1))], axis=1)
     beta = rng.dirichlet(np.ones(k), size=n)
     weights = np.zeros((k, design.shape[1]))
 

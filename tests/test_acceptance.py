@@ -90,6 +90,7 @@ def test_criterion_1_synthetic_pipeline(synthetic_report, capsys):
         assert abs(mu - expected_mu[signature]) <= 0.15
 
     assert counts["region_count"] >= 100
+    assert counts["region_count_mode"] == "exact"
     assert report["wall_time_s"] <= 60.0
     with capsys.disabled():
         announce(1, "synthetic pipeline")
@@ -107,6 +108,7 @@ def test_criterion_3_energy_pipeline(capsys):
     path = energy_csv_path()
     report, rules = energy_pipeline(seed=PIPELINE_SEED, data_path=path)
     assert report["errors"]["model_i_test_mse"] <= 35.0
+    assert report["counts"]["region_count_mode"] == "sampled"
 
     rc_bounds = []
     for component in rules.components:

@@ -77,7 +77,7 @@ def test_build_dataset_rejects_empty():
 
 def test_encode_monotone_in_each_coordinate():
     data = gen_xor(150, seed=8)
-    ens = fit_gbt(data.xs, data.ys, GbtConfig(tree_count=8, max_depth=2))
+    ens = fit_gbt(data, GbtConfig(tree_count=8, max_depth=2))
     schema = extract_splits(ens)
     rng = np.random.default_rng(9)
     xs = rng.random((200, 2))
@@ -92,7 +92,7 @@ def test_encode_monotone_in_each_coordinate():
 
 
 XOR_DATA = gen_xor(100, seed=10)
-XOR_GBT = fit_gbt(XOR_DATA.xs, XOR_DATA.ys, GbtConfig(tree_count=5, max_depth=2))
+XOR_GBT = fit_gbt(XOR_DATA, GbtConfig(tree_count=5, max_depth=2))
 XOR_SCHEMA = extract_splits(XOR_GBT)
 # Probe coordinates: anywhere around the unit square, or exactly on a split.
 probe_cells = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(XOR_SCHEMA.thresholds.tolist()))
@@ -114,7 +114,7 @@ def test_bits_determine_leaf_vector(xs):
 
 def test_schema_stable_under_round_trip():
     data = gen_xor(150, seed=12)
-    ens = fit_gbt(data.xs, data.ys, GbtConfig(tree_count=8, max_depth=3))
+    ens = fit_gbt(data, GbtConfig(tree_count=8, max_depth=3))
     reparsed = parse_ensemble_json(serialize_ensemble(ens))
     a, b = extract_splits(ens), extract_splits(reparsed)
     assert a.rules == b.rules

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -91,7 +92,22 @@ def test_every_subcommand_help_exits_zero(capsys):
 def test_unknown_flag_and_subcommand_exit_two(capsys):
     assert run(["synth", "--bogus", "1"]) == 2
     assert run(["frobnicate"]) == 2
+    assert run(["reproduce", "synthetic", "--intercept", "on"]) == 2  # the gate always has one
     capsys.readouterr()
+
+
+def test_readme_cli_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")  # a trailing backslash continues a command
+    lines = [line for line in joined.splitlines() if line.startswith("rulemix ")]
+    assert len(lines) == 7
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_train_evaluate_round_trip(tmp_path, capsys, xor_csv):
@@ -218,9 +234,14 @@ def test_pipeline_cross_validates_once(cv_calls):
 
 
 @pytest.mark.parametrize("command", ["simplify", "evaluate", "baseline"])
-def test_feature_columns_must_match_model(tmp_path, capsys, xor_csv, command):
+def test_feature_columns_must_match_model(monkeypatch, tmp_path, capsys, xor_csv, command):
     model_path = tmp_path / "model.json"
     run(["train-atm", "--train", str(xor_csv), "--trees", "10", "--out", str(model_path)])
+
+    def no_cv(*args, **kwargs):
+        raise AssertionError("cross-validated before the CSV columns were checked")
+
+    monkeypatch.setattr(rulemix.cli, "cv_mse_by_depth", no_cv)
     data = load_csv(xor_csv, "y")
     swapped = tmp_path / "swapped.csv"
     write_csv(LabeledDataset(data.xs[:, ::-1], data.ys, ("x_2", "x_1")), swapped, "y")
@@ -243,16 +264,18 @@ def test_feature_columns_must_match_model(tmp_path, capsys, xor_csv, command):
 
 @pytest.mark.parametrize("command", ["simplify", "reproduce"])
 def test_tau_checked_before_fit(monkeypatch, tmp_path, capsys, xor_csv, command):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("em.fit ran before tau was checked")
-
-    monkeypatch.setattr(rulemix.em, "fit", no_fit)
     if command == "simplify":
         model_path = tmp_path / "model.json"
         run(["train-atm", "--train", str(xor_csv), "--trees", "2", "--out", str(model_path)])
         argv = ["simplify", "--model", str(model_path), "--train", str(xor_csv)]
     else:
         argv = ["reproduce", "energy", "--restarts", "1"]
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fitted before tau was checked")
+
+    monkeypatch.setattr(rulemix.em, "fit", no_fit)
+    monkeypatch.setattr(rulemix.cli, "fit_gbt", no_fit)
     capsys.readouterr()
     assert run(argv + ["--tau", "0.7"]) == 1
     assert capsys.readouterr().err == "error: tau must lie in (0, 0.5)\n"

@@ -335,13 +335,6 @@ def test_reseed_assigns_worst_rows_one_hot():
     assert beta[:chunk, [0, 1, 3]].sum() == 0.0
 
 
-def test_fit_without_intercept_uses_uniform_gate_at_zero_bits():
-    ds = random_dataset(45, n=30, l=3)
-    model, _ = fit(ds, EmConfig(n_components=2, restarts=2, seed=3, intercept=False))
-    assert model.gate_weights.shape == (2, 3)
-    assert np.allclose(model.gate_batch(np.zeros((1, 3))), 0.5, atol=1e-12)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         EmConfig(n_components=0)
@@ -382,16 +375,16 @@ def test_closed_form_m_step_invariant_to_row_order_and_duplication(seed, n, l, k
 
 
 @settings(max_examples=60, deadline=None)
-@given(**row_sets, intercept=st.booleans())
-def test_gate_objective_and_gradient_are_sums_over_rows(seed, n, l, k, intercept):
+@given(**row_sets)
+def test_gate_objective_and_gradient_are_sums_over_rows(seed, n, l, k):
     # at ridge 0 both are sums of per-row terms: row order does not matter
     # and repeating every row doubles them
     ds, beta, shuffled, doubled = permuted_and_doubled(seed, n, l, k)
-    weights = np.random.default_rng(seed + 2).normal(size=(k, l + intercept))
-    design = gate_design(ds.bits, intercept)
+    weights = np.random.default_rng(seed + 2).normal(size=(k, l + 1))
+    design = gate_design(ds.bits)
     value = gate_objective(weights, beta, design, 0.0)
     grad = gate_gradient(weights, beta, design, 0.0)
     for (data, b), scale in ((shuffled, 1.0), (doubled, 2.0)):
-        d = gate_design(data.bits, intercept)
+        d = gate_design(data.bits)
         assert gate_objective(weights, b, d, 0.0) == pytest.approx(scale * value, rel=1e-9)
         assert np.allclose(gate_gradient(weights, b, d, 0.0), scale * grad, rtol=1e-9, atol=1e-9)

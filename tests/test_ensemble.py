@@ -90,7 +90,7 @@ def test_count_regions_exact_rejects_high_dimension():
 
 def test_predict_matches_path_following_oracle():
     data = gen_xor(300, seed=11)
-    ens = fit_gbt(data.xs, data.ys, GbtConfig(tree_count=15, max_depth=3, min_samples_leaf=5))
+    ens = fit_gbt(data, GbtConfig(tree_count=15, max_depth=3, min_samples_leaf=5))
     probes = np.random.default_rng(12).random((10_000, 2))
     batch = ens.predict_batch(probes)
     for i in range(0, 10_000, 7):
@@ -101,7 +101,7 @@ def test_predict_matches_path_following_oracle():
 
 def test_leaf_vector_piecewise_constant_under_small_moves():
     data = gen_xor(200, seed=3)
-    ens = fit_gbt(data.xs, data.ys, GbtConfig(tree_count=10, max_depth=2, min_samples_leaf=5))
+    ens = fit_gbt(data, GbtConfig(tree_count=10, max_depth=2, min_samples_leaf=5))
     schema = extract_splits(ens)
     per_dim = [schema.thresholds[schema.features == d] for d in range(ens.feature_count)]
     rng = np.random.default_rng(4)

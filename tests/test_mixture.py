@@ -236,22 +236,21 @@ def test_extract_rules_keeps_tightest_bounds():
     l=st.integers(1, 4),
     k=st.integers(1, 6),
     span=st.integers(0, 2),
-    intercept=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-@example(n=9, l=1, k=5, span=1, intercept=True, seed=0)  # K above the 2 patterns
-@example(n=4, l=2, k=3, span=0, intercept=False, seed=0)  # all gates tie
-def test_extract_rules_shares_from_data(n, l, k, span, intercept, seed):
+@example(n=9, l=1, k=5, span=1, seed=0)  # K above the 2 patterns
+@example(n=4, l=2, k=3, span=0, seed=0)  # all gates tie
+def test_extract_rules_shares_from_data(n, l, k, span, seed):
     # Integer gate weights in [-span, span] make equal logits exact ties.
     rng = np.random.default_rng(seed)
     schema = schema_of_length(l)
     bits = rng.integers(0, 2, size=(n, l)).astype(float)
-    weights = rng.integers(-span, span + 1, size=(k, l + intercept)).astype(float)
-    model = MixtureModel(weights, rng.random((k, l)), np.zeros(k), np.ones(k), schema, intercept)
+    weights = rng.integers(-span, span + 1, size=(k, l + 1)).astype(float)
+    model = MixtureModel(weights, rng.random((k, l)), np.zeros(k), np.ones(k), schema)
     rules = extract_rules(model, 0.05, BinaryDataset(bits, rng.normal(size=n), schema))
     counts = [0] * k
     for row in bits.tolist():
-        design = row + [1.0] * intercept
+        design = row + [1.0]
         logits = [sum(w * s for w, s in zip(wk, design)) for wk in weights.tolist()]
         counts[logits.index(max(logits))] += 1  # ties go to the lower index
     shares = [c.share for c in rules.components]
@@ -324,14 +323,13 @@ def test_softmax_rows_sum_to_one(a):
     st.integers(1, 40),
     st.integers(1, 5),
     st.integers(0, 6),
-    st.booleans(),
     st.floats(0.0, 1.0),
     st.floats(0.01, 100.0),
     st.integers(0, 2**32 - 1),
 )
-def test_gate_objective_matches_scipy_reference(n, k, l, intercept, ridge, scale, seed):
+def test_gate_objective_matches_scipy_reference(n, k, l, ridge, scale, seed):
     rng = np.random.default_rng(seed)
-    design = gate_design(rng.integers(0, 2, size=(n, l)).astype(float), intercept)
+    design = gate_design(rng.integers(0, 2, size=(n, l)).astype(float))
     weights = rng.normal(0.0, scale, size=(k, design.shape[1]))
     beta = rng.dirichlet(np.ones(k), size=n)
     logits = design @ weights.T
@@ -344,5 +342,4 @@ def test_gate_objective_matches_scipy_reference(n, k, l, intercept, ridge, scale
 
 def test_gate_design_appends_intercept_column():
     bits = np.array([[1.0, 0.0], [0.0, 0.0]])
-    assert gate_design(bits, False) is bits
-    assert np.array_equal(gate_design(bits, True), [[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    assert np.array_equal(gate_design(bits), [[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])

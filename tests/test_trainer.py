@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import brute_force_best_split, per_feature_best_split
-from rulemix.data import gen_xor
+from rulemix.data import LabeledDataset, gen_xor
 from rulemix.ensemble import TreeEnsemble
 from rulemix.trainer import (
     GbtConfig,
@@ -48,7 +48,7 @@ def test_constant_targets_reproduced_exactly():
     rng = np.random.default_rng(0)
     xs = rng.random((40, 3))
     ys = np.full(40, 2.5)
-    ens = fit_gbt(xs, ys, GbtConfig(tree_count=5, max_depth=2))
+    ens = fit_gbt(LabeledDataset(xs, ys), GbtConfig(tree_count=5, max_depth=2))
     for x in rng.random((20, 3)):
         assert ens.predict(x) == 2.5
 
@@ -57,7 +57,8 @@ def test_single_stump_threshold_lands_in_margin():
     rng = np.random.default_rng(1)
     xs = rng.random((30, 1))
     ys = np.where(xs[:, 0] < 0.5, 0.0, 10.0)
-    ens = fit_gbt(xs, ys, GbtConfig(tree_count=1, max_depth=1, learning_rate=1.0, min_samples_leaf=1))
+    config = GbtConfig(tree_count=1, max_depth=1, learning_rate=1.0, min_samples_leaf=1)
+    ens = fit_gbt(LabeledDataset(xs, ys), config)
     t = ens.trees[1]
     assert t.feature[0] == 0
     left_max = xs[xs[:, 0] < 0.5, 0].max()
@@ -68,7 +69,7 @@ def test_single_stump_threshold_lands_in_margin():
 def test_training_mse_nonincreasing_in_tree_count():
     data = gen_xor(400, seed=2)
     config = GbtConfig(tree_count=40, max_depth=3, min_samples_leaf=5)
-    ens = fit_gbt(data.xs, data.ys, config)
+    ens = fit_gbt(data, config)
     prev = np.inf
     for m in range(1, ens.tree_count + 1):
         partial = TreeEnsemble(ens.trees[:m], ens.weights[:m], 2)
@@ -80,8 +81,8 @@ def test_training_mse_nonincreasing_in_tree_count():
 def test_fit_is_deterministic():
     data = gen_xor(200, seed=4)
     config = GbtConfig(tree_count=10, max_depth=3, min_samples_leaf=5, seed=9)
-    a = fit_gbt(data.xs, data.ys, config)
-    b = fit_gbt(data.xs, data.ys, config)
+    a = fit_gbt(data, config)
+    b = fit_gbt(data, config)
     assert serialize_ensemble(a) == serialize_ensemble(b)
     for ta, tb in zip(a.trees, b.trees):
         assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
@@ -152,14 +153,15 @@ def test_tree_cut_at_depth_is_tree_grown_to_depth(seed, depth, min_leaf, dims, l
 
 def test_rejects_empty_and_nonfinite_data():
     with pytest.raises(ValueError):
-        fit_gbt(np.zeros((0, 2)), np.zeros(0), GbtConfig())
-    with pytest.raises(ValueError):
-        fit_gbt(np.array([[0.1], [np.nan]]), np.array([1.0, 2.0]), GbtConfig())
+        fit_gbt(LabeledDataset(np.zeros((0, 2)), np.zeros(0)), GbtConfig())
+    with pytest.raises(ValueError):  # the dataset type rejects the non-finite cell
+        fit_gbt(LabeledDataset([[0.1], [np.nan]], [1.0, 2.0]), GbtConfig())
 
 
 def test_round_trip_preserves_predictions():
     data = gen_xor(150, seed=5)
-    ens = fit_gbt(data.xs, data.ys, GbtConfig(tree_count=8, max_depth=3))
+    ens = fit_gbt(data, GbtConfig(tree_count=8, max_depth=3))
+    assert ens.feature_names == ("x_1", "x_2")
     text = serialize_ensemble(ens)
     parsed = parse_ensemble_json(text)
     assert serialize_ensemble(parsed) == text
@@ -182,7 +184,8 @@ def test_round_trip_property(seed, n, dims, trees, depth, min_leaf):
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, 5, size=(n, dims)) / 4.0
     ys = rng.normal(size=n)
-    ens = fit_gbt(xs, ys, GbtConfig(tree_count=trees, max_depth=depth, min_samples_leaf=min_leaf))
+    config = GbtConfig(tree_count=trees, max_depth=depth, min_samples_leaf=min_leaf)
+    ens = fit_gbt(LabeledDataset(xs, ys), config)
     text = serialize_ensemble(ens)
     parsed = parse_ensemble_json(text)
     assert serialize_ensemble(parsed) == text
