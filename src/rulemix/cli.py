@@ -15,6 +15,7 @@ from . import em
 from .baseline import CartConfig, cv_mse_by_depth, fit_cart, tree_to_ruleset
 from .binarizer import build_dataset, count_regions_exact, extract_splits
 from .data import (
+    ENERGY_FEATURES,
     ENERGY_TARGET,
     gen_energy_like,
     gen_xor,
@@ -141,6 +142,8 @@ def cmd_evaluate(args) -> int:
 
 def _pipeline_report(task, source, d_atm, d_train, d_test, gbt_config, em_config, cart_config, tau):
     check_tau(tau)
+    if len(d_train) < em_config.n_components:
+        raise ValueError("need at least one row per component")
     start = time.perf_counter()
     ensemble = fit_gbt(d_atm, gbt_config)
     dataset, model, fit_report, rules, warnings = _fit_rules(ensemble, d_train.xs, em_config, tau)
@@ -210,7 +213,7 @@ def synthetic_pipeline(seed, k=4, tau=0.05, restarts=10, n=1000):
 
 def energy_pipeline(seed, data_path=None, k=4, tau=0.05, restarts=10):
     if data_path:
-        full = load_csv(data_path, ENERGY_TARGET)
+        full = _read_csv_for(ENERGY_FEATURES, data_path, ENERGY_TARGET)
         source = str(data_path)
     else:
         full = gen_energy_like(seed=seed)

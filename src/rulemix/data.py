@@ -126,6 +126,8 @@ def load_csv(path, target_column: str) -> LabeledDataset:
             raise ValueError(f"{path}: no column named {target_column!r}")
         target_idx = header.index(target_column)
         feature_names = [h for i, h in enumerate(header) if i != target_idx]
+        if not feature_names:
+            raise ValueError(f"{path}: no feature column besides the target {target_column!r}")
         xs, ys = [], []
         for row_number, row in enumerate(reader, start=1):
             if len(row) != len(header):

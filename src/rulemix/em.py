@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binarizer import BinaryDataset
-from .mixture import MixtureModel, gate_design, log_joint_matrix, log_softmax, log_sum_exp, softmax
+from .mixture import MixtureModel, gate_design, log_joint_matrix, log_softmax, normalize_rows
 
 DEGENERATE_MASS_FACTOR = 1e-10
 MAX_RESEEDS_PER_RUN = 5
@@ -46,9 +46,8 @@ class EmConfig:
 
 def e_step(model: MixtureModel, data: BinaryDataset) -> tuple[np.ndarray, np.ndarray]:
     """Posterior responsibilities (row softmax of log gate + log density) and
-    each row's log-likelihood (their log-sum-exp), from one joint matrix."""
-    lj = log_joint_matrix(model, data)
-    return softmax(lj), log_sum_exp(lj)
+    each row's log-likelihood (their log-sum-exp), in one pass over the joint matrix."""
+    return normalize_rows(log_joint_matrix(model, data))
 
 
 def m_step_closed_form(beta: np.ndarray, data: BinaryDataset):
@@ -76,7 +75,7 @@ def gate_objective(weights: np.ndarray, beta: np.ndarray, design: np.ndarray, ri
 
 
 def gate_gradient(weights: np.ndarray, beta: np.ndarray, design: np.ndarray, ridge: float) -> np.ndarray:
-    return (beta - softmax(design @ weights.T)).T @ design - ridge * weights
+    return (beta - normalize_rows(design @ weights.T)[0]).T @ design - ridge * weights
 
 
 def m_step_gate(beta: np.ndarray, data: BinaryDataset, w_init: np.ndarray, config: EmConfig) -> np.ndarray:

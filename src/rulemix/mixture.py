@@ -20,29 +20,22 @@ def gate_design(S: np.ndarray) -> np.ndarray:
     return np.concatenate([S, np.ones((len(S), 1))], axis=1)
 
 
-def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row maxima (as a column) and exp(logits - row max).  For finite
-    logits every entry of the second lies in [0, 1] and each row holds an
-    exact 1, so no ``exp`` overflows and no row sum falls below 1."""
-    top = logits.max(axis=1, keepdims=True)
-    return top, np.exp(logits - top)
-
-
-def log_sum_exp(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log sum_k exp(logits[:, k]) of an (n, K) array, as an (n,) array."""
-    top, e = _shifted_exp(logits)
-    return np.log(e.sum(axis=1)) + top[:, 0]
+def normalize_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmax (n, K) and log-sum-exp (n,) of an (n, K) array, both
+    from one C-contiguous (K, n) copy shifted by the row maxima: every ``exp``
+    lies in [0, 1], each row holds an exact 1 and no sum falls below 1.  The
+    softmax comes back C-contiguous for any input layout, so the matrix
+    products that read it sum in the same order."""
+    cols = np.ascontiguousarray(logits.T)
+    top = cols.max(axis=0)
+    e = np.exp(cols - top)
+    total = e.sum(axis=0)
+    return np.ascontiguousarray((e / total).T), np.log(total) + top
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log of the softmax of an (n, K) array."""
-    return logits - log_sum_exp(logits)[:, None]
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of an (n, K) array; each row sums to 1."""
-    _, e = _shifted_exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
+    return logits - normalize_rows(logits)[1][:, None]
 
 
 @dataclass(frozen=True)
@@ -93,7 +86,7 @@ class MixtureModel:
     def gate_batch(self, S: np.ndarray) -> np.ndarray:
         """(n, K) softmax component weights of the bit rows ``S``; each row
         is positive and sums to 1."""
-        return softmax(self._gate_logits(S))
+        return normalize_rows(self._gate_logits(S))[0]
 
     def log_density_matrix(self, S: np.ndarray, z: np.ndarray) -> np.ndarray:
         """(n, K) matrix of log p(s | eta_k) + log N(z; mu_k, 1/lam_k) over
@@ -127,7 +120,7 @@ def log_joint_matrix(model: MixtureModel, data: BinaryDataset) -> np.ndarray:
 
 def joint_log_likelihood(model: MixtureModel, data: BinaryDataset) -> float:
     """Sum over rows of log sum_k gate_k(s) density_k(s, z), via log-sum-exp."""
-    return float(log_sum_exp(log_joint_matrix(model, data)).sum())
+    return float(normalize_rows(log_joint_matrix(model, data))[1].sum())
 
 
 @dataclass

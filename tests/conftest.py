@@ -1,7 +1,11 @@
 """Shared builders for small hand-made models."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import rulemix
 from rulemix.binarizer import BinaryDataset, SplitSchema
 from rulemix.ensemble import Tree, TreeEnsemble
 from rulemix.mixture import MixtureModel
@@ -53,3 +57,10 @@ def random_model(seed, k, schema) -> MixtureModel:
         lam=rng.uniform(0.5, 3.0, size=k),
         schema=schema,
     )
+
+
+def src_env(**extra):
+    """This process's environment with the imported rulemix first on the path."""
+    src = str(Path(rulemix.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}

@@ -1,5 +1,4 @@
 import json
-import os
 import shlex
 import subprocess
 import sys
@@ -7,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import constant_tree, stump
+from conftest import constant_tree, src_env, stump
 
 import rulemix
 import rulemix.baseline
@@ -15,7 +14,15 @@ import rulemix.cli
 import rulemix.em
 from rulemix.baseline import CartConfig, cv_mse_by_depth
 from rulemix.cli import build_parser, energy_pipeline, run
-from rulemix.data import LabeledDataset, gen_xor, load_csv, write_csv
+from rulemix.data import (
+    ENERGY_FEATURES,
+    ENERGY_TARGET,
+    LabeledDataset,
+    gen_energy_like,
+    gen_xor,
+    load_csv,
+    write_csv,
+)
 from rulemix.ensemble import TreeEnsemble
 from rulemix.trainer import serialize_ensemble
 
@@ -43,29 +50,6 @@ def test_simplify_missing_model_exits_one(tmp_path, capsys, xor_csv):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "m.json" in err
-
-
-def src_env(**extra):
-    """This process's environment with the imported rulemix first on the path."""
-    src = str(Path(rulemix.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path, **extra}
-
-
-def test_import_loads_no_scipy():
-    code = (
-        "import sys, rulemix, rulemix.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env=src_env(),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
 
 
 def test_report_independent_of_blas_threads():
@@ -279,6 +263,53 @@ def test_tau_checked_before_fit(monkeypatch, tmp_path, capsys, xor_csv, command)
     capsys.readouterr()
     assert run(argv + ["--tau", "0.7"]) == 1
     assert capsys.readouterr().err == "error: tau must lie in (0, 0.5)\n"
+
+
+@pytest.mark.parametrize("task, rows", [("synthetic", 1000), ("energy", 230)])
+def test_k_checked_before_fit(monkeypatch, capsys, task, rows):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_gbt reached")
+
+    monkeypatch.setattr(rulemix.cli, "fit_gbt", no_fit)
+    capsys.readouterr()
+    argv = ["reproduce", task, "--restarts", "1", "--k"]
+    assert run(argv + [str(rows + 1)]) == 1
+    assert capsys.readouterr().err == "error: need at least one row per component\n"
+    assert run(argv + [str(rows)]) == 1  # one row per component passes the check
+    assert capsys.readouterr().err == "error: fit_gbt reached\n"
+
+
+@pytest.mark.parametrize("command", ["train-atm", "simplify", "evaluate", "baseline"])
+def test_csv_without_feature_column_exits_one(tmp_path, capsys, xor_csv, command):
+    model_path = tmp_path / "model.json"
+    run(["train-atm", "--train", str(xor_csv), "--trees", "2", "--out", str(model_path)])
+    path = tmp_path / "target_only.csv"
+    path.write_text("y\n1.0\n0.0\n")
+    argv = [command, "--test" if command == "evaluate" else "--train", str(path)]
+    if command in ("simplify", "evaluate"):
+        argv += ["--model", str(model_path)]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: no feature column besides the target 'y'\n"
+
+
+def test_energy_data_header_checked(tmp_path, capsys):
+    full = gen_energy_like(seed=0)
+    good = tmp_path / "energy.csv"
+    write_csv(full, good, ENERGY_TARGET)
+    report, _ = energy_pipeline(0, data_path=good, restarts=1)
+    stand_in, _ = energy_pipeline(0, restarts=1)
+    for r in (report, stand_in):
+        del r["dataset"], r["wall_time_s"]
+    assert report == stand_in
+
+    cooling = tmp_path / "cooling.csv"
+    names = ENERGY_FEATURES + ("Cooling Load",)
+    with_cooling = LabeledDataset(np.column_stack([full.xs, full.ys]), full.ys, names)
+    write_csv(with_cooling, cooling, ENERGY_TARGET)
+    assert run(["reproduce", "energy", "--data", str(cooling), "--restarts", "1"]) == 1
+    message = "feature column 9 is 'Cooling Load', expected None"
+    assert capsys.readouterr().err == f"error: {cooling}: {message}\n"
 
 
 def test_bad_target_column_exits_one(tmp_path, capsys, xor_csv):

@@ -17,16 +17,18 @@ from rulemix.mixture import (
     gate_design,
     joint_log_likelihood,
     log_softmax,
-    log_sum_exp,
+    normalize_rows,
     render_rules_text,
     rule_text,
     rules_to_json_dict,
-    softmax,
 )
 
 # Logits up to +-1000: a plain exp overflows above ~709.8 and underflows to 0
 # below ~-745, so only a max-shifted evaluation stays finite on these rows.
-logit_matrices = st.tuples(st.integers(1, 12), st.integers(1, 8)).flatmap(
+# K reaches 12 to cover K >= 8, where numpy sums a contiguous row pairwise,
+# so a row sum may differ by an ulp from the in-order column sum of the
+# transpose that normalize_rows takes.
+logit_matrices = st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
     lambda shape: arrays(np.float64, shape, elements=st.floats(-1000.0, 1000.0))
 )
 
@@ -294,7 +296,7 @@ LSE_ATOL = 1e-14
 @given(logit_matrices)
 @example(np.array([[1000.0, -1000.0, 0.0], [-800.0, -790.0, -1000.0], [700.0, 700.0, -700.0]]))
 def test_log_sum_exp_matches_scipy(a):
-    got = log_sum_exp(a)
+    got = normalize_rows(a)[1]
     assert got.shape == (len(a),)
     np.testing.assert_allclose(got, scipy_logsumexp(a, axis=1), rtol=1e-12, atol=LSE_ATOL)
 
@@ -303,7 +305,8 @@ def test_log_sum_exp_matches_scipy(a):
 @given(logit_matrices, st.floats(-1000.0, 1000.0))
 def test_log_sum_exp_shifts_with_row_constant(a, c):
     # a + c rounds each entry by up to an ulp of 2000
-    np.testing.assert_allclose(log_sum_exp(a + c), log_sum_exp(a) + c, rtol=0, atol=1e-10)
+    lse = normalize_rows(a)[1]
+    np.testing.assert_allclose(normalize_rows(a + c)[1], lse + c, rtol=0, atol=1e-10)
     np.testing.assert_allclose(log_softmax(a + c), log_softmax(a), rtol=0, atol=1e-10)
 
 
@@ -313,9 +316,25 @@ def test_softmax_rows_sum_to_one(a):
     logp = log_softmax(a)
     assert (logp <= 0.0).all()
     np.testing.assert_allclose(np.exp(logp).sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    p = softmax(a)
+    p = normalize_rows(a)[0]
+    assert p.shape == a.shape
     np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(p, np.exp(logp), rtol=0, atol=1e-12)
+
+
+@settings(deadline=None)
+@given(logit_matrices)
+def test_normalize_rows_ignores_memory_layout(a):
+    # An F-ordered softmax would change later BLAS sums by an ulp or two, so
+    # the result must be C-ordered and the same bits for every input layout.
+    padded = np.zeros((len(a), 2 * a.shape[1]))
+    padded[:, ::2] = a
+    want_p, want_lse = normalize_rows(a)
+    for view in (a, np.asfortranarray(a), padded[:, ::2], np.ascontiguousarray(a[::-1])[::-1]):
+        p, lse = normalize_rows(view)
+        assert p.flags.c_contiguous
+        assert p.tobytes() == want_p.tobytes()
+        assert lse.tobytes() == want_lse.tobytes()
 
 
 @settings(deadline=None)

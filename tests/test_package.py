@@ -1,6 +1,10 @@
 import importlib.util
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+from conftest import src_env
 
 import rulemix
 from rulemix.cli import energy_pipeline
@@ -49,3 +53,17 @@ def test_pipeline_stages_hit_their_trace_points():
     ):
         assert spans[name] >= 1, name
     assert spans["baseline.cv_mse_by_depth"] == 1
+
+
+def test_cli_import_loads_no_scipy_or_test_modules():
+    # pyproject.toml lists only numpy: scipy, hypothesis and pytest serve the
+    # tests and the benchmark, so a fresh interpreter must not load them.
+    code = (
+        "import sys, rulemix.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'hypothesis', 'pytest'}))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
