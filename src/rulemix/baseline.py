@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, mse
+from .data import LabeledDataset, check_count, mse
 from .ensemble import Tree
 from .mixture import RuleComponent, RuleSet, tightest_intervals
 from .trainer import grow_tree
@@ -20,8 +20,8 @@ class CartConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
+        check_count("folds", self.folds, 2)
+        check_count("min_samples_leaf", self.min_samples_leaf, 1)
         if len(self.depth_grid) == 0:
             raise ValueError("depth_grid must be nonempty")
         for depth in self.depth_grid:

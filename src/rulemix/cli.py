@@ -160,6 +160,8 @@ def _pipeline_report(task, source, d_atm, d_train, d_test, gbt_config, em_config
     regions, mode = _region_count(ensemble, np.vstack([d_train.xs, d_test.xs]))
 
     best = fit_report.restarts[fit_report.best_restart]
+    gate_iters = [i for r in fit_report.restarts for i in r.gate_iters]
+    grad_norms = [g for r in fit_report.restarts for g in r.gate_final_grad_norms]
     report = {
         "task": task,
         "seed": em_config.seed,
@@ -194,6 +196,8 @@ def _pipeline_report(task, source, d_atm, d_train, d_test, gbt_config, em_config
             "iterations": best.iters,
             "final_objective": best.objective_trace[-1],
             "reseed_events": sum(r.reseed_events for r in fit_report.restarts),
+            "gate_cap_share": gate_iters.count(em_config.gate_max_iters) / len(gate_iters),
+            "gate_max_final_grad_norm": max(grad_norms),
         },
         "warnings": warnings,
         "wall_time_s": time.perf_counter() - start,

@@ -9,6 +9,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_count(name: str, value, minimum: int) -> None:
+    """Reject a count field that is a bool, not an integer, or below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     xs: np.ndarray

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binarizer import BinaryDataset
-from .mixture import MixtureModel, gate_design, log_joint_matrix, log_softmax, normalize_rows
+from .data import check_count
+from .mixture import MixtureModel, gate_design, log_joint_matrix, normalize_rows
 
 DEGENERATE_MASS_FACTOR = 1e-10
 MAX_RESEEDS_PER_RUN = 5
@@ -38,8 +39,8 @@ class EmConfig:
     gate_max_iters: int = 50
 
     def __post_init__(self):
-        if min(self.n_components, self.max_iters, self.restarts, self.gate_max_iters) < 1:
-            raise ValueError("n_components, max_iters, restarts and gate_max_iters must be >= 1")
+        for name in ("n_components", "max_iters", "restarts", "gate_max_iters"):
+            check_count(name, getattr(self, name), 1)
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
 
@@ -69,50 +70,63 @@ def m_step_closed_form(beta: np.ndarray, data: BinaryDataset):
     return eta, mu, lam
 
 
-def gate_objective(weights: np.ndarray, beta: np.ndarray, design: np.ndarray, ridge: float) -> float:
-    logp = log_softmax(design @ weights.T)
-    return float((beta * logp).sum() - 0.5 * ridge * (weights * weights).sum())
+def gate_objective(
+    weights: np.ndarray, beta: np.ndarray, design: np.ndarray, ridge: float
+) -> tuple[float, np.ndarray]:
+    """Ridge-penalized weighted log-likelihood of the gate, and the gate's
+    softmax at ``weights``, which ``gate_gradient`` takes at the same point."""
+    logits = design @ weights.T
+    probs, lse = normalize_rows(logits)
+    value = (beta * (logits - lse[:, None])).sum() - 0.5 * ridge * (weights * weights).sum()
+    return float(value), probs
 
 
-def gate_gradient(weights: np.ndarray, beta: np.ndarray, design: np.ndarray, ridge: float) -> np.ndarray:
-    return (beta - normalize_rows(design @ weights.T)[0]).T @ design - ridge * weights
+def gate_gradient(
+    weights: np.ndarray, beta: np.ndarray, design: np.ndarray, ridge: float, probs: np.ndarray
+) -> np.ndarray:
+    """Gradient of ``gate_objective`` at ``weights``, whose softmax is ``probs``."""
+    return (beta - probs).T @ design - ridge * weights
 
 
-def m_step_gate(beta: np.ndarray, data: BinaryDataset, w_init: np.ndarray, config: EmConfig) -> np.ndarray:
+def m_step_gate(
+    beta: np.ndarray, data: BinaryDataset, w_init: np.ndarray, config: EmConfig
+) -> tuple[np.ndarray, int, float]:
     """Weighted multinomial logistic regression by backtracking gradient ascent.
 
     Only improving steps are accepted, so the returned weights never score
-    below ``w_init`` on the ridge-penalized objective.
+    below ``w_init`` on the ridge-penalized objective.  Each gradient reuses
+    the softmax of the objective call that accepted its point.  Returns the
+    weights, the number of gradients taken and the norm of the last one.
     """
     S1 = gate_design(data.bits)
     W = np.array(w_init, dtype=np.float64)
     if W.shape != (beta.shape[1], S1.shape[1]):
         raise ValueError(f"gate weights must have shape ({beta.shape[1]}, {S1.shape[1]})")
-    J = gate_objective(W, beta, S1, GATE_RIDGE)
+    J, probs = gate_objective(W, beta, S1, GATE_RIDGE)
     if not math.isfinite(J):
         raise RuntimeError("gate objective non-finite at the initial point")
     step = 1.0
     for it in range(config.gate_max_iters):
-        G = gate_gradient(W, beta, S1, GATE_RIDGE)
+        G = gate_gradient(W, beta, S1, GATE_RIDGE, probs)
         gsq = float((G * G).sum())
         if gsq <= 1e-18 * max(1.0, len(data) ** 2):
             break
         t = step
         while t > 1e-20:
             W_try = W + t * G
-            J_try = gate_objective(W_try, beta, S1, GATE_RIDGE)
+            J_try, probs_try = gate_objective(W_try, beta, S1, GATE_RIDGE)
             if not math.isfinite(J_try):
                 raise RuntimeError(
                     f"gate objective became non-finite during line search (iteration {it})"
                 )
             if J_try >= J + 1e-4 * t * gsq:
-                W, J = W_try, J_try
+                W, J, probs = W_try, J_try, probs_try
                 step = min(t * 2.0, 1e8)
                 break
             t /= 2.0
         else:
             break
-    return W
+    return W, it + 1, math.sqrt(gsq)
 
 
 def lower_bound(model: MixtureModel, beta: np.ndarray, data: BinaryDataset) -> float:
@@ -135,6 +149,8 @@ class RestartTrace:
     objective_trace: list
     failed: bool
     reseed_events: int
+    gate_iters: list  # gradient steps of each gate M-step
+    gate_final_grad_norms: list  # norm of each gate M-step's last gradient
 
 
 @dataclass
@@ -167,6 +183,8 @@ def _run_em(data: BinaryDataset, config: EmConfig, rng: np.random.Generator):
     weights = np.zeros((k, data.n_bits + 1))
     model = row_ll = None
     trace: list[float] = []
+    gate_iters: list[int] = []
+    grad_norms: list[float] = []
     reseeds = 0
 
     for _ in range(config.max_iters):
@@ -176,9 +194,11 @@ def _run_em(data: BinaryDataset, config: EmConfig, rng: np.random.Generator):
             scores = row_ll if row_ll is not None else rng.random(n)
             reseeds += reseed_components(beta, bad, scores)
             if reseeds > MAX_RESEEDS_PER_RUN:
-                return model, RestartTrace(len(trace), trace, True, reseeds)
+                return model, RestartTrace(len(trace), trace, True, reseeds, gate_iters, grad_norms)
         eta, mu, lam = m_step_closed_form(beta, data)
-        weights = m_step_gate(beta, data, weights, config)
+        weights, iters, grad_norm = m_step_gate(beta, data, weights, config)
+        gate_iters.append(iters)
+        grad_norms.append(grad_norm)
         model = MixtureModel(weights, eta, mu, lam, data.schema)
         beta, row_ll = e_step(model, data)
         trace.append(float(row_ll.sum()))
@@ -186,7 +206,7 @@ def _run_em(data: BinaryDataset, config: EmConfig, rng: np.random.Generator):
             abs(trace[-1] - trace[-2]) <= config.rel_tol * max(1.0, abs(trace[-2]))
         ):
             break
-    return model, RestartTrace(len(trace), trace, False, reseeds)
+    return model, RestartTrace(len(trace), trace, False, reseeds, gate_iters, grad_norms)
 
 
 def fit(data: BinaryDataset, config: EmConfig):

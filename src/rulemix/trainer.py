@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, check_count
 from .ensemble import LEAF, Tree, TreeEnsemble
 
 
@@ -25,14 +25,10 @@ class GbtConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tree_count < 1:
-            raise ValueError("tree_count must be >= 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        for name in ("tree_count", "max_depth", "min_samples_leaf"):
+            check_count(name, getattr(self, name), 1)
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
 
 
 def _best_split(X, y, rows, min_samples_leaf):

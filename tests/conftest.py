@@ -4,8 +4,10 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import rulemix
+import rulemix.em
 from rulemix.binarizer import BinaryDataset, SplitSchema
 from rulemix.ensemble import Tree, TreeEnsemble
 from rulemix.mixture import MixtureModel
@@ -64,3 +66,25 @@ def src_env(**extra):
     src = str(Path(rulemix.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+@pytest.fixture
+def gate_gradient_norms(monkeypatch):
+    """Norm of every gate gradient, one list per ``m_step_gate`` call, read
+    the way ``bench/tracing.py`` reads them: by wrapping the ``rulemix.em``
+    bindings the EM loop looks up."""
+    steps = []
+    step, gradient = rulemix.em.m_step_gate, rulemix.em.gate_gradient
+
+    def counted_step(*args):
+        steps.append([])
+        return step(*args)
+
+    def counted_gradient(*args):
+        G = gradient(*args)
+        steps[-1].append(float(np.sqrt((G * G).sum())))
+        return G
+
+    monkeypatch.setattr(rulemix.em, "m_step_gate", counted_step)
+    monkeypatch.setattr(rulemix.em, "gate_gradient", counted_gradient)
+    return steps

@@ -2,12 +2,15 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, direct probability arithmetic, generic numerical optimizers) and
-shares no code paths with the package internals it checks.  The two
-exact references (``per_feature_best_split`` and ``cv_mse_per_depth``) are
-the package's earlier loops, kept so that the faster forms can be required
-to return the very same floats; ``cv_mse_per_depth`` calls the package's
-``grow_tree``, ``cv_folds`` and ``mse``, because what it checks is only the
-one-tree-per-fold cut, not the grower.
+shares no code paths with the package internals it checks.  The three
+exact references (``per_feature_best_split``, ``cv_mse_per_depth`` and
+``unfused_m_step_gate``) are the package's earlier loops, kept so that the
+faster forms can be required to return the very same floats;
+``cv_mse_per_depth`` calls the package's ``grow_tree``, ``cv_folds`` and
+``mse``, because what it checks is only the one-tree-per-fold cut, not the
+grower, and ``unfused_m_step_gate`` calls ``gate_design`` and
+``normalize_rows``, because what it checks is only the fused value and
+gradient, not the row kernel.
 """
 
 import math
@@ -17,6 +20,7 @@ from scipy.optimize import minimize
 
 from rulemix.baseline import cv_folds
 from rulemix.data import mse
+from rulemix.mixture import gate_design, normalize_rows
 from rulemix.trainer import grow_tree
 
 
@@ -201,6 +205,50 @@ def finite_diff_gate_gradient(objective, weights, h=1e-5):
         w_minus[idx] -= h
         grad[idx] = (objective(w_plus) - objective(w_minus)) / (2 * h)
     return grad
+
+
+def unfused_m_step_gate(beta, data, w_init, gate_max_iters, ridge=1e-8):
+    """The gate M-step as it ran before its value and gradient were fused:
+    the objective drops the softmax, and each gradient recomputes the logits
+    and the softmax at its own point.  Same acceptance rule and step schedule.
+
+    Returns the weights, the number of objective calls, the norm of every
+    gradient taken, and why the loop ended: "cap" (budget used up),
+    "gradient" (gradient-norm test) or "floor" (no step above the floor).
+    """
+
+    def objective(weights):
+        logits = design @ weights.T
+        logp = logits - normalize_rows(logits)[1][:, None]
+        return float((beta * logp).sum() - 0.5 * ridge * (weights * weights).sum())
+
+    def gradient(weights):
+        return (beta - normalize_rows(design @ weights.T)[0]).T @ design - ridge * weights
+
+    design = gate_design(data.bits)
+    W = np.array(w_init, dtype=np.float64)
+    J = objective(W)
+    objective_calls, norms = 1, []
+    step = 1.0
+    for _ in range(gate_max_iters):
+        G = gradient(W)
+        gsq = float((G * G).sum())
+        norms.append(math.sqrt(gsq))
+        if gsq <= 1e-18 * max(1.0, len(data) ** 2):
+            return W, objective_calls, norms, "gradient"
+        t = step
+        while t > 1e-20:
+            W_try = W + t * G
+            J_try = objective(W_try)
+            objective_calls += 1
+            if J_try >= J + 1e-4 * t * gsq:
+                W, J = W_try, J_try
+                step = min(t * 2.0, 1e8)
+                break
+            t /= 2.0
+        else:
+            return W, objective_calls, norms, "floor"
+    return W, objective_calls, norms, "cap"
 
 
 def naive_em(data, k, seed, ridge=1e-8, lambda_bounds=(1e-6, 1e6), max_iters=3000, tol=1e-12):

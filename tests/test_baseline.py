@@ -87,6 +87,16 @@ def test_fit_cart_requires_enough_rows():
         cart(data, CartConfig(folds=5))
 
 
+@pytest.mark.parametrize("field, minimum", [("folds", 2), ("min_samples_leaf", 1)])
+def test_config_rejects_non_integer_counts(field, minimum):
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {bad!r}$"):
+            CartConfig(**{field: bad})
+    with pytest.raises(ValueError, match=f"^{field} must be >= {minimum}, got {minimum - 1}$"):
+        CartConfig(**{field: minimum - 1})
+    assert getattr(CartConfig(**{field: np.int64(3)}), field) == 3
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="folds must be >= 2"):
         CartConfig(folds=1)

@@ -217,6 +217,13 @@ def test_pipeline_cross_validates_once(cv_calls):
     assert report["warnings"] == []
 
 
+def test_pipeline_reports_gate_summary(gate_gradient_norms):
+    report, _ = energy_pipeline(0, restarts=2)
+    iters = [len(s) for s in gate_gradient_norms]
+    assert report["em_fit"]["gate_cap_share"] == iters.count(50) / len(iters)
+    assert report["em_fit"]["gate_max_final_grad_norm"] == max(s[-1] for s in gate_gradient_norms)
+
+
 @pytest.mark.parametrize("command", ["simplify", "evaluate", "baseline"])
 def test_feature_columns_must_match_model(monkeypatch, tmp_path, capsys, xor_csv, command):
     model_path = tmp_path / "model.json"

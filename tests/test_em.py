@@ -1,10 +1,11 @@
 import json
 import math
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import rulemix.em
@@ -14,6 +15,7 @@ from oracles import (
     finite_diff_gate_gradient,
     maximize_component_bound,
     naive_posterior_row,
+    unfused_m_step_gate,
 )
 from rulemix.binarizer import BinaryDataset
 from rulemix.em import (
@@ -120,9 +122,9 @@ def test_gate_uniform_beta_keeps_symmetric_optimum():
     beta = np.full((20, k), 1.0 / k)
     config = EmConfig(n_components=k, seed=0)
     w0 = np.zeros((k, 4))
-    w = m_step_gate(beta, ds, w0, config)
+    w, _, _ = m_step_gate(beta, ds, w0, config)
     design = np.concatenate([ds.bits, np.ones((20, 1))], axis=1)
-    assert gate_objective(w, beta, design, GATE_RIDGE) >= 20 * math.log(1.0 / k) - 1e-12
+    assert gate_objective(w, beta, design, GATE_RIDGE)[0] >= 20 * math.log(1.0 / k) - 1e-12
 
 
 def test_gate_separable_bit_reaches_full_accuracy():
@@ -133,10 +135,10 @@ def test_gate_separable_bit_reaches_full_accuracy():
     beta = np.stack([bits[:, 0], 1.0 - bits[:, 0]], axis=1)
     config = EmConfig(n_components=2, seed=0, gate_max_iters=200)
     w0 = np.zeros((2, 2))
-    w = m_step_gate(beta, ds, w0, config)
+    w, _, _ = m_step_gate(beta, ds, w0, config)
     design = np.concatenate([bits, np.ones((40, 1))], axis=1)
-    j0 = gate_objective(w0, beta, design, GATE_RIDGE)
-    assert gate_objective(w, beta, design, GATE_RIDGE) > j0
+    j0, _ = gate_objective(w0, beta, design, GATE_RIDGE)
+    assert gate_objective(w, beta, design, GATE_RIDGE)[0] > j0
     pred = np.argmax(design @ w.T, axis=1)
     assert np.array_equal(pred, np.argmax(beta, axis=1))
 
@@ -148,9 +150,10 @@ def test_gate_gradient_matches_central_differences():
     beta = rng.dirichlet(np.ones(3), size=10)
     w = rng.normal(scale=0.5, size=(3, 4))
     ridge = 1e-8
-    analytic = gate_gradient(w, beta, design, ridge)
+    _, probs = gate_objective(w, beta, design, ridge)
+    analytic = gate_gradient(w, beta, design, ridge, probs)
     numeric = finite_diff_gate_gradient(
-        lambda wc: gate_objective(wc, beta, design, ridge), w, h=1e-5
+        lambda wc: gate_objective(wc, beta, design, ridge)[0], w, h=1e-5
     )
     denom = max(1.0, float(np.abs(numeric).max()))
     assert np.abs(analytic - numeric).max() / denom <= 1e-5
@@ -164,10 +167,74 @@ def test_gate_never_returns_worse_than_start():
     for trial in range(10):
         beta = rng.dirichlet(np.ones(3), size=30)
         w0 = rng.normal(scale=2.0, size=(3, 5))
-        w = m_step_gate(beta, ds, w0, config)
-        assert gate_objective(w, beta, design, GATE_RIDGE) >= (
-            gate_objective(w0, beta, design, GATE_RIDGE) - 1e-12
+        w, _, _ = m_step_gate(beta, ds, w0, config)
+        assert gate_objective(w, beta, design, GATE_RIDGE)[0] >= (
+            gate_objective(w0, beta, design, GATE_RIDGE)[0] - 1e-12
         )
+
+
+def fused_gate_matches_unfused(seed, n, l, k, kind, w_scale, gate_max_iters):
+    """Run ``m_step_gate`` and the unfused oracle on one input, require the
+    same weights, the same objective and gradient call counts (on the
+    ``rulemix.em`` bindings the loop looks up) and the same last gradient
+    norm; return why the oracle stopped."""
+    ds = random_dataset(seed, n=n, l=l)
+    rng = np.random.default_rng(seed + 1)
+    if kind == "soft":
+        beta = rng.dirichlet(np.ones(k), size=n)
+    elif kind == "labels":  # a function of the bits: separable, weights run off
+        beta = np.eye(k)[(ds.bits @ 2.0 ** np.arange(l)).astype(int) % k]
+    elif kind == "uniform":
+        beta = np.full((n, k), 1.0 / k)
+    else:  # zero rows are no responsibilities: the step is no ascent, the line search bottoms out
+        beta = np.zeros((n, k))
+    w0 = rng.normal(0.0, w_scale, size=(k, l + 1))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("gate_objective", "gate_gradient"):
+            mp.setattr(rulemix.em, name, counted(name, getattr(rulemix.em, name)))
+        config = EmConfig(n_components=k, gate_max_iters=gate_max_iters)
+        weights, iters, grad_norm = m_step_gate(beta, ds, w0, config)
+    want, objective_calls, norms, stop = unfused_m_step_gate(beta, ds, w0, gate_max_iters)
+    assert np.array_equal(weights, want)
+    assert calls == {"gate_objective": objective_calls, "gate_gradient": len(norms)}
+    assert (iters, grad_norm) == (len(norms), norms[-1])
+    return stop
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 40),
+    l=st.integers(1, 5),
+    k=st.integers(1, 4),
+    kind=st.sampled_from(["soft", "labels", "uniform", "zero"]),
+    w_scale=st.sampled_from([0.0, 0.5, 3.0]),
+    gate_max_iters=st.integers(1, 120),
+)
+def test_fused_gate_step_matches_unfused_oracle(seed, n, l, k, kind, w_scale, gate_max_iters):
+    event(fused_gate_matches_unfused(seed, n, l, k, kind, w_scale, gate_max_iters))
+
+
+@pytest.mark.parametrize(
+    "case, stop",
+    [
+        ((0, 30, 4, 3, "soft", 0.5, 40), "cap"),
+        ((0, 30, 3, 2, "labels", 0.0, 120), "gradient"),  # after 85 gradients
+        ((0, 30, 4, 1, "uniform", 3.0, 40), "gradient"),
+        ((0, 30, 4, 3, "zero", 0.5, 40), "floor"),
+    ],
+)
+def test_fused_gate_step_matches_unfused_oracle_at_each_stop(case, stop):
+    assert fused_gate_matches_unfused(*case) == stop
 
 
 def test_lower_bound_tight_at_posterior():
@@ -231,9 +298,25 @@ def test_fit_report_json_layout():
     assert set(doc) == {"restarts", "best_restart"}
     assert len(doc["restarts"]) == 2
     for run in doc["restarts"]:
-        assert set(run) == {"iters", "objective_trace", "failed", "reseed_events"}
+        assert set(run) == {
+            "iters", "objective_trace", "failed", "reseed_events", "gate_iters", "gate_final_grad_norms"
+        }
         assert run["iters"] == len(run["objective_trace"])
         assert run["failed"] is False
+        # one gate M-step per EM iteration
+        assert len(run["gate_iters"]) == len(run["gate_final_grad_norms"]) == run["iters"]
+        assert all(1 <= i <= 50 for i in run["gate_iters"])
+    json.dumps(doc, allow_nan=False)
+
+
+def test_restart_trace_records_each_gate_step(gate_gradient_norms):
+    ds = random_dataset(49, n=30, l=4)
+    _, report = fit(ds, EmConfig(n_components=3, restarts=2, seed=3, gate_max_iters=20))
+    assert [i for r in report.restarts for i in r.gate_iters] == [len(s) for s in gate_gradient_norms]
+    assert [g for r in report.restarts for g in r.gate_final_grad_norms] == [
+        s[-1] for s in gate_gradient_norms
+    ]
+    assert 20 in [len(s) for s in gate_gradient_norms]  # some step used the whole budget
 
 
 def three_clusters():
@@ -280,7 +363,7 @@ def test_fit_best_restart_rule(monkeypatch):
     # stubbed restarts: a failed one with the highest objective, then a tie
     finals = [(1.0, False), (9.0, True), (3.0, False), (3.0, False), (2.0, False)]
     runs = iter(
-        (f"model {r}", RestartTrace(1, [obj], failed, 0)) for r, (obj, failed) in enumerate(finals)
+        (f"model {r}", RestartTrace(1, [obj], failed, 0, [], [])) for r, (obj, failed) in enumerate(finals)
     )
     monkeypatch.setattr(rulemix.em, "_run_em", lambda *args: next(runs))
     model, report = fit(random_dataset(48, n=10, l=2), EmConfig(n_components=2, restarts=5))
@@ -344,6 +427,15 @@ def test_config_validation():
         EmConfig(n_components=2, gate_max_iters=0)
 
 
+@pytest.mark.parametrize("field", ["n_components", "max_iters", "restarts", "gate_max_iters"])
+def test_config_rejects_non_integer_counts(field):
+    config = {"n_components": 2}
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {bad!r}$"):
+            EmConfig(**{**config, field: bad})
+    assert getattr(EmConfig(**{**config, field: np.int64(3)}), field) == 3
+
+
 def permuted_and_doubled(seed, n, l, k):
     """A random dataset with responsibilities, a row permutation of both, and
     both with every row repeated once."""
@@ -382,9 +474,10 @@ def test_gate_objective_and_gradient_are_sums_over_rows(seed, n, l, k):
     ds, beta, shuffled, doubled = permuted_and_doubled(seed, n, l, k)
     weights = np.random.default_rng(seed + 2).normal(size=(k, l + 1))
     design = gate_design(ds.bits)
-    value = gate_objective(weights, beta, design, 0.0)
-    grad = gate_gradient(weights, beta, design, 0.0)
+    value, probs = gate_objective(weights, beta, design, 0.0)
+    grad = gate_gradient(weights, beta, design, 0.0, probs)
     for (data, b), scale in ((shuffled, 1.0), (doubled, 2.0)):
         d = gate_design(data.bits)
-        assert gate_objective(weights, b, d, 0.0) == pytest.approx(scale * value, rel=1e-9)
-        assert np.allclose(gate_gradient(weights, b, d, 0.0), scale * grad, rtol=1e-9, atol=1e-9)
+        got, p = gate_objective(weights, b, d, 0.0)
+        assert got == pytest.approx(scale * value, rel=1e-9)
+        assert np.allclose(gate_gradient(weights, b, d, 0.0, p), scale * grad, rtol=1e-9, atol=1e-9)

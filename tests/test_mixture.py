@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp as scipy_logsumexp
+from scipy.special import softmax as scipy_softmax
 
 from conftest import random_dataset, random_model, schema_of_length
 from oracles import naive_joint_ll
@@ -355,8 +356,11 @@ def test_gate_objective_matches_scipy_reference(n, k, l, ridge, scale, seed):
     expected = (beta * (logits - scipy_logsumexp(logits, axis=1, keepdims=True))).sum() - (
         0.5 * ridge * (weights**2).sum()
     )
-    got = gate_objective(weights, beta, design, ridge)
+    got, probs = gate_objective(weights, beta, design, ridge)
     assert got == pytest.approx(expected, rel=1e-12, abs=n * LSE_ATOL)
+    # the softmax the next gradient reads: C-ordered, so its products sum in one order
+    assert probs.flags.c_contiguous
+    np.testing.assert_allclose(probs, scipy_softmax(logits, axis=1), rtol=1e-12, atol=1e-15)
 
 
 def test_gate_design_appends_intercept_column():

@@ -151,6 +151,16 @@ def test_tree_cut_at_depth_is_tree_grown_to_depth(seed, depth, min_leaf, dims, l
         assert np.array_equal(cut, grow_tree(xs, ys, d, min_leaf).predict_batch(probes))
 
 
+@pytest.mark.parametrize("field", ["tree_count", "max_depth", "min_samples_leaf"])
+def test_config_rejects_non_integer_counts(field):
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {bad!r}$"):
+            GbtConfig(**{field: bad})
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
+        GbtConfig(**{field: 0})
+    assert getattr(GbtConfig(**{field: np.int64(3)}), field) == 3
+
+
 def test_rejects_empty_and_nonfinite_data():
     with pytest.raises(ValueError):
         fit_gbt(LabeledDataset(np.zeros((0, 2)), np.zeros(0)), GbtConfig())
