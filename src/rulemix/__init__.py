@@ -19,7 +19,7 @@ from .mixture import (
     render_rules_text,
     rules_to_json_dict,
 )
-from .trainer import GbtConfig, ParseError, fit_gbt, grow_tree, parse_ensemble_json, serialize_ensemble
+from .trainer import GbtConfig, ParseError, fit_gbt, grow_tree, parse_ensemble_json, presort, serialize_ensemble
 
 __all__ = [
     "BinaryDataset",
@@ -55,6 +55,7 @@ __all__ = [
     "m_step_gate",
     "mse",
     "parse_ensemble_json",
+    "presort",
     "render_rules_text",
     "rules_to_json_dict",
     "serialize_ensemble",

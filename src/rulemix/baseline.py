@@ -9,7 +9,7 @@ import numpy as np
 from .data import LabeledDataset, check_count, mse
 from .ensemble import Tree
 from .mixture import RuleComponent, RuleSet, tightest_intervals
-from .trainer import grow_tree
+from .trainer import grow_tree, presort
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,8 @@ def cv_mse_by_depth(data: LabeledDataset, config: CartConfig) -> dict[int, float
     for held_out in folds:
         train_mask = np.ones(len(data), dtype=bool)
         train_mask[held_out] = False
-        tree = grow_tree(
-            data.xs[train_mask], data.ys[train_mask], max(totals), config.min_samples_leaf
-        )
+        xs = data.xs[train_mask]
+        tree = grow_tree(xs, data.ys[train_mask], presort(xs), max(totals), config.min_samples_leaf)
         for depth in totals:
             preds = tree.predict_batch(data.xs[held_out], depth)
             totals[depth] += mse(preds, data.ys[held_out])
@@ -62,7 +61,7 @@ def fit_cart(data: LabeledDataset, config: CartConfig, scores: dict[int, float])
     """Refit on all data at the depth of lowest CV error in ``scores`` (from
     ``cv_mse_by_depth``); ties go to the earlier depth in the grid."""
     best_depth = min(config.depth_grid, key=scores.__getitem__)
-    return grow_tree(data.xs, data.ys, best_depth, config.min_samples_leaf)
+    return grow_tree(data.xs, data.ys, presort(data.xs), best_depth, config.min_samples_leaf)
 
 
 def tree_to_ruleset(tree: Tree, data: LabeledDataset) -> RuleSet:

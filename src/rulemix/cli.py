@@ -26,7 +26,7 @@ from .data import (
 )
 from .ensemble import count_regions
 from .mixture import check_tau, extract_rules, render_rules_text, rules_to_json_dict
-from .trainer import GbtConfig, fit_gbt, parse_ensemble_json, serialize_ensemble
+from .trainer import GbtConfig, ParseError, fit_gbt, parse_ensemble_json, serialize_ensemble
 
 
 def _emit(text: str, out_path) -> None:
@@ -44,8 +44,11 @@ def _emit_report(report: dict, out_path, rules=None) -> None:
 
 
 def _read_model(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_ensemble_json(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_ensemble_json(fh.read())
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from e
 
 
 def _read_csv_for(expected, path, target):
@@ -57,12 +60,6 @@ def _read_csv_for(expected, path, target):
         if got != want:
             raise ValueError(f"{path}: feature column {i + 1} is {got!r}, expected {want!r}")
     return data
-
-
-def _region_count(ensemble, probes):
-    if ensemble.feature_count <= 2:
-        return count_regions_exact(ensemble), "exact"
-    return count_regions(ensemble, probes), "sampled"
 
 
 def cmd_synth(args) -> int:
@@ -157,7 +154,10 @@ def _pipeline_report(task, source, d_atm, d_train, d_test, gbt_config, em_config
     model_soft = mse(model.predict_batch(test_bits, soft=True), d_test.ys)
     fidelity = mse(hard_preds, atm_preds)
     cart_mse = mse(cart.predict_batch(d_test.xs), d_test.ys)
-    regions, mode = _region_count(ensemble, np.vstack([d_train.xs, d_test.xs]))
+    if ensemble.feature_count <= 2:
+        regions, mode = count_regions_exact(ensemble), "exact"
+    else:
+        regions, mode = count_regions(ensemble, np.vstack([d_train.xs, d_test.xs])), "sampled"
 
     best = fit_report.restarts[fit_report.best_restart]
     gate_iters = [i for r in fit_report.restarts for i in r.gate_iters]

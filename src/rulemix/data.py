@@ -17,6 +17,11 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
+def check_noise_sd(noise_sd) -> None:
+    if not (math.isfinite(noise_sd) and noise_sd >= 0.0):
+        raise ValueError(f"noise_sd must be a finite number >= 0, got {noise_sd!r}")
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     xs: np.ndarray
@@ -49,6 +54,7 @@ def gen_xor(n: int, noise_sd: float = 0.1, seed: int = 0) -> LabeledDataset:
     Gaussian noise."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_noise_sd(noise_sd)
     rng = np.random.default_rng(seed)
     xs = rng.random((n, 2))
     signal = np.logical_xor(xs[:, 0] < 0.5, xs[:, 1] < 0.5).astype(np.float64)
@@ -96,6 +102,7 @@ def gen_energy_like(seed: int = 0, noise_sd: float = 1.0) -> LabeledDataset:
     dominant effect is the compact/tall building group, so it exercises the
     same rule structure without shipping the original simulation outputs.
     """
+    check_noise_sd(noise_sd)
     rng = np.random.default_rng(seed)
     rows = []
     for shape in _ENERGY_SHAPES:

@@ -31,25 +31,28 @@ class GbtConfig:
             raise ValueError("learning_rate must be in (0, 1]")
 
 
-def _best_split(X, y, rows, min_samples_leaf):
+def presort(X):
+    """Each column's stable ascending row order: row d of the (D, n) result
+    lists X's rows by feature d, ties in row order.  A fit sorts once for all
+    its trees: the stable order of a subset of the rows is this order filtered
+    to the subset, so ``grow_tree`` filters it down the tree, never sorting."""
+    return np.argsort(X.T, axis=1, kind="stable")
+
+
+def _best_split(ys_sorted, xs_sorted, total, total_sq, min_samples_leaf):
     """Best variance-reduction split for one node.
 
-    Returns (feature, threshold, gain) or None.  Candidate thresholds are
-    midpoints of consecutive distinct sorted feature values; ties broken by
-    (lower feature index, lower threshold).  All features are scanned at
-    once, one row of each (D, n) array per feature.
+    Row d of ``xs_sorted`` and ``ys_sorted`` holds the node's feature-d values
+    and targets in the stable order of feature d (see ``presort``); ``total``
+    and ``total_sq`` sum the targets and their squares in row order.  Returns
+    (feature, threshold, gain) or None.  Candidate thresholds are midpoints of
+    consecutive distinct sorted feature values; ties broken by (lower feature
+    index, lower threshold).  All features are scanned at once.
     """
-    n = len(rows)
+    n = ys_sorted.shape[1]
     if n < 2 * min_samples_leaf:
         return None
-    ysub = y[rows]
-    total = ysub.sum()
-    total_sq = (ysub * ysub).sum()
     sse_parent = total_sq - total * total / n
-    xs = X[rows].T
-    order = np.argsort(xs, axis=1, kind="stable")
-    xs_sorted = np.take_along_axis(xs, order, axis=1)
-    ys_sorted = ysub[order]
     csum = np.cumsum(ys_sorted, axis=1)
     csq = np.cumsum(ys_sorted * ys_sorted, axis=1)
     # split before position p: left = [0, p), right = [p, n)
@@ -75,47 +78,40 @@ def _best_split(X, y, rows, min_samples_leaf):
     return (d, (xs_sorted[d, p - 1] + xs_sorted[d, p]) / 2.0, float(best[d]))
 
 
-def grow_tree(X, y, max_depth, min_samples_leaf) -> Tree:
+def grow_tree(X, y, order, max_depth, min_samples_leaf) -> Tree:
     """Greedy least-squares regression tree (shared by boosting and CART).
+
+    ``order`` is ``presort(X)``.  A node carries its rows in ascending order
+    and its sorted columns (row indices and values); a split divides both with
+    one mask, which keeps each side in the stable order of its own rows, so
+    every node scans what a stable sort of its rows would give.
 
     Every node's ``value`` is the mean of its training rows, internal nodes
     included: a node's split depends only on its own rows, so the tree cut
     at depth d (``leaf_index_batch(X, d)``) is the tree grown to depth d.
     """
-    feature, threshold, left, right, value = [], [], [], [], []
+    nodes = []  # [feature, threshold, left, right, value] per node, in preorder
 
-    def new_node():
-        feature.append(LEAF)
-        threshold.append(np.nan)
-        left.append(LEAF)
-        right.append(LEAF)
-        value.append(np.nan)
-        return len(feature) - 1
+    def side(sorted_cols, m):
+        return sorted_cols[m].reshape(len(sorted_cols), -1)
 
-    def build(rows, depth, node):
-        value[node] = float(y[rows].mean())
-        split = None
+    def build(rows, order, xs_sorted, depth):
+        ysub = y[rows]
+        total = ysub.sum()
+        nodes.append([LEAF, np.nan, LEAF, LEAF, float(total / len(rows))])
+        node = len(nodes) - 1
         if depth < max_depth:
-            split = _best_split(X, y, rows, min_samples_leaf)
-        if split is None:
-            return
-        d, b, _ = split
-        feature[node] = d
-        threshold[node] = b
-        go_left = X[rows, d] < b
-        left[node] = new_node()
-        build(rows[go_left], depth + 1, left[node])
-        right[node] = new_node()
-        build(rows[~go_left], depth + 1, right[node])
+            split = _best_split(y[order], xs_sorted, total, (ysub * ysub).sum(), min_samples_leaf)
+            if split is not None:
+                d, b, _ = split
+                go_left, m = X[rows, d] < b, X[order, d] < b
+                lo = build(rows[go_left], side(order, m), side(xs_sorted, m), depth + 1)
+                hi = build(rows[~go_left], side(order, ~m), side(xs_sorted, ~m), depth + 1)
+                nodes[node][:4] = d, b, lo, hi
+        return node
 
-    build(np.arange(len(y)), 0, new_node())
-    return Tree(
-        np.array(feature, dtype=np.int64),
-        np.array(threshold),
-        np.array(left, dtype=np.int64),
-        np.array(right, dtype=np.int64),
-        np.array(value),
-    )
+    build(np.arange(len(y)), order, X[order, np.arange(X.shape[1])[:, None]], 0)
+    return Tree(*map(np.array, zip(*nodes)))
 
 
 def fit_gbt(data: LabeledDataset, config: GbtConfig) -> TreeEnsemble:
@@ -129,17 +125,14 @@ def fit_gbt(data: LabeledDataset, config: GbtConfig) -> TreeEnsemble:
     if len(y) < 2:
         raise ValueError("need at least 2 samples with one target each")
 
-    base = Tree.from_nodes([{"value": float(y.mean())}])
-    trees = [base]
-    weights = [1.0]
+    trees = [Tree.from_nodes([{"value": float(y.mean())}])]
     current = np.full(len(y), y.mean())
+    order = presort(X)
     for _ in range(config.tree_count):
-        residuals = y - current
-        t = grow_tree(X, residuals, config.max_depth, config.min_samples_leaf)
-        current += config.learning_rate * t.predict_batch(X)
-        trees.append(t)
-        weights.append(config.learning_rate)
-    return TreeEnsemble(tuple(trees), np.array(weights), X.shape[1], data.feature_names)
+        trees.append(grow_tree(X, y - current, order, config.max_depth, config.min_samples_leaf))
+        current += config.learning_rate * trees[-1].predict_batch(X)
+    weights = np.array([1.0] + [config.learning_rate] * config.tree_count)
+    return TreeEnsemble(tuple(trees), weights, X.shape[1], data.feature_names)
 
 
 _NODE_SPLIT_KEYS = {"feature", "threshold", "left", "right"}

@@ -2,15 +2,17 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, direct probability arithmetic, generic numerical optimizers) and
-shares no code paths with the package internals it checks.  The three
-exact references (``per_feature_best_split``, ``cv_mse_per_depth`` and
-``unfused_m_step_gate``) are the package's earlier loops, kept so that the
-faster forms can be required to return the very same floats;
-``cv_mse_per_depth`` calls the package's ``grow_tree``, ``cv_folds`` and
-``mse``, because what it checks is only the one-tree-per-fold cut, not the
-grower, and ``unfused_m_step_gate`` calls ``gate_design`` and
-``normalize_rows``, because what it checks is only the fused value and
-gradient, not the row kernel.
+shares no code paths with the package internals it checks.  The four
+exact references (``per_feature_best_split``, ``per_node_sort_grow_tree``,
+``cv_mse_per_depth`` and ``unfused_m_step_gate``) are the package's earlier
+loops, kept so that the faster forms can be required to return the very
+same floats; ``per_node_sort_grow_tree`` builds the package's ``Tree``,
+because what it checks is only the grower, not the tree type;
+``cv_mse_per_depth`` calls the package's ``grow_tree``, ``presort``,
+``cv_folds`` and ``mse``, because what it checks is only the
+one-tree-per-fold cut, not the grower, and ``unfused_m_step_gate`` calls
+``gate_design`` and ``normalize_rows``, because what it checks is only the
+fused value and gradient, not the row kernel.
 """
 
 import math
@@ -20,8 +22,9 @@ from scipy.optimize import minimize
 
 from rulemix.baseline import cv_folds
 from rulemix.data import mse
+from rulemix.ensemble import LEAF, Tree
 from rulemix.mixture import gate_design, normalize_rows
-from rulemix.trainer import grow_tree
+from rulemix.trainer import grow_tree, presort
 
 
 def predict_by_path(ensemble, x):
@@ -102,6 +105,82 @@ def per_feature_best_split(X, y, rows, min_samples_leaf):
     return best
 
 
+def _per_node_sort_best_split(X, y, rows, min_samples_leaf):
+    """The all-features split search of ``per_node_sort_grow_tree``: it sorts
+    the node's own columns, one stable ``argsort`` of ``X[rows].T``."""
+    n = len(rows)
+    if n < 2 * min_samples_leaf:
+        return None
+    ysub = y[rows]
+    total = ysub.sum()
+    total_sq = (ysub * ysub).sum()
+    sse_parent = total_sq - total * total / n
+    xs = X[rows].T
+    order = np.argsort(xs, axis=1, kind="stable")
+    xs_sorted = np.take_along_axis(xs, order, axis=1)
+    ys_sorted = ysub[order]
+    csum = np.cumsum(ys_sorted, axis=1)
+    csq = np.cumsum(ys_sorted * ys_sorted, axis=1)
+    pos = np.arange(min_samples_leaf, n - min_samples_leaf + 1)
+    before = slice(min_samples_leaf - 1, n - min_samples_leaf)
+    after = slice(min_samples_leaf, n - min_samples_leaf + 1)
+    ls = csum[:, before]
+    lq = csq[:, before]
+    sse_left = lq - ls * ls / pos
+    rs = total - ls
+    rq = total_sq - lq
+    sse_right = rq - rs * rs / (n - pos)
+    gains = sse_parent - sse_left - sse_right
+    gains[xs_sorted[:, before] >= xs_sorted[:, after]] = -np.inf
+    at = np.argmax(gains, axis=1)
+    best = gains[np.arange(len(at)), at]
+    d = int(np.argmax(np.where(best > 0.0, best, -np.inf)))
+    if not best[d] > 0.0:
+        return None
+    p = pos[at[d]]
+    return (d, (xs_sorted[d, p - 1] + xs_sorted[d, p]) / 2.0, float(best[d]))
+
+
+def per_node_sort_grow_tree(X, y, max_depth, min_samples_leaf):
+    """The greedy least-squares tree as grown before the columns were sorted
+    once per fit: every node sorts its own rows again, and its value is
+    ``y[rows].mean()``."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node():
+        feature.append(LEAF)
+        threshold.append(np.nan)
+        left.append(LEAF)
+        right.append(LEAF)
+        value.append(np.nan)
+        return len(feature) - 1
+
+    def build(rows, depth, node):
+        value[node] = float(y[rows].mean())
+        split = None
+        if depth < max_depth:
+            split = _per_node_sort_best_split(X, y, rows, min_samples_leaf)
+        if split is None:
+            return
+        d, b, _ = split
+        feature[node] = d
+        threshold[node] = b
+        go_left = X[rows, d] < b
+        left[node] = new_node()
+        build(rows[go_left], depth + 1, left[node])
+        right[node] = new_node()
+        build(rows[~go_left], depth + 1, right[node])
+
+    build(np.arange(len(y)), 0, new_node())
+    return Tree(
+        np.array(feature, dtype=np.int64),
+        np.array(threshold),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.array(value),
+    )
+
+
 def cv_mse_per_depth(data, config):
     """Mean held-out MSE per grid depth, growing a fresh tree for every
     (depth, fold) pair and summing each depth's fold MSEs in fold order."""
@@ -112,9 +191,8 @@ def cv_mse_per_depth(data, config):
         for held_out in folds:
             train_mask = np.ones(len(data), dtype=bool)
             train_mask[held_out] = False
-            tree = grow_tree(
-                data.xs[train_mask], data.ys[train_mask], depth, config.min_samples_leaf
-            )
+            xs = data.xs[train_mask]
+            tree = grow_tree(xs, data.ys[train_mask], presort(xs), depth, config.min_samples_leaf)
             total += mse(tree.predict_batch(data.xs[held_out]), data.ys[held_out])
         scores[depth] = total / len(folds)
     return scores

@@ -334,3 +334,24 @@ def test_non_finite_cell_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "row 2, column 'x_2': non-finite cell 'nan'" in err
+
+
+def test_negative_noise_level_named(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert run(["synth", "--noise-sd", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: noise_sd must be a finite number >= 0, got -1.0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simplify"])
+def test_model_read_errors_name_the_file(tmp_path, capsys, xor_csv, command):
+    csv_flag = "--train" if command == "simplify" else "--test"
+    not_json = tmp_path / "object.json"
+    not_json.write_text("[]\n")
+    cases = (
+        (xor_csv, "malformed JSON: Expecting value: line 1 column 1 (char 0)"),
+        (not_json, "top level must be an object"),
+    )
+    for path, message in cases:
+        assert run([command, "--model", str(path), csv_flag, str(xor_csv)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"

@@ -28,6 +28,14 @@ def test_gen_xor_noise_stays_within_four_sigma():
     assert violations <= 5  # P(|eps| > 4 sd) ~ 6e-5 per row
 
 
+@pytest.mark.parametrize("generate", [lambda sd: gen_xor(10, sd), lambda sd: gen_energy_like(0, sd)])
+@pytest.mark.parametrize("noise_sd", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_generators_reject_bad_noise_level(generate, noise_sd):
+    with pytest.raises(ValueError) as raised:
+        generate(noise_sd)
+    assert str(raised.value) == f"noise_sd must be a finite number >= 0, got {noise_sd!r}"
+
+
 def test_gen_xor_marginals_near_half():
     data = gen_xor(10_000, seed=3)
     means = data.xs.mean(axis=0)

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import brute_force_best_split, per_feature_best_split
-from rulemix.data import LabeledDataset, gen_xor
+import rulemix.trainer
+from oracles import brute_force_best_split, per_feature_best_split, per_node_sort_grow_tree
+from rulemix.data import LabeledDataset, gen_energy_like, gen_xor, split3
 from rulemix.ensemble import TreeEnsemble
 from rulemix.trainer import (
     GbtConfig,
@@ -16,6 +17,7 @@ from rulemix.trainer import (
     fit_gbt,
     grow_tree,
     parse_ensemble_json,
+    presort,
     serialize_ensemble,
 )
 
@@ -95,7 +97,7 @@ def test_greedy_split_matches_brute_force_oracle():
         d = int(rng.integers(1, 4))
         xs = rng.random((n, d))
         ys = rng.normal(size=n)
-        tree = grow_tree(xs, ys, max_depth=1, min_samples_leaf=2)
+        tree = grow_tree(xs, ys, presort(xs), max_depth=1, min_samples_leaf=2)
         expected = brute_force_best_split(xs, ys, min_samples_leaf=2)
         if expected is None:
             assert tree.n_leaves == 1
@@ -129,7 +131,58 @@ def split_inputs(draw):
 def test_best_split_equals_per_feature_reference(inputs):
     # Exact equality, None included: ties in gain must go to the lower
     # feature, then the lower threshold, as the one-feature-at-a-time scan does.
-    assert _best_split(*inputs) == per_feature_best_split(*inputs)
+    # The node's sorted columns are the whole presort filtered to its rows.
+    xs, ys, rows, min_leaf = inputs
+    order = presort(xs)
+    order = order[np.isin(order, rows)].reshape(xs.shape[1], -1)
+    xs_sorted = xs[order, np.arange(xs.shape[1])[:, None]]
+    ysub = ys[rows]
+    split = _best_split(ys[order], xs_sorted, ysub.sum(), (ysub * ysub).sum(), min_leaf)
+    assert split == per_feature_best_split(*inputs)
+
+
+def assert_same_tree(a, b):
+    for field in ("feature", "threshold", "left", "right", "value"):
+        assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True), field
+
+
+@st.composite
+def grow_inputs(draw):
+    """(X, y, max_depth, min_samples_leaf): real or small-integer (tied)
+    columns, some constant or repeated, and any leaf size up to n / 2."""
+    n = draw(st.integers(2, 60))
+    dims = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        elements = st.integers(0, 3).map(float)
+    else:
+        elements = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+    xs = draw(arrays(np.float64, (n, dims), elements=elements))
+    if draw(st.booleans()):
+        xs[:, draw(st.integers(0, dims - 1))] = xs[0, 0]
+    if dims > 1 and draw(st.booleans()):
+        xs[:, -1] = xs[:, 0]
+    ys = draw(arrays(np.float64, n, elements=st.floats(-5.0, 5.0, allow_subnormal=False)))
+    return xs, ys, draw(st.integers(0, 6)), draw(st.integers(1, n // 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grow_inputs())
+def test_presorted_grower_equals_per_node_sort_oracle(inputs):
+    xs, ys, depth, min_leaf = inputs
+    tree = grow_tree(xs, ys, presort(xs), depth, min_leaf)
+    assert_same_tree(tree, per_node_sort_grow_tree(xs, ys, depth, min_leaf))
+
+
+def test_fit_gbt_on_energy_split_equals_per_node_sort_fit(monkeypatch):
+    atm, _, _ = split3(gen_energy_like(seed=0), (0.4, 0.3, 0.3), 0)
+    config = GbtConfig(min_samples_leaf=10)
+    text = serialize_ensemble(fit_gbt(atm, config))
+    monkeypatch.setattr(
+        rulemix.trainer,
+        "grow_tree",
+        lambda X, y, order, depth, leaf: per_node_sort_grow_tree(X, y, depth, leaf),
+    )
+    assert text == serialize_ensemble(fit_gbt(atm, config))
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,11 +197,12 @@ def test_tree_cut_at_depth_is_tree_grown_to_depth(seed, depth, min_leaf, dims, l
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, levels, size=(80, dims)) / 4.0
     ys = rng.normal(size=80)
-    tree = grow_tree(xs, ys, depth, min_leaf)
+    order = presort(xs)
+    tree = grow_tree(xs, ys, order, depth, min_leaf)
     probes = np.concatenate([xs, rng.random((20, dims)) * levels / 4.0])
     for d in range(depth + 1):
         cut = tree.value[tree.leaf_index_batch(probes, d)]
-        assert np.array_equal(cut, grow_tree(xs, ys, d, min_leaf).predict_batch(probes))
+        assert np.array_equal(cut, grow_tree(xs, ys, order, d, min_leaf).predict_batch(probes))
 
 
 @pytest.mark.parametrize("field", ["tree_count", "max_depth", "min_samples_leaf"])
