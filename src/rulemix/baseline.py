@@ -50,7 +50,8 @@ def cv_mse_by_depth(data: LabeledDataset, config: CartConfig) -> dict[int, float
         train_mask = np.ones(len(data), dtype=bool)
         train_mask[held_out] = False
         xs = data.xs[train_mask]
-        tree = grow_tree(xs, data.ys[train_mask], presort(xs), max(totals), config.min_samples_leaf)
+        ys = data.ys[train_mask]
+        tree, _ = grow_tree(xs, ys, presort(xs), max(totals), config.min_samples_leaf)
         for depth in totals:
             preds = tree.predict_batch(data.xs[held_out], depth)
             totals[depth] += mse(preds, data.ys[held_out])
@@ -61,7 +62,7 @@ def fit_cart(data: LabeledDataset, config: CartConfig, scores: dict[int, float])
     """Refit on all data at the depth of lowest CV error in ``scores`` (from
     ``cv_mse_by_depth``); ties go to the earlier depth in the grid."""
     best_depth = min(config.depth_grid, key=scores.__getitem__)
-    return grow_tree(data.xs, data.ys, presort(data.xs), best_depth, config.min_samples_leaf)
+    return grow_tree(data.xs, data.ys, presort(data.xs), best_depth, config.min_samples_leaf)[0]
 
 
 def tree_to_ruleset(tree: Tree, data: LabeledDataset) -> RuleSet:

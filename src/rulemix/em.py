@@ -15,11 +15,19 @@ import numpy as np
 
 from .binarizer import BinaryDataset
 from .data import check_count
-from .mixture import MixtureModel, gate_design, log_joint_matrix, normalize_rows
+from .mixture import (
+    MixtureModel,
+    gate_design,
+    log_joint_matrix,
+    normalize_rows,
+    shifted_exp,
+    softmax_of,
+)
 
 DEGENERATE_MASS_FACTOR = 1e-10
 MAX_RESEEDS_PER_RUN = 5
 GATE_RIDGE = 1e-8  # ridge penalty of the gate M-step
+BETA_ROW_SUM_TOL = 1e-9  # how far a responsibility row's sum may lie from 1
 LAMBDA_BOUNDS = (1e-6, 1e6)  # clamp on the Gaussian precisions
 
 
@@ -71,21 +79,33 @@ def m_step_closed_form(beta: np.ndarray, data: BinaryDataset):
 
 
 def gate_objective(
-    weights: np.ndarray, beta: np.ndarray, design: np.ndarray, ridge: float
-) -> tuple[float, np.ndarray]:
-    """Ridge-penalized weighted log-likelihood of the gate, and the gate's
-    softmax at ``weights``, which ``gate_gradient`` takes at the same point."""
-    logits = design @ weights.T
-    probs, lse = normalize_rows(logits)
-    value = (beta * (logits - lse[:, None])).sum() - 0.5 * ridge * (weights * weights).sum()
-    return float(value), probs
+    weights: np.ndarray, moments: np.ndarray, design: np.ndarray, ridge: float
+) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """Ridge-penalized weighted log-likelihood of the gate at ``weights``,
+    and the ``(e, total)`` of its ``shifted_exp``, from which ``gate_gradient``
+    forms the softmax at the same point.
+
+    ``moments`` is ``beta.T @ design``.  As every row of ``beta`` sums to 1,
+    ``sum(beta * log_softmax(design @ weights.T))`` is ``sum(moments * weights)``
+    less the rows' log-sum-exps, so a trial point costs one logits product and
+    one ``shifted_exp``.
+    """
+    e, total, top = shifted_exp(design @ weights.T)
+    lse = (np.log(total) + top).sum()
+    value = (moments * weights).sum() - lse - 0.5 * ridge * (weights * weights).sum()
+    return float(value), (e, total)
 
 
 def gate_gradient(
-    weights: np.ndarray, beta: np.ndarray, design: np.ndarray, ridge: float, probs: np.ndarray
+    weights: np.ndarray,
+    moments: np.ndarray,
+    design: np.ndarray,
+    ridge: float,
+    shifted: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """Gradient of ``gate_objective`` at ``weights``, whose softmax is ``probs``."""
-    return (beta - probs).T @ design - ridge * weights
+    """Gradient of ``gate_objective`` at ``weights``, whose ``(e, total)`` is
+    ``shifted``."""
+    return moments - softmax_of(*shifted).T @ design - ridge * weights
 
 
 def m_step_gate(
@@ -93,35 +113,47 @@ def m_step_gate(
 ) -> tuple[np.ndarray, int, float]:
     """Weighted multinomial logistic regression by backtracking gradient ascent.
 
-    Only improving steps are accepted, so the returned weights never score
-    below ``w_init`` on the ridge-penalized objective.  Each gradient reuses
-    the softmax of the objective call that accepted its point.  Returns the
-    weights, the number of gradients taken and the norm of the last one.
+    Every row of ``beta`` must sum to 1 (within ``BETA_ROW_SUM_TOL``): the
+    objective is scored from the moments ``beta.T @ design``, taken once per
+    call.  Only improving steps are accepted, so the returned weights never
+    score below ``w_init`` on the ridge-penalized objective.  Each line search
+    starts at the step the last one accepted, doubled if that was its first
+    trial.  Each gradient forms its softmax from the objective call that
+    accepted its point.  Returns the weights, the number of gradients taken
+    and the norm of the last one.
     """
+    beta = np.asarray(beta, dtype=np.float64)
+    if beta.ndim != 2 or len(beta) != len(data):
+        raise ValueError("beta must be (N, K) with one row per data row")
+    sums = beta.sum(axis=1)
+    off = np.flatnonzero(~(np.abs(sums - 1.0) <= BETA_ROW_SUM_TOL))
+    if off.size:
+        raise ValueError(f"beta row {off[0]} sums to {float(sums[off[0]])!r}, not 1")
     S1 = gate_design(data.bits)
     W = np.array(w_init, dtype=np.float64)
     if W.shape != (beta.shape[1], S1.shape[1]):
         raise ValueError(f"gate weights must have shape ({beta.shape[1]}, {S1.shape[1]})")
-    J, probs = gate_objective(W, beta, S1, GATE_RIDGE)
+    moments = beta.T @ S1
+    J, shifted = gate_objective(W, moments, S1, GATE_RIDGE)
     if not math.isfinite(J):
         raise RuntimeError("gate objective non-finite at the initial point")
     step = 1.0
     for it in range(config.gate_max_iters):
-        G = gate_gradient(W, beta, S1, GATE_RIDGE, probs)
+        G = gate_gradient(W, moments, S1, GATE_RIDGE, shifted)
         gsq = float((G * G).sum())
         if gsq <= 1e-18 * max(1.0, len(data) ** 2):
             break
         t = step
         while t > 1e-20:
             W_try = W + t * G
-            J_try, probs_try = gate_objective(W_try, beta, S1, GATE_RIDGE)
+            J_try, shifted_try = gate_objective(W_try, moments, S1, GATE_RIDGE)
             if not math.isfinite(J_try):
                 raise RuntimeError(
                     f"gate objective became non-finite during line search (iteration {it})"
                 )
             if J_try >= J + 1e-4 * t * gsq:
-                W, J, probs = W_try, J_try, probs_try
-                step = min(t * 2.0, 1e8)
+                W, J, shifted = W_try, J_try, shifted_try
+                step = min(t * 2.0, 1e8) if t == step else t
                 break
             t /= 2.0
         else:

@@ -20,22 +20,36 @@ def gate_design(S: np.ndarray) -> np.ndarray:
     return np.concatenate([S, np.ones((len(S), 1))], axis=1)
 
 
-def normalize_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise softmax (n, K) and log-sum-exp (n,) of an (n, K) array, both
-    from one C-contiguous (K, n) copy shifted by the row maxima: every ``exp``
-    lies in [0, 1], each row holds an exact 1 and no sum falls below 1.  The
-    softmax comes back C-contiguous for any input layout, so the matrix
-    products that read it sum in the same order."""
+def shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row-wise shift-and-exp of an (n, K) array: ``e``, the exp of the
+    logits less their row maxima as one C-contiguous (K, n) copy, its column
+    sums ``total`` (n,) and the maxima ``top`` (n,).  Every ``exp`` lies in
+    [0, 1], each column holds an exact 1 and no sum falls below 1; the
+    log-sum-exp is ``log(total) + top`` and the softmax ``softmax_of(e, total)``."""
     cols = np.ascontiguousarray(logits.T)
     top = cols.max(axis=0)
     e = np.exp(cols - top)
-    total = e.sum(axis=0)
-    return np.ascontiguousarray((e / total).T), np.log(total) + top
+    return e, e.sum(axis=0), top
+
+
+def softmax_of(e: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """The (n, K) row softmax from ``shifted_exp``'s ``e`` and ``total``.  It
+    comes back C-contiguous for any input layout, so the matrix products that
+    read it sum in the same order."""
+    return np.ascontiguousarray((e / total).T)
+
+
+def normalize_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmax (n, K) and log-sum-exp (n,) of an (n, K) array, both
+    from one ``shifted_exp``."""
+    e, total, top = shifted_exp(logits)
+    return softmax_of(e, total), np.log(total) + top
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log of the softmax of an (n, K) array."""
-    return logits - normalize_rows(logits)[1][:, None]
+    _, total, top = shifted_exp(logits)
+    return logits - (np.log(total) + top)[:, None]
 
 
 @dataclass(frozen=True)

@@ -78,19 +78,23 @@ def _best_split(ys_sorted, xs_sorted, total, total_sq, min_samples_leaf):
     return (d, (xs_sorted[d, p - 1] + xs_sorted[d, p]) / 2.0, float(best[d]))
 
 
-def grow_tree(X, y, order, max_depth, min_samples_leaf) -> Tree:
-    """Greedy least-squares regression tree (shared by boosting and CART).
+def grow_tree(X, y, order, max_depth, min_samples_leaf) -> tuple[Tree, np.ndarray]:
+    """Greedy least-squares regression tree (shared by boosting and CART),
+    and the leaf each row of ``X`` reaches in it.
 
     ``order`` is ``presort(X)``.  A node carries its rows in ascending order
     and its sorted columns (row indices and values); a split divides both with
     one mask, which keeps each side in the stable order of its own rows, so
-    every node scans what a stable sort of its rows would give.
+    every node scans what a stable sort of its rows would give.  The split
+    routes the rows by the comparison ``leaf_index_batch`` makes, so the
+    leaves are those ``leaf_index_batch(X)`` finds.
 
     Every node's ``value`` is the mean of its training rows, internal nodes
     included: a node's split depends only on its own rows, so the tree cut
     at depth d (``leaf_index_batch(X, d)``) is the tree grown to depth d.
     """
     nodes = []  # [feature, threshold, left, right, value] per node, in preorder
+    leaf = np.empty(len(y), dtype=np.int64)
 
     def side(sorted_cols, m):
         return sorted_cols[m].reshape(len(sorted_cols), -1)
@@ -108,10 +112,12 @@ def grow_tree(X, y, order, max_depth, min_samples_leaf) -> Tree:
                 lo = build(rows[go_left], side(order, m), side(xs_sorted, m), depth + 1)
                 hi = build(rows[~go_left], side(order, ~m), side(xs_sorted, ~m), depth + 1)
                 nodes[node][:4] = d, b, lo, hi
+                return node
+        leaf[rows] = node
         return node
 
     build(np.arange(len(y)), order, X[order, np.arange(X.shape[1])[:, None]], 0)
-    return Tree(*map(np.array, zip(*nodes)))
+    return Tree(*map(np.array, zip(*nodes))), leaf
 
 
 def fit_gbt(data: LabeledDataset, config: GbtConfig) -> TreeEnsemble:
@@ -129,8 +135,9 @@ def fit_gbt(data: LabeledDataset, config: GbtConfig) -> TreeEnsemble:
     current = np.full(len(y), y.mean())
     order = presort(X)
     for _ in range(config.tree_count):
-        trees.append(grow_tree(X, y - current, order, config.max_depth, config.min_samples_leaf))
-        current += config.learning_rate * trees[-1].predict_batch(X)
+        tree, leaf = grow_tree(X, y - current, order, config.max_depth, config.min_samples_leaf)
+        trees.append(tree)
+        current += config.learning_rate * tree.value[leaf]
     weights = np.array([1.0] + [config.learning_rate] * config.tree_count)
     return TreeEnsemble(tuple(trees), weights, X.shape[1], data.feature_names)
 

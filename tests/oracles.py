@@ -192,7 +192,8 @@ def cv_mse_per_depth(data, config):
             train_mask = np.ones(len(data), dtype=bool)
             train_mask[held_out] = False
             xs = data.xs[train_mask]
-            tree = grow_tree(xs, data.ys[train_mask], presort(xs), depth, config.min_samples_leaf)
+            ys = data.ys[train_mask]
+            tree, _ = grow_tree(xs, ys, presort(xs), depth, config.min_samples_leaf)
             total += mse(tree.predict_batch(data.xs[held_out]), data.ys[held_out])
         scores[depth] = total / len(folds)
     return scores
@@ -288,7 +289,9 @@ def finite_diff_gate_gradient(objective, weights, h=1e-5):
 def unfused_m_step_gate(beta, data, w_init, gate_max_iters, ridge=1e-8):
     """The gate M-step as it ran before its value and gradient were fused:
     the objective drops the softmax, and each gradient recomputes the logits
-    and the softmax at its own point.  Same acceptance rule and step schedule.
+    and the softmax at its own point.  Same acceptance rule, step schedule
+    (the next line search starts at the accepted step, doubled only after a
+    first-trial accept) and moments form of the value (``beta.T @ design``).
 
     Returns the weights, the number of objective calls, the norm of every
     gradient taken, and why the loop ended: "cap" (budget used up),
@@ -296,14 +299,14 @@ def unfused_m_step_gate(beta, data, w_init, gate_max_iters, ridge=1e-8):
     """
 
     def objective(weights):
-        logits = design @ weights.T
-        logp = logits - normalize_rows(logits)[1][:, None]
-        return float((beta * logp).sum() - 0.5 * ridge * (weights * weights).sum())
+        lse = normalize_rows(design @ weights.T)[1].sum()
+        return float((moments * weights).sum() - lse - 0.5 * ridge * (weights * weights).sum())
 
     def gradient(weights):
-        return (beta - normalize_rows(design @ weights.T)[0]).T @ design - ridge * weights
+        return moments - normalize_rows(design @ weights.T)[0].T @ design - ridge * weights
 
     design = gate_design(data.bits)
+    moments = beta.T @ design
     W = np.array(w_init, dtype=np.float64)
     J = objective(W)
     objective_calls, norms = 1, []
@@ -321,7 +324,7 @@ def unfused_m_step_gate(beta, data, w_init, gate_max_iters, ridge=1e-8):
             objective_calls += 1
             if J_try >= J + 1e-4 * t * gsq:
                 W, J = W_try, J_try
-                step = min(t * 2.0, 1e8)
+                step = min(t * 2.0, 1e8) if t == step else t
                 break
             t /= 2.0
         else:

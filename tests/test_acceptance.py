@@ -166,10 +166,11 @@ def test_criterion_5_m_step_oracles(capsys):
     design = np.concatenate([bits, np.ones((10, 1))], axis=1)
     beta = rng.dirichlet(np.ones(3), size=10)
     weights = rng.normal(scale=0.5, size=(3, 4))
-    _, probs = gate_objective(weights, beta, design, 1e-8)
-    analytic = gate_gradient(weights, beta, design, 1e-8, probs)
+    moments = beta.T @ design
+    _, shifted = gate_objective(weights, moments, design, 1e-8)
+    analytic = gate_gradient(weights, moments, design, 1e-8, shifted)
     numeric = finite_diff_gate_gradient(
-        lambda w: gate_objective(w, beta, design, 1e-8)[0], weights, h=1e-5
+        lambda w: gate_objective(w, moments, design, 1e-8)[0], weights, h=1e-5
     )
     rel = np.abs(analytic - numeric).max() / max(1.0, float(np.abs(numeric).max()))
     assert rel <= 1e-5

@@ -49,7 +49,7 @@ def test_perfect_depth_two_tree_has_four_leaves():
     rng = np.random.default_rng(3)
     xs = rng.random((200, 2))
     ys = 2.0 * (xs[:, 0] >= 0.5) + (xs[:, 1] >= 0.5)
-    tree = grow_tree(xs, ys, presort(xs), max_depth=2, min_samples_leaf=5)
+    tree, _ = grow_tree(xs, ys, presort(xs), max_depth=2, min_samples_leaf=5)
     assert tree.n_leaves == 2**2
 
 
@@ -66,7 +66,7 @@ def test_deeper_trees_never_raise_training_mse():
     data = gen_xor(300, seed=5)
     prev = np.inf
     for depth in range(1, 8):
-        tree = grow_tree(data.xs, data.ys, presort(data.xs), depth, min_samples_leaf=5)
+        tree, _ = grow_tree(data.xs, data.ys, presort(data.xs), depth, min_samples_leaf=5)
         cur = float(np.mean((tree.predict_batch(data.xs) - data.ys) ** 2))
         assert cur <= prev + 1e-12
         prev = cur
@@ -140,7 +140,7 @@ def test_fit_cart_refits_at_lowest_score_ties_to_earlier_depth():
 
 def test_single_leaf_count():
     data = LabeledDataset(np.random.default_rng(8).random((20, 1)), np.zeros(20))
-    tree = grow_tree(data.xs, data.ys, presort(data.xs), max_depth=3, min_samples_leaf=5)
+    tree, _ = grow_tree(data.xs, data.ys, presort(data.xs), max_depth=3, min_samples_leaf=5)
     assert tree.n_leaves == 1
 
 
@@ -148,7 +148,7 @@ def test_tree_renders_as_path_conjunctions():
     rng = np.random.default_rng(9)
     xs = rng.random((200, 2))
     ys = 2.0 * (xs[:, 0] >= 0.5) + (xs[:, 1] >= 0.5)
-    tree = grow_tree(xs, ys, presort(xs), max_depth=2, min_samples_leaf=5)
+    tree, _ = grow_tree(xs, ys, presort(xs), max_depth=2, min_samples_leaf=5)
     rules = tree_to_ruleset(tree, LabeledDataset(xs, ys, ("alpha", "beta")))
     assert len(rules.components) == 4
     assert sum(c.share for c in rules.components) == pytest.approx(1.0)
@@ -170,7 +170,7 @@ def test_tree_rules_partition_rows_by_leaf(seed, depth, dims, min_leaf):
     # threshold, where a row must go right (x >= b) and match one rule only.
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, 6, size=(60, dims)) / 5.0
-    tree = grow_tree(xs, rng.normal(size=60), presort(xs), depth, min_leaf)
+    tree, _ = grow_tree(xs, rng.normal(size=60), presort(xs), depth, min_leaf)
     on_split = xs[rng.integers(0, 60, size=tree.node_count)]
     internal = np.nonzero(tree.feature >= 0)[0]
     on_split[internal, tree.feature[internal]] = tree.threshold[internal]

@@ -19,6 +19,7 @@ from oracles import (
 )
 from rulemix.binarizer import BinaryDataset
 from rulemix.em import (
+    BETA_ROW_SUM_TOL,
     GATE_RIDGE,
     LAMBDA_BOUNDS,
     DegenerateComponentError,
@@ -33,7 +34,7 @@ from rulemix.em import (
     m_step_gate,
     reseed_components,
 )
-from rulemix.mixture import MixtureModel, gate_design, joint_log_likelihood
+from rulemix.mixture import MixtureModel, gate_design, joint_log_likelihood, log_softmax
 
 
 def test_e_step_uniform_for_identical_components():
@@ -116,6 +117,11 @@ def test_m_step_not_beaten_by_numerical_maximizer():
         assert ours >= challenger - 1e-8
 
 
+def gate_value(weights, beta, design):
+    """The gate objective ``m_step_gate`` maximizes, at ``weights``."""
+    return gate_objective(weights, beta.T @ design, design, GATE_RIDGE)[0]
+
+
 def test_gate_uniform_beta_keeps_symmetric_optimum():
     ds = random_dataset(11, n=20, l=3)
     k = 4
@@ -124,7 +130,7 @@ def test_gate_uniform_beta_keeps_symmetric_optimum():
     w0 = np.zeros((k, 4))
     w, _, _ = m_step_gate(beta, ds, w0, config)
     design = np.concatenate([ds.bits, np.ones((20, 1))], axis=1)
-    assert gate_objective(w, beta, design, GATE_RIDGE)[0] >= 20 * math.log(1.0 / k) - 1e-12
+    assert gate_value(w, beta, design) >= 20 * math.log(1.0 / k) - 1e-12
 
 
 def test_gate_separable_bit_reaches_full_accuracy():
@@ -137,8 +143,7 @@ def test_gate_separable_bit_reaches_full_accuracy():
     w0 = np.zeros((2, 2))
     w, _, _ = m_step_gate(beta, ds, w0, config)
     design = np.concatenate([bits, np.ones((40, 1))], axis=1)
-    j0, _ = gate_objective(w0, beta, design, GATE_RIDGE)
-    assert gate_objective(w, beta, design, GATE_RIDGE)[0] > j0
+    assert gate_value(w, beta, design) > gate_value(w0, beta, design)
     pred = np.argmax(design @ w.T, axis=1)
     assert np.array_equal(pred, np.argmax(beta, axis=1))
 
@@ -150,10 +155,11 @@ def test_gate_gradient_matches_central_differences():
     beta = rng.dirichlet(np.ones(3), size=10)
     w = rng.normal(scale=0.5, size=(3, 4))
     ridge = 1e-8
-    _, probs = gate_objective(w, beta, design, ridge)
-    analytic = gate_gradient(w, beta, design, ridge, probs)
+    moments = beta.T @ design
+    _, shifted = gate_objective(w, moments, design, ridge)
+    analytic = gate_gradient(w, moments, design, ridge, shifted)
     numeric = finite_diff_gate_gradient(
-        lambda wc: gate_objective(wc, beta, design, ridge)[0], w, h=1e-5
+        lambda wc: gate_objective(wc, moments, design, ridge)[0], w, h=1e-5
     )
     denom = max(1.0, float(np.abs(numeric).max()))
     assert np.abs(analytic - numeric).max() / denom <= 1e-5
@@ -168,9 +174,7 @@ def test_gate_never_returns_worse_than_start():
         beta = rng.dirichlet(np.ones(3), size=30)
         w0 = rng.normal(scale=2.0, size=(3, 5))
         w, _, _ = m_step_gate(beta, ds, w0, config)
-        assert gate_objective(w, beta, design, GATE_RIDGE)[0] >= (
-            gate_objective(w0, beta, design, GATE_RIDGE)[0] - 1e-12
-        )
+        assert gate_value(w, beta, design) >= gate_value(w0, beta, design) - 1e-12
 
 
 def fused_gate_matches_unfused(seed, n, l, k, kind, w_scale, gate_max_iters):
@@ -184,10 +188,8 @@ def fused_gate_matches_unfused(seed, n, l, k, kind, w_scale, gate_max_iters):
         beta = rng.dirichlet(np.ones(k), size=n)
     elif kind == "labels":  # a function of the bits: separable, weights run off
         beta = np.eye(k)[(ds.bits @ 2.0 ** np.arange(l)).astype(int) % k]
-    elif kind == "uniform":
+    else:
         beta = np.full((n, k), 1.0 / k)
-    else:  # zero rows are no responsibilities: the step is no ascent, the line search bottoms out
-        beta = np.zeros((n, k))
     w0 = rng.normal(0.0, w_scale, size=(k, l + 1))
     calls = Counter()
 
@@ -216,7 +218,7 @@ def fused_gate_matches_unfused(seed, n, l, k, kind, w_scale, gate_max_iters):
     n=st.integers(1, 40),
     l=st.integers(1, 5),
     k=st.integers(1, 4),
-    kind=st.sampled_from(["soft", "labels", "uniform", "zero"]),
+    kind=st.sampled_from(["soft", "labels", "uniform"]),
     w_scale=st.sampled_from([0.0, 0.5, 3.0]),
     gate_max_iters=st.integers(1, 120),
 )
@@ -228,13 +230,58 @@ def test_fused_gate_step_matches_unfused_oracle(seed, n, l, k, kind, w_scale, ga
     "case, stop",
     [
         ((0, 30, 4, 3, "soft", 0.5, 40), "cap"),
-        ((0, 30, 3, 2, "labels", 0.0, 120), "gradient"),  # after 85 gradients
-        ((0, 30, 4, 1, "uniform", 3.0, 40), "gradient"),
-        ((0, 30, 4, 3, "zero", 0.5, 40), "floor"),
+        ((0, 30, 3, 2, "labels", 0.0, 120), "gradient"),  # after 76 gradients
+        ((1, 30, 4, 2, "soft", 0.5, 120), "gradient"),  # after 83 gradients
     ],
 )
 def test_fused_gate_step_matches_unfused_oracle_at_each_stop(case, stop):
+    # No row-normalised beta reaches the step floor: the gradient is then an
+    # ascent direction, and rows that do not sum to 1 are rejected (below).
     assert fused_gate_matches_unfused(*case) == stop
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    l=st.integers(0, 6),
+    k=st.integers(1, 5),
+    scale=st.floats(0.01, 100.0),
+    ridge=st.sampled_from([0.0, GATE_RIDGE, 1.0]),
+)
+def test_gate_moments_value_equals_weighted_log_softmax(seed, n, l, k, scale, ridge):
+    # (beta.T @ design) * W sums beta * logits when the rows of beta sum to 1,
+    # so the moments form is the weighted log-likelihood up to rounding
+    rng = np.random.default_rng(seed)
+    design = gate_design(rng.integers(0, 2, size=(n, l)).astype(float))
+    weights = rng.normal(0.0, scale, size=(k, l + 1))
+    beta = rng.dirichlet(np.ones(k), size=n)
+    logits = design @ weights.T
+    want = (beta * log_softmax(logits)).sum() - 0.5 * ridge * (weights * weights).sum()
+    got, _ = gate_objective(weights, beta.T @ design, design, ridge)
+    # the moments form sums terms as large as |W| times the design: allow their rounding
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-14 * (design @ np.abs(weights).T).sum())
+
+
+@pytest.mark.parametrize(
+    "row, scale, message",
+    [
+        (17, 0.0, "beta row 17 sums to 0.0, not 1"),
+        (3, 2.0, "beta row 3 sums to 2.0, not 1"),
+        (5, math.nan, "beta row 5 sums to nan, not 1"),
+    ],
+    ids=["zero", "doubled", "nan"],
+)
+def test_gate_rejects_beta_rows_not_summing_to_one(row, scale, message):
+    # the moments form of the objective and its gradient hold only for rows
+    # summing to 1; an all-zero beta used to send the line search to its floor
+    ds = random_dataset(0, n=30, l=4)
+    beta = np.eye(3)[np.random.default_rng(1).integers(0, 3, size=30)]
+    beta[row:] *= scale
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        m_step_gate(beta, ds, np.zeros((3, 5)), EmConfig(n_components=3))
+    beta[:] = 1.0 / 3.0 + BETA_ROW_SUM_TOL / 4  # a few ulps off is rounding, not an error
+    m_step_gate(beta, ds, np.zeros((3, 5)), EmConfig(n_components=3))
 
 
 def test_lower_bound_tight_at_posterior():
@@ -474,10 +521,12 @@ def test_gate_objective_and_gradient_are_sums_over_rows(seed, n, l, k):
     ds, beta, shuffled, doubled = permuted_and_doubled(seed, n, l, k)
     weights = np.random.default_rng(seed + 2).normal(size=(k, l + 1))
     design = gate_design(ds.bits)
-    value, probs = gate_objective(weights, beta, design, 0.0)
-    grad = gate_gradient(weights, beta, design, 0.0, probs)
+    moments = beta.T @ design
+    value, shifted = gate_objective(weights, moments, design, 0.0)
+    grad = gate_gradient(weights, moments, design, 0.0, shifted)
     for (data, b), scale in ((shuffled, 1.0), (doubled, 2.0)):
         d = gate_design(data.bits)
-        got, p = gate_objective(weights, b, d, 0.0)
+        m = b.T @ d
+        got, sh = gate_objective(weights, m, d, 0.0)
         assert got == pytest.approx(scale * value, rel=1e-9)
-        assert np.allclose(gate_gradient(weights, b, d, 0.0, p), scale * grad, rtol=1e-9, atol=1e-9)
+        assert np.allclose(gate_gradient(weights, m, d, 0.0, sh), scale * grad, rtol=1e-9, atol=1e-9)

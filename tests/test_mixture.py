@@ -22,6 +22,7 @@ from rulemix.mixture import (
     render_rules_text,
     rule_text,
     rules_to_json_dict,
+    softmax_of,
 )
 
 # Logits up to +-1000: a plain exp overflows above ~709.8 and underflows to 0
@@ -356,9 +357,12 @@ def test_gate_objective_matches_scipy_reference(n, k, l, ridge, scale, seed):
     expected = (beta * (logits - scipy_logsumexp(logits, axis=1, keepdims=True))).sum() - (
         0.5 * ridge * (weights**2).sum()
     )
-    got, probs = gate_objective(weights, beta, design, ridge)
-    assert got == pytest.approx(expected, rel=1e-12, abs=n * LSE_ATOL)
+    got, shifted = gate_objective(weights, beta.T @ design, design, ridge)
+    # the moments form sums terms as large as |W| times the design: allow their rounding
+    moments_atol = 1e-14 * (design @ np.abs(weights).T).sum()
+    assert got == pytest.approx(expected, rel=1e-12, abs=n * LSE_ATOL + moments_atol)
     # the softmax the next gradient reads: C-ordered, so its products sum in one order
+    probs = softmax_of(*shifted)
     assert probs.flags.c_contiguous
     np.testing.assert_allclose(probs, scipy_softmax(logits, axis=1), rtol=1e-12, atol=1e-15)
 

@@ -97,7 +97,7 @@ def test_greedy_split_matches_brute_force_oracle():
         d = int(rng.integers(1, 4))
         xs = rng.random((n, d))
         ys = rng.normal(size=n)
-        tree = grow_tree(xs, ys, presort(xs), max_depth=1, min_samples_leaf=2)
+        tree, _ = grow_tree(xs, ys, presort(xs), max_depth=1, min_samples_leaf=2)
         expected = brute_force_best_split(xs, ys, min_samples_leaf=2)
         if expected is None:
             assert tree.n_leaves == 1
@@ -169,19 +169,23 @@ def grow_inputs(draw):
 @given(grow_inputs())
 def test_presorted_grower_equals_per_node_sort_oracle(inputs):
     xs, ys, depth, min_leaf = inputs
-    tree = grow_tree(xs, ys, presort(xs), depth, min_leaf)
+    tree, leaf = grow_tree(xs, ys, presort(xs), depth, min_leaf)
     assert_same_tree(tree, per_node_sort_grow_tree(xs, ys, depth, min_leaf))
+    assert np.array_equal(leaf, tree.leaf_index_batch(xs))
 
 
 def test_fit_gbt_on_energy_split_equals_per_node_sort_fit(monkeypatch):
+    # the oracle side finds each row's leaf by walking the tree, so the
+    # leaves the grower returns for the residual update are checked too
     atm, _, _ = split3(gen_energy_like(seed=0), (0.4, 0.3, 0.3), 0)
     config = GbtConfig(min_samples_leaf=10)
     text = serialize_ensemble(fit_gbt(atm, config))
-    monkeypatch.setattr(
-        rulemix.trainer,
-        "grow_tree",
-        lambda X, y, order, depth, leaf: per_node_sort_grow_tree(X, y, depth, leaf),
-    )
+
+    def oracle(X, y, order, depth, min_leaf):
+        tree = per_node_sort_grow_tree(X, y, depth, min_leaf)
+        return tree, tree.leaf_index_batch(X)
+
+    monkeypatch.setattr(rulemix.trainer, "grow_tree", oracle)
     assert text == serialize_ensemble(fit_gbt(atm, config))
 
 
@@ -198,11 +202,11 @@ def test_tree_cut_at_depth_is_tree_grown_to_depth(seed, depth, min_leaf, dims, l
     xs = rng.integers(0, levels, size=(80, dims)) / 4.0
     ys = rng.normal(size=80)
     order = presort(xs)
-    tree = grow_tree(xs, ys, order, depth, min_leaf)
+    tree, _ = grow_tree(xs, ys, order, depth, min_leaf)
     probes = np.concatenate([xs, rng.random((20, dims)) * levels / 4.0])
     for d in range(depth + 1):
         cut = tree.value[tree.leaf_index_batch(probes, d)]
-        assert np.array_equal(cut, grow_tree(xs, ys, order, d, min_leaf).predict_batch(probes))
+        assert np.array_equal(cut, grow_tree(xs, ys, order, d, min_leaf)[0].predict_batch(probes))
 
 
 @pytest.mark.parametrize("field", ["tree_count", "max_depth", "min_samples_leaf"])
