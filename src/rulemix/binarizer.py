@@ -98,6 +98,15 @@ class BinaryDataset:
         return self.bits.shape[1]
 
 
+def count_patterns(bits: np.ndarray) -> int:
+    """Number of distinct rows of a 0/1 bit matrix, counted on the rows'
+    packed bytes; every row of an empty schema is the one empty pattern."""
+    packed = np.ascontiguousarray(np.packbits(np.asarray(bits) != 0, axis=1))
+    if packed.shape[1] == 0:
+        return min(len(packed), 1)
+    return len(np.unique(packed.view(np.dtype((np.void, packed.shape[1])))))
+
+
 def build_dataset(ensemble: TreeEnsemble, schema: SplitSchema, xs) -> BinaryDataset:
     """Encode inputs and label them with the ensemble's own predictions."""
     X = np.asarray(xs, dtype=np.float64)

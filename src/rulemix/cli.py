@@ -13,7 +13,7 @@ import numpy as np
 
 from . import em
 from .baseline import CartConfig, cv_mse_by_depth, fit_cart, tree_to_ruleset
-from .binarizer import build_dataset, count_regions_exact, extract_splits
+from .binarizer import build_dataset, count_patterns, count_regions_exact, extract_splits
 from .data import (
     ENERGY_FEATURES,
     ENERGY_TARGET,
@@ -85,7 +85,7 @@ def _fit_rules(ensemble, xs, em_config, tau):
     dataset = build_dataset(ensemble, schema, xs)
     model, fit_report = em.fit(dataset, em_config)
     rules = extract_rules(model, tau, dataset)
-    k, patterns = em_config.n_components, len(np.unique(dataset.bits, axis=0))
+    k, patterns = em_config.n_components, count_patterns(dataset.bits)
     note = f"K={k} but {patterns} distinct bit pattern(s): spare components repeat a rule"
     warnings = [note] if patterns < k else []
     return dataset, model, fit_report, rules, warnings

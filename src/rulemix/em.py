@@ -80,20 +80,26 @@ def m_step_closed_form(beta: np.ndarray, data: BinaryDataset):
 
 def gate_objective(
     weights: np.ndarray, moments: np.ndarray, design: np.ndarray, ridge: float
-) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+) -> tuple[float | list[float], tuple[np.ndarray, np.ndarray]]:
     """Ridge-penalized weighted log-likelihood of the gate at ``weights``,
     and the ``(e, total)`` of its ``shifted_exp``, from which ``gate_gradient``
     forms the softmax at the same point.
 
-    ``moments`` is ``beta.T @ design``.  As every row of ``beta`` sums to 1,
-    ``sum(beta * log_softmax(design @ weights.T))`` is ``sum(moments * weights)``
-    less the rows' log-sum-exps, so a trial point costs one logits product and
-    one ``shifted_exp``.
+    ``weights`` and ``moments`` are (K, W), or stacks (R, K, W) of independent
+    problems on one ``design``; a stack gives a list of R values, each the
+    float its slice gives alone.  ``moments`` is ``beta.T @ design``.  As
+    every row of ``beta`` sums to 1, ``sum(beta * log_softmax(design @ weights.T))``
+    is ``sum(moments * weights)`` less the rows' log-sum-exps, so a trial
+    point costs one logits product and one ``shifted_exp``.
     """
-    e, total, top = shifted_exp(design @ weights.T)
-    lse = (np.log(total) + top).sum()
-    value = (moments * weights).sum() - lse - 0.5 * ridge * (weights * weights).sum()
-    return float(value), (e, total)
+    e, total, top = shifted_exp(np.matmul(weights, design.T))
+    lse = (np.log(total) + top).sum(axis=-1)
+    value = (
+        (moments * weights).sum(axis=(-2, -1))
+        - lse
+        - 0.5 * ridge * (weights * weights).sum(axis=(-2, -1))
+    )
+    return value.tolist(), (e, total)
 
 
 def gate_gradient(
@@ -104,61 +110,116 @@ def gate_gradient(
     shifted: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Gradient of ``gate_objective`` at ``weights``, whose ``(e, total)`` is
-    ``shifted``."""
-    return moments - softmax_of(*shifted).T @ design - ridge * weights
+    ``shifted``; stacks as ``gate_objective`` does."""
+    return moments - np.matmul(softmax_of(*shifted).swapaxes(-1, -2), design) - ridge * weights
 
 
 def m_step_gate(
-    beta: np.ndarray, data: BinaryDataset, w_init: np.ndarray, config: EmConfig
-) -> tuple[np.ndarray, int, float]:
-    """Weighted multinomial logistic regression by backtracking gradient ascent.
+    beta: np.ndarray,
+    data: BinaryDataset,
+    w_init: np.ndarray,
+    config: EmConfig,
+    restart_ids=None,
+) -> tuple[np.ndarray, list[int], list[float]]:
+    """Weighted multinomial logistic regression by backtracking gradient
+    ascent, for a stack of R independent problems on one dataset: ``beta`` is
+    (R, N, K) and ``w_init`` (R, K, W).
 
     Every row of ``beta`` must sum to 1 (within ``BETA_ROW_SUM_TOL``): the
     objective is scored from the moments ``beta.T @ design``, taken once per
-    call.  Only improving steps are accepted, so the returned weights never
-    score below ``w_init`` on the ridge-penalized objective.  Each line search
-    starts at the step the last one accepted, doubled if that was its first
-    trial.  Each gradient forms its softmax from the objective call that
-    accepted its point.  Returns the weights, the number of gradients taken
-    and the norm of the last one.
+    call.  Each slice runs its own line search: only improving steps are
+    accepted, so its weights never score below its ``w_init`` on the
+    ridge-penalized objective; each search starts at the step the slice's
+    last one accepted, doubled if that was its first trial; each gradient
+    forms its softmax from the objective call that accepted its point; and
+    each slice has its own ``gate_max_iters`` budget.  A round scores one
+    trial for every slice still searching in one ``gate_objective`` call and
+    takes the gradients of the slices that accepted in one ``gate_gradient``
+    call, so every slice gets the floats it would get alone.
+
+    Returns the (R, K, W) weights and, per slice, the number of gradients
+    taken and the norm of the last one.  Errors name a slice by its entry in
+    ``restart_ids`` (default: its index).
     """
     beta = np.asarray(beta, dtype=np.float64)
-    if beta.ndim != 2 or len(beta) != len(data):
-        raise ValueError("beta must be (N, K) with one row per data row")
-    sums = beta.sum(axis=1)
-    off = np.flatnonzero(~(np.abs(sums - 1.0) <= BETA_ROW_SUM_TOL))
+    if beta.ndim != 3 or beta.shape[1] != len(data):
+        raise ValueError("beta must be (R, N, K) with one row per data row")
+    ids = range(len(beta)) if restart_ids is None else restart_ids
+    sums = beta.sum(axis=-1)
+    off = np.argwhere(~(np.abs(sums - 1.0) <= BETA_ROW_SUM_TOL))
     if off.size:
-        raise ValueError(f"beta row {off[0]} sums to {float(sums[off[0]])!r}, not 1")
+        r, row = off[0]
+        raise ValueError(f"restart {ids[r]}: beta row {row} sums to {float(sums[r, row])!r}, not 1")
     S1 = gate_design(data.bits)
     W = np.array(w_init, dtype=np.float64)
-    if W.shape != (beta.shape[1], S1.shape[1]):
-        raise ValueError(f"gate weights must have shape ({beta.shape[1]}, {S1.shape[1]})")
-    moments = beta.T @ S1
-    J, shifted = gate_objective(W, moments, S1, GATE_RIDGE)
-    if not math.isfinite(J):
-        raise RuntimeError("gate objective non-finite at the initial point")
-    step = 1.0
-    for it in range(config.gate_max_iters):
-        G = gate_gradient(W, moments, S1, GATE_RIDGE, shifted)
-        gsq = float((G * G).sum())
-        if gsq <= 1e-18 * max(1.0, len(data) ** 2):
-            break
-        t = step
-        while t > 1e-20:
-            W_try = W + t * G
-            J_try, shifted_try = gate_objective(W_try, moments, S1, GATE_RIDGE)
-            if not math.isfinite(J_try):
-                raise RuntimeError(
-                    f"gate objective became non-finite during line search (iteration {it})"
-                )
-            if J_try >= J + 1e-4 * t * gsq:
-                W, J, shifted = W_try, J_try, shifted_try
-                step = min(t * 2.0, 1e8) if t == step else t
+    if W.shape != (len(beta), beta.shape[2], S1.shape[1]):
+        raise ValueError(f"gate weights must have shape ({len(beta)}, {beta.shape[2]}, {S1.shape[1]})")
+    moments = np.matmul(beta.swapaxes(-1, -2), S1)
+    J, (e, total) = gate_objective(W, moments, S1, GATE_RIDGE)
+    for r, value in enumerate(J):
+        if not math.isfinite(value):
+            raise RuntimeError(f"restart {ids[r]}: gate objective non-finite at the initial point")
+    # Per-slice scalars stay Python floats, indexed by slice: numpy
+    # bookkeeping on them costs more than it saves.  The stack holds the live
+    # slices only (``live`` names them), so a round gathers nothing unless a
+    # slice leaves or only some slices accepted.
+    n_slices = len(W)
+    gsq, step, t, iters = [0.0] * n_slices, [1.0] * n_slices, [1.0] * n_slices, [0] * n_slices
+    gsq_stop = 1e-18 * max(1.0, len(data) ** 2)
+    live = list(range(n_slices))
+    W_live, G_live, moments_live = W, None, moments
+    fresh, leaving = list(range(n_slices)), []  # stack positions at a new point; leaving the stack
+    while True:
+        if fresh:  # gradients at the newly accepted points, from their (e, total)
+            if len(fresh) == len(live):
+                G_live = G_new = gate_gradient(W_live, moments_live, S1, GATE_RIDGE, (e, total))
+            else:
+                at = np.array(fresh)
+                W_at, moments_at, e_at, total_at = (a.take(at, axis=0) for a in (W_live, moments_live, e, total))
+                G_new = gate_gradient(W_at, moments_at, S1, GATE_RIDGE, (e_at, total_at))
+                G_live[at] = G_new
+            for p, g in zip(fresh, (G_new * G_new).sum(axis=(-2, -1)).tolist()):
+                r = live[p]
+                iters[r] += 1
+                gsq[r] = g
+                if g <= gsq_stop:
+                    leaving.append(p)
+                else:
+                    t[r] = step[r]
+        if leaving:
+            for p in leaving:
+                W[live[p]] = W_live[p]
+            keep = [p for p in range(len(live)) if p not in leaving]
+            if not keep:
                 break
-            t /= 2.0
+            at = np.array(keep)
+            W_live, G_live, moments_live = (a.take(at, axis=0) for a in (W_live, G_live, moments_live))
+            live = [live[p] for p in keep]
+            leaving = []
+        W_try = W_live + np.array([t[r] for r in live])[:, None, None] * G_live
+        J_try, (e, total) = gate_objective(W_try, moments_live, S1, GATE_RIDGE)
+        fresh, accepted = [], []
+        for p, r in enumerate(live):
+            if not math.isfinite(J_try[p]):
+                raise RuntimeError(
+                    f"restart {ids[r]}: gate objective became non-finite during line search "
+                    f"(iteration {iters[r] - 1})"
+                )
+            if J_try[p] >= J[r] + 1e-4 * t[r] * gsq[r]:
+                J[r] = J_try[p]
+                step[r] = min(t[r] * 2.0, 1e8) if t[r] == step[r] else t[r]
+                accepted.append(p)
+                (fresh if iters[r] < config.gate_max_iters else leaving).append(p)
+            else:
+                t[r] /= 2.0
+                if not t[r] > 1e-20:
+                    leaving.append(p)
+        if len(accepted) == len(live):
+            W_live = W_try
         else:
-            break
-    return W, it + 1, math.sqrt(gsq)
+            for p in accepted:
+                W_live[p] = W_try[p]
+    return W, iters, [math.sqrt(g) for g in gsq]
 
 
 def lower_bound(model: MixtureModel, beta: np.ndarray, data: BinaryDataset) -> float:
@@ -210,6 +271,9 @@ def reseed_components(beta: np.ndarray, bad, scores: np.ndarray) -> int:
 
 
 def _run_em(data: BinaryDataset, config: EmConfig, rng: np.random.Generator):
+    """One EM restart, as a generator: at each gate M-step it yields
+    ``(beta, weights)`` and is sent back ``m_step_gate``'s ``(weights, iters,
+    grad_norm)`` for them; it returns ``(model, RestartTrace)``."""
     n, k = len(data), config.n_components
     beta = rng.dirichlet(np.ones(k), size=n)
     weights = np.zeros((k, data.n_bits + 1))
@@ -228,7 +292,7 @@ def _run_em(data: BinaryDataset, config: EmConfig, rng: np.random.Generator):
             if reseeds > MAX_RESEEDS_PER_RUN:
                 return model, RestartTrace(len(trace), trace, True, reseeds, gate_iters, grad_norms)
         eta, mu, lam = m_step_closed_form(beta, data)
-        weights, iters, grad_norm = m_step_gate(beta, data, weights, config)
+        weights, iters, grad_norm = yield beta, weights
         gate_iters.append(iters)
         grad_norms.append(grad_norm)
         model = MixtureModel(weights, eta, mu, lam, data.schema)
@@ -242,11 +306,35 @@ def _run_em(data: BinaryDataset, config: EmConfig, rng: np.random.Generator):
 
 
 def fit(data: BinaryDataset, config: EmConfig):
-    """Best-of-restarts EM fit; returns (model, report with per-run traces)."""
+    """Best-of-restarts EM fit; returns (model, report with per-run traces).
+
+    The restarts advance in lockstep: the gate M-steps of all live restarts
+    run as one stacked ``m_step_gate`` call, and a restart leaves the stack
+    when it converges or fails.  Each restart draws from its own generator,
+    so its fit is the one it would make alone.
+    """
     if len(data) < config.n_components:
         raise ValueError("need at least one row per component")
     rngs = (np.random.default_rng([config.seed, r]) for r in range(config.restarts))
-    models, traces = zip(*(_run_em(data, config, rng) for rng in rngs))
+    runs = [_run_em(data, config, rng) for rng in rngs]
+    results = [None] * config.restarts
+    waiting = {}  # restart -> the (beta, weights) of its next gate M-step
+
+    def advance(r, sent):
+        try:
+            waiting[r] = runs[r].send(sent)
+        except StopIteration as done:
+            results[r] = done.value
+
+    for r in range(config.restarts):
+        advance(r, None)
+    while waiting:
+        live = sorted(waiting)
+        betas, weights = zip(*(waiting.pop(r) for r in live))
+        stepped = m_step_gate(np.stack(betas), data, np.stack(weights), config, live)
+        for r, sent in zip(live, zip(*stepped)):
+            advance(r, sent)
+    models, traces = zip(*results)
     done = [r for r, trace in enumerate(traces) if not trace.failed]
     if not done:
         raise RuntimeError("all EM restarts failed (persistent degenerate components)")

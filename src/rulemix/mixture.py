@@ -20,35 +20,36 @@ def gate_design(S: np.ndarray) -> np.ndarray:
     return np.concatenate([S, np.ones((len(S), 1))], axis=1)
 
 
-def shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The row-wise shift-and-exp of an (n, K) array: ``e``, the exp of the
-    logits less their row maxima as one C-contiguous (K, n) copy, its column
-    sums ``total`` (n,) and the maxima ``top`` (n,).  Every ``exp`` lies in
+def shifted_exp(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The column-wise shift-and-exp of a (..., K, n) array, one column per row
+    of logits: ``e``, the exp of each column less its maximum, its column sums
+    ``total`` (..., n) and the maxima ``top`` (..., n).  Every ``exp`` lies in
     [0, 1], each column holds an exact 1 and no sum falls below 1; the
-    log-sum-exp is ``log(total) + top`` and the softmax ``softmax_of(e, total)``."""
-    cols = np.ascontiguousarray(logits.T)
-    top = cols.max(axis=0)
-    e = np.exp(cols - top)
-    return e, e.sum(axis=0), top
+    log-sum-exp is ``log(total) + top`` and the softmax ``softmax_of(e, total)``.
+    Leading axes stack independent problems, each getting the floats it would
+    get alone."""
+    top = cols.max(axis=-2)
+    e = np.exp(cols - top[..., None, :])
+    return e, e.sum(axis=-2), top
 
 
 def softmax_of(e: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """The (n, K) row softmax from ``shifted_exp``'s ``e`` and ``total``.  It
-    comes back C-contiguous for any input layout, so the matrix products that
-    read it sum in the same order."""
-    return np.ascontiguousarray((e / total).T)
+    """The (..., n, K) row softmax from ``shifted_exp``'s ``e`` and ``total``.
+    Each (n, K) slice comes back C-contiguous for any input layout, so the
+    matrix products that read it sum in the same order."""
+    return np.ascontiguousarray((e / total[..., None, :]).swapaxes(-1, -2))
 
 
 def normalize_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise softmax (n, K) and log-sum-exp (n,) of an (n, K) array, both
     from one ``shifted_exp``."""
-    e, total, top = shifted_exp(logits)
+    e, total, top = shifted_exp(np.ascontiguousarray(logits.T))
     return softmax_of(e, total), np.log(total) + top
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log of the softmax of an (n, K) array."""
-    _, total, top = shifted_exp(logits)
+    _, total, top = shifted_exp(np.ascontiguousarray(logits.T))
     return logits - (np.log(total) + top)[:, None]
 
 

@@ -10,7 +10,7 @@ import rulemix
 import rulemix.em
 from rulemix.binarizer import BinaryDataset, SplitSchema
 from rulemix.ensemble import Tree, TreeEnsemble
-from rulemix.mixture import MixtureModel
+from rulemix.mixture import MixtureModel, gate_design
 
 
 def stump(feature=0, threshold=0.5, left_value=0.0, right_value=1.0) -> Tree:
@@ -70,19 +70,29 @@ def src_env(**extra):
 
 @pytest.fixture
 def gate_gradient_norms(monkeypatch):
-    """Norm of every gate gradient, one list per ``m_step_gate`` call, read
-    the way ``bench/tracing.py`` reads them: by wrapping the ``rulemix.em``
-    bindings the EM loop looks up."""
-    steps = []
+    """Norm of every gate gradient, as a dict from restart to one list per
+    gate M-step of that restart, read the way ``bench/tracing.py`` reads them:
+    by wrapping the ``rulemix.em`` bindings the EM loop looks up.  One
+    ``m_step_gate`` call steps a stack of restarts and one ``gate_gradient``
+    call covers the slices that accepted a point; each slice of a gradient is
+    told apart by its moments, which no two slices of these stacks share."""
+    steps = {}
+    stack = []  # (moments, norms) of each slice of the running m_step_gate call
     step, gradient = rulemix.em.m_step_gate, rulemix.em.gate_gradient
 
-    def counted_step(*args):
-        steps.append([])
-        return step(*args)
+    def counted_step(beta, data, w_init, config, restart_ids=None):
+        ids = range(len(beta)) if restart_ids is None else restart_ids
+        moments = np.matmul(np.swapaxes(beta, -1, -2), gate_design(data.bits))
+        stack[:] = [(m, []) for m in moments]
+        for r, (_, norms) in zip(ids, stack):
+            steps.setdefault(r, []).append(norms)
+        return step(beta, data, w_init, config, restart_ids)
 
     def counted_gradient(*args):
         G = gradient(*args)
-        steps[-1].append(float(np.sqrt((G * G).sum())))
+        for m, g in zip(args[1], G):
+            (norms,) = [norms for moments, norms in stack if np.array_equal(moments, m)]
+            norms.append(float(np.sqrt((g * g).sum())))
         return G
 
     monkeypatch.setattr(rulemix.em, "m_step_gate", counted_step)

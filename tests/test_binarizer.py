@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import stump, two_stump_ensemble
-from rulemix.binarizer import SplitSchema, build_dataset, extract_splits
+from rulemix.binarizer import SplitSchema, build_dataset, count_patterns, extract_splits
 from rulemix.data import gen_xor
 from rulemix.ensemble import TreeEnsemble
 from rulemix.trainer import GbtConfig, fit_gbt, parse_ensemble_json, serialize_ensemble
@@ -110,6 +110,19 @@ def test_bits_determine_leaf_vector(xs):
     z = XOR_GBT.predict_batch(xs)
     assert np.array_equal(leaves, leaves[same_bits])
     assert np.array_equal(z, z[same_bits])
+
+
+@settings(deadline=None)
+@given(
+    arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(0, 20)), elements=st.sampled_from([0.0, 1.0])),
+    st.lists(st.integers(0, 29), max_size=10),
+)
+def test_count_patterns_equals_unique_rows(bits, repeats):
+    # repeated rows, widths on both sides of a byte, and the empty schema,
+    # whose rows are all the one empty pattern
+    bits = np.concatenate([bits, bits[[i % len(bits) for i in repeats]]])
+    assert count_patterns(bits) == len(np.unique(bits, axis=0))
+    assert count_patterns(np.asfortranarray(bits)) == count_patterns(bits)  # as encode_batch lays them out
 
 
 def test_schema_stable_under_round_trip():

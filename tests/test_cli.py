@@ -219,9 +219,11 @@ def test_pipeline_cross_validates_once(cv_calls):
 
 def test_pipeline_reports_gate_summary(gate_gradient_norms):
     report, _ = energy_pipeline(0, restarts=2)
-    iters = [len(s) for s in gate_gradient_norms]
+    assert sorted(gate_gradient_norms) == [0, 1]
+    steps = [s for per_restart in gate_gradient_norms.values() for s in per_restart]
+    iters = [len(s) for s in steps]
     assert report["em_fit"]["gate_cap_share"] == iters.count(50) / len(iters)
-    assert report["em_fit"]["gate_max_final_grad_norm"] == max(s[-1] for s in gate_gradient_norms)
+    assert report["em_fit"]["gate_max_final_grad_norm"] == max(s[-1] for s in steps)
 
 
 @pytest.mark.parametrize("command", ["simplify", "evaluate", "baseline"])

@@ -122,13 +122,20 @@ def gate_value(weights, beta, design):
     return gate_objective(weights, beta.T @ design, design, GATE_RIDGE)[0]
 
 
+def gate_alone(beta, data, w_init, config):
+    """``m_step_gate`` on a stack of one: the weights, the number of gradients
+    and the last gradient's norm."""
+    weights, iters, norms = m_step_gate(beta[None], data, w_init[None], config)
+    return weights[0], iters[0], norms[0]
+
+
 def test_gate_uniform_beta_keeps_symmetric_optimum():
     ds = random_dataset(11, n=20, l=3)
     k = 4
     beta = np.full((20, k), 1.0 / k)
     config = EmConfig(n_components=k, seed=0)
     w0 = np.zeros((k, 4))
-    w, _, _ = m_step_gate(beta, ds, w0, config)
+    w, _, _ = gate_alone(beta, ds, w0, config)
     design = np.concatenate([ds.bits, np.ones((20, 1))], axis=1)
     assert gate_value(w, beta, design) >= 20 * math.log(1.0 / k) - 1e-12
 
@@ -141,7 +148,7 @@ def test_gate_separable_bit_reaches_full_accuracy():
     beta = np.stack([bits[:, 0], 1.0 - bits[:, 0]], axis=1)
     config = EmConfig(n_components=2, seed=0, gate_max_iters=200)
     w0 = np.zeros((2, 2))
-    w, _, _ = m_step_gate(beta, ds, w0, config)
+    w, _, _ = gate_alone(beta, ds, w0, config)
     design = np.concatenate([bits, np.ones((40, 1))], axis=1)
     assert gate_value(w, beta, design) > gate_value(w0, beta, design)
     pred = np.argmax(design @ w.T, axis=1)
@@ -173,24 +180,29 @@ def test_gate_never_returns_worse_than_start():
     for trial in range(10):
         beta = rng.dirichlet(np.ones(3), size=30)
         w0 = rng.normal(scale=2.0, size=(3, 5))
-        w, _, _ = m_step_gate(beta, ds, w0, config)
+        w, _, _ = gate_alone(beta, ds, w0, config)
         assert gate_value(w, beta, design) >= gate_value(w0, beta, design) - 1e-12
 
 
-def fused_gate_matches_unfused(seed, n, l, k, kind, w_scale, gate_max_iters):
-    """Run ``m_step_gate`` and the unfused oracle on one input, require the
-    same weights, the same objective and gradient call counts (on the
-    ``rulemix.em`` bindings the loop looks up) and the same last gradient
-    norm; return why the oracle stopped."""
-    ds = random_dataset(seed, n=n, l=l)
-    rng = np.random.default_rng(seed + 1)
+def gate_problem(ds, rng, k, kind, w_scale):
+    """Responsibilities of ``kind`` and start weights for a gate M-step on ``ds``."""
+    n, l = ds.bits.shape
     if kind == "soft":
         beta = rng.dirichlet(np.ones(k), size=n)
     elif kind == "labels":  # a function of the bits: separable, weights run off
         beta = np.eye(k)[(ds.bits @ 2.0 ** np.arange(l)).astype(int) % k]
     else:
         beta = np.full((n, k), 1.0 / k)
-    w0 = rng.normal(0.0, w_scale, size=(k, l + 1))
+    return beta, rng.normal(0.0, w_scale, size=(k, l + 1))
+
+
+def fused_gate_matches_unfused(seed, n, l, k, kind, w_scale, gate_max_iters):
+    """Run ``m_step_gate`` on a stack of one and the unfused oracle on one
+    input, require the same weights, the same objective and gradient call
+    counts (on the ``rulemix.em`` bindings the loop looks up) and the same
+    last gradient norm; return why the oracle stopped."""
+    ds = random_dataset(seed, n=n, l=l)
+    beta, w0 = gate_problem(ds, np.random.default_rng(seed + 1), k, kind, w_scale)
     calls = Counter()
 
     def counted(name, fn):
@@ -204,7 +216,7 @@ def fused_gate_matches_unfused(seed, n, l, k, kind, w_scale, gate_max_iters):
         for name in ("gate_objective", "gate_gradient"):
             mp.setattr(rulemix.em, name, counted(name, getattr(rulemix.em, name)))
         config = EmConfig(n_components=k, gate_max_iters=gate_max_iters)
-        weights, iters, grad_norm = m_step_gate(beta, ds, w0, config)
+        weights, iters, grad_norm = gate_alone(beta, ds, w0, config)
     want, objective_calls, norms, stop = unfused_m_step_gate(beta, ds, w0, gate_max_iters)
     assert np.array_equal(weights, want)
     assert calls == {"gate_objective": objective_calls, "gate_gradient": len(norms)}
@@ -240,6 +252,35 @@ def test_fused_gate_step_matches_unfused_oracle_at_each_stop(case, stop):
     assert fused_gate_matches_unfused(*case) == stop
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 40),
+    l=st.integers(1, 5),
+    k=st.integers(1, 4),
+    problems=st.lists(
+        st.tuples(st.sampled_from(["soft", "labels", "uniform"]), st.sampled_from([0.0, 0.5, 3.0])),
+        min_size=1,
+        max_size=4,
+    ),
+    gate_max_iters=st.integers(1, 120),
+)
+def test_stacked_gate_step_matches_oracle_per_slice(seed, n, l, k, problems, gate_max_iters):
+    # the slices of one stack stop at different rounds and for different
+    # reasons; each must still get exactly what it gets alone
+    ds = random_dataset(seed, n=n, l=l)
+    rng = np.random.default_rng(seed + 1)
+    betas, w0s = zip(*(gate_problem(ds, rng, k, kind, w_scale) for kind, w_scale in problems))
+    config = EmConfig(n_components=k, gate_max_iters=gate_max_iters)
+    weights, iters, grad_norms = m_step_gate(np.stack(betas), ds, np.stack(w0s), config)
+    assert len(weights) == len(iters) == len(grad_norms) == len(problems)
+    for r, (beta, w0) in enumerate(zip(betas, w0s)):
+        want, _, norms, stop = unfused_m_step_gate(beta, ds, w0, gate_max_iters)
+        assert np.array_equal(weights[r], want)
+        assert (iters[r], grad_norms[r]) == (len(norms), norms[-1])
+        event(stop)
+
+
 @settings(deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -263,25 +304,66 @@ def test_gate_moments_value_equals_weighted_log_softmax(seed, n, l, k, scale, ri
     assert got == pytest.approx(want, rel=1e-12, abs=1e-14 * (design @ np.abs(weights).T).sum())
 
 
+def gate_stack():
+    """Dataset, one-hot responsibilities, zero start weights and config for a
+    stack of three K = 3 gate problems."""
+    ds = random_dataset(0, n=30, l=4)
+    beta = np.eye(3)[np.random.default_rng(1).integers(0, 3, size=(3, 30))]
+    return ds, beta, np.zeros((3, 3, 5)), EmConfig(n_components=3)
+
+
 @pytest.mark.parametrize(
     "row, scale, message",
     [
-        (17, 0.0, "beta row 17 sums to 0.0, not 1"),
-        (3, 2.0, "beta row 3 sums to 2.0, not 1"),
-        (5, math.nan, "beta row 5 sums to nan, not 1"),
+        (17, 0.0, "restart 2: beta row 17 sums to 0.0, not 1"),
+        (3, 2.0, "restart 2: beta row 3 sums to 2.0, not 1"),
+        (5, math.nan, "restart 2: beta row 5 sums to nan, not 1"),
     ],
     ids=["zero", "doubled", "nan"],
 )
 def test_gate_rejects_beta_rows_not_summing_to_one(row, scale, message):
     # the moments form of the objective and its gradient hold only for rows
     # summing to 1; an all-zero beta used to send the line search to its floor
-    ds = random_dataset(0, n=30, l=4)
-    beta = np.eye(3)[np.random.default_rng(1).integers(0, 3, size=30)]
-    beta[row:] *= scale
+    ds, beta, w0, config = gate_stack()
+    beta[2, row:] *= scale
     with pytest.raises(ValueError, match=f"^{message}$"):
-        m_step_gate(beta, ds, np.zeros((3, 5)), EmConfig(n_components=3))
+        m_step_gate(beta, ds, w0, config)
+    with pytest.raises(ValueError, match=f"^{message.replace('restart 2', 'restart 7')}$"):
+        m_step_gate(beta, ds, w0, config, [0, 4, 7])
     beta[:] = 1.0 / 3.0 + BETA_ROW_SUM_TOL / 4  # a few ulps off is rounding, not an error
-    m_step_gate(beta, ds, np.zeros((3, 5)), EmConfig(n_components=3))
+    m_step_gate(beta, ds, w0, config)
+
+
+def test_gate_names_restart_non_finite_at_start():
+    ds, beta, w0, config = gate_stack()
+    w0[1, 2, 0] = math.nan
+    with pytest.raises(RuntimeError, match="^restart 4: gate objective non-finite at the initial point$"):
+        m_step_gate(beta, ds, w0, config, [0, 4, 7])
+
+
+def test_gate_names_restart_non_finite_in_line_search(monkeypatch, gate_gradient_norms):
+    # no finite start reaches a non-finite trial without numpy overflow
+    # warnings, so one slice's value in a later round of trials is replaced
+    objective = rulemix.em.gate_objective
+    stacks = []
+
+    def poisoned(weights, *args):
+        values, shifted = objective(weights, *args)
+        stacks.append(len(weights))
+        if len(stacks) == 12:
+            values[-1] = math.inf
+        return values, shifted
+
+    monkeypatch.setattr(rulemix.em, "gate_objective", poisoned)
+    ds, beta, w0, config = gate_stack()
+    with pytest.raises(RuntimeError) as raised:
+        rulemix.em.m_step_gate(beta, ds, w0, config, [0, 4, 7])
+    assert stacks == [3] * 12  # every slice was searching, so the last is restart 7
+    (norms,) = gate_gradient_norms[7]  # its gradients before the bad trial
+    assert len(norms) > 1
+    assert str(raised.value) == (
+        f"restart 7: gate objective became non-finite during line search (iteration {len(norms) - 1})"
+    )
 
 
 def test_lower_bound_tight_at_posterior():
@@ -359,11 +441,12 @@ def test_fit_report_json_layout():
 def test_restart_trace_records_each_gate_step(gate_gradient_norms):
     ds = random_dataset(49, n=30, l=4)
     _, report = fit(ds, EmConfig(n_components=3, restarts=2, seed=3, gate_max_iters=20))
-    assert [i for r in report.restarts for i in r.gate_iters] == [len(s) for s in gate_gradient_norms]
-    assert [g for r in report.restarts for g in r.gate_final_grad_norms] == [
-        s[-1] for s in gate_gradient_norms
-    ]
-    assert 20 in [len(s) for s in gate_gradient_norms]  # some step used the whole budget
+    assert sorted(gate_gradient_norms) == [0, 1]
+    for r, run in enumerate(report.restarts):
+        assert run.gate_iters == [len(s) for s in gate_gradient_norms[r]]
+        assert run.gate_final_grad_norms == [s[-1] for s in gate_gradient_norms[r]]
+    steps = [s for per_restart in gate_gradient_norms.values() for s in per_restart]
+    assert 20 in [len(s) for s in steps]  # some step used the whole budget
 
 
 def three_clusters():
@@ -412,10 +495,68 @@ def test_fit_best_restart_rule(monkeypatch):
     runs = iter(
         (f"model {r}", RestartTrace(1, [obj], failed, 0, [], [])) for r, (obj, failed) in enumerate(finals)
     )
-    monkeypatch.setattr(rulemix.em, "_run_em", lambda *args: next(runs))
+
+    def finished(*args):  # a restart that returns before its first gate M-step
+        return next(runs)
+        yield
+
+    monkeypatch.setattr(rulemix.em, "_run_em", finished)
     model, report = fit(random_dataset(48, n=10, l=2), EmConfig(n_components=2, restarts=5))
     assert (model, report.best_restart) == ("model 2", 2)
     assert [r.failed for r in report.restarts] == [f for _, f in finals]
+
+
+def run_alone(data, config, r):
+    """Restart ``r`` of ``fit`` driven by itself, each gate M-step a stack of one."""
+    run = rulemix.em._run_em(data, config, np.random.default_rng([config.seed, r]))
+    sent = None
+    while True:
+        try:
+            beta, weights = run.send(sent)
+        except StopIteration as done:
+            return done.value
+        sent = gate_alone(beta, data, weights, config)
+
+
+@pytest.mark.parametrize(
+    "data, config, reseed_cap",
+    [
+        (random_dataset(50, n=40, l=5), EmConfig(n_components=3, restarts=4, seed=2, gate_max_iters=30), None),
+        (three_clusters(), EmConfig(n_components=3, restarts=6, seed=0), 0),
+    ],
+    ids=["random", "one-fails-on-reseed-cap"],
+)
+def test_lockstep_restarts_equal_restarts_run_alone(monkeypatch, data, config, reseed_cap):
+    if reseed_cap is not None:  # as in test_fit_best_restart_skips_failed_restarts
+        monkeypatch.setattr(rulemix.em, "DEGENERATE_MASS_FACTOR", 0.3)
+        monkeypatch.setattr(rulemix.em, "MAX_RESEEDS_PER_RUN", reseed_cap)
+    alone = [run_alone(data, config, r) for r in range(config.restarts)]
+    run_em, in_fit = rulemix.em._run_em, []
+
+    def kept(*args):  # fit creates restart r's generator r-th
+        slot = len(in_fit)
+        in_fit.append(None)
+
+        def run():
+            in_fit[slot] = yield from run_em(*args)
+            return in_fit[slot]
+
+        return run()
+
+    monkeypatch.setattr(rulemix.em, "_run_em", kept)
+    model, report = fit(data, config)
+    if reseed_cap is not None:
+        failed = [trace.failed for _, trace in alone]
+        assert any(failed) and not all(failed)
+        assert any(trace.failed and trace.objective_trace for _, trace in alone)  # failed mid-run
+    assert [asdict(r) for r in report.restarts] == [asdict(trace) for _, trace in alone]
+    assert len(in_fit) == config.restarts
+    for (got, _), (want, _) in zip(in_fit, alone):
+        assert (got is None) == (want is None)
+        if want is not None:
+            for name in ("gate_weights", "eta", "mu", "lam"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert model is in_fit[report.best_restart][0]
 
 
 def test_fit_all_restarts_failed_raises(monkeypatch):

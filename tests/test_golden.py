@@ -11,10 +11,12 @@ import json
 import pytest
 
 from golden.compare import MU_RTOL, OBJECTIVE_ATOL_PER_ROW, compare
-from golden.regen import CASES, GOLDEN_DIR, produce, without_wall_time
+from golden.regen import CASES, FULL_CASES, GOLDEN_DIR, produce, without_wall_time
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize(
+    "name", sorted(CASES) + [pytest.param(n, marks=pytest.mark.golden_full) for n in sorted(FULL_CASES)]
+)
 def test_output_equals_golden_bytes(name):
     expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
     assert without_wall_time(produce(name)) == without_wall_time(expected)
