@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import TreeEnsemble, count_regions
+from .ensemble import TreeEnsemble, count_distinct_rows, count_regions
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,7 @@ class BinaryDataset:
 def count_patterns(bits: np.ndarray) -> int:
     """Number of distinct rows of a 0/1 bit matrix, counted on the rows'
     packed bytes; every row of an empty schema is the one empty pattern."""
-    packed = np.ascontiguousarray(np.packbits(np.asarray(bits) != 0, axis=1))
-    if packed.shape[1] == 0:
-        return min(len(packed), 1)
-    return len(np.unique(packed.view(np.dtype((np.void, packed.shape[1])))))
+    return count_distinct_rows(np.packbits(np.asarray(bits) != 0, axis=1))
 
 
 def build_dataset(ensemble: TreeEnsemble, schema: SplitSchema, xs) -> BinaryDataset:

@@ -3,11 +3,48 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 LEAF = -1
+
+# (row, tree) pairs an ensemble routes at once: bounds the walk's transient
+# arrays at a few MB whatever the number of rows
+BLOCK_PAIRS = 1 << 13
+
+_ROOT = np.zeros(1, dtype=np.int64)
+
+
+def _walk(nodes, X, roots, depth=None) -> np.ndarray:
+    """The (len(X), len(roots)) nodes where each row of the float64 matrix
+    ``X`` stops when it descends from each root: a leaf, or with ``depth`` the node reached after
+    at most ``depth`` splits.
+
+    ``nodes`` is a node table ``(feature, threshold, left, right)`` that may
+    hold several trees, ``roots`` indexes their roots in it; a pair at an
+    internal node goes to ``left`` when ``x[feature] < threshold``, else to
+    ``right``.  The pairs still at internal nodes descend one level per step.
+    """
+    feature, threshold, left, right = nodes
+    rows, width = X.shape
+    x = X.ravel()
+    node = np.tile(roots, rows)  # where each pair stops
+    live = np.arange(len(node))  # the pairs still descending,
+    cur = node.copy()  # their nodes
+    base = np.repeat(np.arange(rows) * width, len(roots))  # and their rows in x
+    for _ in itertools.count() if depth is None else range(depth):
+        feats = feature[cur]
+        inner = feats >= 0
+        if not inner.all():
+            node[live[~inner]] = cur[~inner]
+            live, cur, feats, base = live[inner], cur[inner], feats[inner], base[inner]
+        if len(live) == 0:
+            break
+        go_left = x[base + feats] < threshold[cur]
+        cur = np.where(go_left, left[cur], right[cur])
+    node[live] = cur
+    return node.reshape(rows, len(roots))
 
 
 @dataclass(frozen=True)
@@ -66,11 +103,8 @@ class Tree:
         """Build from a list of node dicts, either ``{"feature", "threshold",
         "left", "right"}`` or ``{"value"}``; node 0 is the root."""
         n = len(nodes)
-        feature = np.full(n, LEAF, dtype=np.int64)
-        threshold = np.full(n, np.nan)
-        left = np.full(n, LEAF, dtype=np.int64)
-        right = np.full(n, LEAF, dtype=np.int64)
-        value = np.full(n, np.nan)
+        feature, left, right = [LEAF] * n, [LEAF] * n, [LEAF] * n
+        threshold, value = [np.nan] * n, [np.nan] * n
         for i, node in enumerate(nodes):
             if "value" in node:
                 value[i] = node["value"]
@@ -80,6 +114,8 @@ class Tree:
                 # clamped: an index outside [0, n) stays outside it and fits int64
                 left[i] = min(max(node["left"], LEAF), n)
                 right[i] = min(max(node["right"], LEAF), n)
+        feature, left, right = (np.array(a, dtype=np.int64) for a in (feature, left, right))
+        threshold, value = (np.array(a, dtype=np.float64) for a in (threshold, value))
         return cls(feature, threshold, left, right, value)
 
     @property
@@ -94,17 +130,14 @@ class Tree:
         """Index of the unique leaf reached by each row of ``X``; with
         ``depth``, of the node where a row stops after at most ``depth``
         splits (the leaf of the tree cut at that depth)."""
-        idx = np.zeros(len(X), dtype=np.int64)
-        for _ in itertools.count() if depth is None else range(depth):
-            feats = self.feature[idx]
-            active = feats >= 0
-            if not active.any():
-                break
-            rows = np.nonzero(active)[0]
-            sub = idx[rows]
-            go_left = X[rows, feats[rows]] < self.threshold[sub]
-            idx[rows] = np.where(go_left, self.left[sub], self.right[sub])
-        return idx
+        X = np.asarray(X, dtype=np.float64)
+        if X.shape[1] <= self.feature.max():
+            raise ValueError(
+                f"input matrix has {X.shape[1]} column(s); the tree splits on feature "
+                f"{self.feature.max()}"
+            )
+        nodes = (self.feature, self.threshold, self.left, self.right)
+        return _walk(nodes, X, _ROOT, depth)[:, 0]
 
     def predict_batch(self, X: np.ndarray, depth: int | None = None) -> np.ndarray:
         """Value of the node ``leaf_index_batch(X, depth)`` reaches for each
@@ -120,12 +153,20 @@ class Tree:
 
 @dataclass(frozen=True)
 class TreeEnsemble:
-    """Weighted sum of regression trees over a D-dimensional input space."""
+    """Weighted sum of regression trees over a D-dimensional input space.
+
+    The trees' nodes are also kept as one table, tree after tree, with child
+    indices shifted to it and ``_roots`` giving each tree's root, so that one
+    walk routes every (row, tree) pair at once.
+    """
 
     trees: tuple
     weights: np.ndarray
     feature_count: int
     feature_names: tuple | None = None
+    _nodes: tuple = field(init=False, repr=False, compare=False)
+    _value: np.ndarray = field(init=False, repr=False, compare=False)
+    _roots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
@@ -136,10 +177,21 @@ class TreeEnsemble:
             raise ValueError("one weight per tree required")
         if not np.isfinite(self.weights).all():
             raise ValueError("non-finite tree weight")
-        for t in self.trees:
-            internal = t.feature >= 0
-            if internal.any() and t.feature[internal].max() >= self.feature_count:
-                raise ValueError("feature index out of range for ensemble")
+        counts = [t.node_count for t in self.trees]
+        roots = np.cumsum([0] + counts[:-1])
+        shift = np.repeat(roots, counts)  # a leaf's children are never read
+        feature = np.concatenate([t.feature for t in self.trees])
+        if feature.max() >= self.feature_count:
+            raise ValueError("feature index out of range for ensemble")
+        nodes = (
+            feature,
+            np.concatenate([t.threshold for t in self.trees]),
+            np.concatenate([t.left for t in self.trees]) + shift,
+            np.concatenate([t.right for t in self.trees]) + shift,
+        )
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_value", np.concatenate([t.value for t in self.trees]))
+        object.__setattr__(self, "_roots", roots)
         if self.feature_names is not None:
             names = tuple(self.feature_names)
             if len(names) != self.feature_count:
@@ -159,17 +211,29 @@ class TreeEnsemble:
         return float(self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Weighted sum over trees of the leaf value reached by each row of ``X``."""
+        """Weighted sum over trees of the leaf value reached by each row of
+        ``X``, added tree by tree in tree order."""
         X = self._check_batch(X)
         out = np.zeros(len(X))
-        for w, t in zip(self.weights, self.trees):
-            out += w * t.predict_batch(X)
+        for lo, nodes in self._leaf_blocks(X):
+            acc = out[lo : lo + len(nodes)]
+            for terms in (self._value[nodes] * self.weights).T:
+                acc += terms
         return out
 
     def leaf_vector_batch(self, X: np.ndarray) -> np.ndarray:
         """(n, tree_count) leaf indices; equal rows mean the same region."""
         X = self._check_batch(X)
-        return np.stack([t.leaf_index_batch(X) for t in self.trees], axis=1)
+        out = np.empty((len(X), self.tree_count), dtype=np.int64)
+        for lo, nodes in self._leaf_blocks(X):
+            np.subtract(nodes, self._roots, out=out[lo : lo + len(nodes)])
+        return out
+
+    def _leaf_blocks(self, X):
+        """(first row, leaf table nodes) for each block of rows of ``X``."""
+        step = max(1, BLOCK_PAIRS // self.tree_count)
+        for lo in range(0, len(X), step):
+            yield lo, _walk(self._nodes, X[lo : lo + step], self._roots)
 
     def _check_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -180,11 +244,22 @@ class TreeEnsemble:
         return X
 
 
+def count_distinct_rows(a: np.ndarray) -> int:
+    """Number of distinct rows of a 2-D array, compared as raw bytes; a
+    matrix with no columns has one row pattern (none when it has no rows)."""
+    a = np.ascontiguousarray(a)
+    if a.shape[1] == 0:
+        return min(len(a), 1)
+    return len(np.unique(a.view(np.dtype((np.void, a.shape[1] * a.itemsize)))))
+
+
 def count_regions(ensemble: TreeEnsemble, probes) -> int:
     """Number of distinct regions hit by ``probes`` (a lower bound on the
-    exact region count)."""
+    exact region count).  Leaf vectors are counted in the narrowest unsigned
+    type that holds every node index."""
     probes = np.asarray(probes, dtype=np.float64)
     if probes.ndim != 2 or len(probes) == 0:
         raise ValueError("probes must be a nonempty (n, D) matrix")
     vectors = ensemble.leaf_vector_batch(probes)
-    return len(np.unique(vectors, axis=0))
+    narrow = np.min_scalar_type(max(t.node_count for t in ensemble.trees))
+    return count_distinct_rows(vectors.astype(narrow))

@@ -47,35 +47,38 @@ def _best_split(ys_sorted, xs_sorted, total, total_sq, min_samples_leaf):
     and ``total_sq`` sum the targets and their squares in row order.  Returns
     (feature, threshold, gain) or None.  Candidate thresholds are midpoints of
     consecutive distinct sorted feature values; ties broken by (lower feature
-    index, lower threshold).  All features are scanned at once.
+    index, lower threshold).  All features are scanned at once, and gains are
+    computed only at value boundaries: a position between tied values cannot
+    take a threshold.
     """
     n = ys_sorted.shape[1]
     if n < 2 * min_samples_leaf:
         return None
+    # split after position q: left = [0, q], right = [q + 1, n), for q in
+    # [lo, hi); k lists the (feature, q) where the feature's value rises,
+    # as flat indices into the (D, n) columns, in (feature, position) order
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
+    boundary = np.zeros(xs_sorted.shape, dtype=bool)
+    boundary[:, lo:hi] = xs_sorted[:, lo:hi] < xs_sorted[:, lo + 1 : hi + 1]
+    k = np.flatnonzero(boundary)
+    if len(k) == 0:
+        return None
     sse_parent = total_sq - total * total / n
-    csum = np.cumsum(ys_sorted, axis=1)
-    csq = np.cumsum(ys_sorted * ys_sorted, axis=1)
-    # split before position p: left = [0, p), right = [p, n)
-    pos = np.arange(min_samples_leaf, n - min_samples_leaf + 1)
-    before = slice(min_samples_leaf - 1, n - min_samples_leaf)
-    after = slice(min_samples_leaf, n - min_samples_leaf + 1)
-    ls = csum[:, before]
-    lq = csq[:, before]
+    ls = np.cumsum(ys_sorted, axis=1).ravel()[k]
+    lq = np.cumsum(ys_sorted * ys_sorted, axis=1).ravel()[k]
+    pos = k % n + 1  # rows on the left
     sse_left = lq - ls * ls / pos
     rs = total - ls
     rq = total_sq - lq
     sse_right = rq - rs * rs / (n - pos)
     gains = sse_parent - sse_left - sse_right
-    gains[xs_sorted[:, before] >= xs_sorted[:, after]] = -np.inf
-    # first maximum per feature, then the first feature with the largest
-    # positive gain (a strictly-greater scan over features)
-    at = np.argmax(gains, axis=1)
-    best = gains[np.arange(len(at)), at]
-    d = int(np.argmax(np.where(best > 0.0, best, -np.inf)))
-    if not best[d] > 0.0:
+    # the first maximum in (feature, position) order is the first maximum
+    # per feature, then the first feature with the largest positive gain
+    i = int(np.argmax(gains))
+    if not gains[i] > 0.0:
         return None
-    p = pos[at[d]]
-    return (d, (xs_sorted[d, p - 1] + xs_sorted[d, p]) / 2.0, float(best[d]))
+    d, q = divmod(int(k[i]), n)
+    return (d, (xs_sorted[d, q] + xs_sorted[d, q + 1]) / 2.0, float(gains[i]))
 
 
 def grow_tree(X, y, order, max_depth, min_samples_leaf) -> tuple[Tree, np.ndarray]:

@@ -2,11 +2,11 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, direct probability arithmetic, generic numerical optimizers) and
-shares no code paths with the package internals it checks.  The four
+shares no code paths with the package internals it checks.  The five
 exact references (``per_feature_best_split``, ``per_node_sort_grow_tree``,
-``cv_mse_per_depth`` and ``unfused_m_step_gate``) are the package's earlier
-loops, kept so that the faster forms can be required to return the very
-same floats; ``per_node_sort_grow_tree`` builds the package's ``Tree``,
+``cv_mse_per_depth``, ``unfused_m_step_gate`` and ``per_tree_leaf_index``)
+are the package's earlier loops, kept so that the faster forms can be
+required to return the very same floats or nodes; ``per_node_sort_grow_tree`` builds the package's ``Tree``,
 because what it checks is only the grower, not the tree type;
 ``cv_mse_per_depth`` calls the package's ``grow_tree``, ``presort``,
 ``cv_folds`` and ``mse``, because what it checks is only the
@@ -15,6 +15,7 @@ one-tree-per-fold cut, not the grower, and ``unfused_m_step_gate`` calls
 fused value and gradient, not the row kernel.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -39,6 +40,23 @@ def predict_by_path(ensemble, x):
                 i = int(t.right[i])
         total += float(w) * float(t.value[i])
     return total
+
+
+def per_tree_leaf_index(tree, X, depth=None):
+    """The node where each row of ``X`` stops in one tree, as found before
+    the ensemble walked all its trees at once: every row at an internal node
+    descends one level per step, for at most ``depth`` steps."""
+    idx = np.zeros(len(X), dtype=np.int64)
+    for _ in itertools.count() if depth is None else range(depth):
+        feats = tree.feature[idx]
+        active = feats >= 0
+        if not active.any():
+            break
+        rows = np.nonzero(active)[0]
+        sub = idx[rows]
+        go_left = X[rows, feats[rows]] < tree.threshold[sub]
+        idx[rows] = np.where(go_left, tree.left[sub], tree.right[sub])
+    return idx
 
 
 def brute_force_best_split(X, y, min_samples_leaf):

@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import constant_tree, stump, two_stump_ensemble
-from oracles import predict_by_path
+from oracles import per_tree_leaf_index, predict_by_path
 from rulemix.binarizer import count_regions_exact, extract_splits
-from rulemix.data import gen_xor
-from rulemix.ensemble import Tree, TreeEnsemble, count_regions
-from rulemix.trainer import GbtConfig, fit_gbt
+from rulemix.data import gen_energy_like, gen_xor, split3
+from rulemix.ensemble import BLOCK_PAIRS, Tree, TreeEnsemble, count_regions
+from rulemix.trainer import GbtConfig, fit_gbt, grow_tree, presort
 
 
 def test_predict_single_weighted_stump():
@@ -89,14 +94,107 @@ def test_count_regions_exact_rejects_high_dimension():
 
 
 def test_predict_matches_path_following_oracle():
+    # predict_by_path adds w * value tree by tree from 0.0, the order
+    # predict_batch keeps, so every probe matches to the last bit
     data = gen_xor(300, seed=11)
     ens = fit_gbt(data, GbtConfig(tree_count=15, max_depth=3, min_samples_leaf=5))
     probes = np.random.default_rng(12).random((10_000, 2))
     batch = ens.predict_batch(probes)
-    for i in range(0, 10_000, 7):
-        expected = predict_by_path(ens, probes[i])
-        assert ens.predict(probes[i]) == pytest.approx(expected, abs=1e-12)
-        assert batch[i] == pytest.approx(expected, abs=1e-12)
+    for i, x in enumerate(probes):
+        expected = predict_by_path(ens, x)
+        assert ens.predict(x) == expected
+        assert batch[i] == expected
+
+
+@st.composite
+def tree_nodes(draw, dims):
+    """Node dicts of a random tree in preorder, as the model parser passes
+    them to ``Tree.from_nodes`` (internal nodes hold no value): a single
+    leaf, or subtrees of unequal depths up to 5, thresholds on the grid of
+    half-integers the probes take, so that rows also land on a threshold."""
+    max_depth = draw(st.integers(0, 5))
+    nodes = []
+
+    def build(depth):
+        i = len(nodes)
+        nodes.append(None)
+        if depth < max_depth and draw(st.booleans()):
+            d = draw(st.integers(0, dims - 1))
+            b = draw(st.integers(0, 4)) / 2.0
+            nodes[i] = {"feature": d, "threshold": b, "left": build(depth + 1)}
+            nodes[i]["right"] = build(depth + 1)
+        else:
+            nodes[i] = {"value": draw(st.floats(-100.0, 100.0, allow_subnormal=False))}
+        return i
+
+    build(0)
+    return nodes, max_depth
+
+
+@st.composite
+def walk_inputs(draw):
+    """(ensemble, tree depth bounds, X) with 0 or 1 rows, a block of rows
+    give or take one, or several blocks."""
+    dims = draw(st.integers(1, 3))
+    specs = draw(st.lists(tree_nodes(dims), min_size=1, max_size=6))
+    weights = draw(arrays(np.float64, len(specs), elements=st.floats(-2.0, 2.0)))
+    ens = TreeEnsemble(tuple(Tree.from_nodes(n) for n, _ in specs), weights, dims)
+    block = BLOCK_PAIRS // ens.tree_count
+    n = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 3 * block + 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return ens, [depth for _, depth in specs], rng.integers(0, 5, size=(n, dims)) / 2.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(walk_inputs())
+def test_ensemble_walk_equals_per_tree_walks(inputs):
+    ens, depths, X = inputs
+    for tree, depth in zip(ens.trees, depths):
+        for d in [None, *range(depth + 2)]:
+            assert np.array_equal(
+                tree.leaf_index_batch(X[:300], d), per_tree_leaf_index(tree, X[:300], d)
+            )
+    per_tree = np.stack([t.leaf_index_batch(X) for t in ens.trees], axis=1)
+    leaves = ens.leaf_vector_batch(X)
+    assert leaves.dtype == np.int64 and np.array_equal(leaves, per_tree)
+    expected = np.zeros(len(X))
+    for w, t in zip(ens.weights, ens.trees):
+        expected += w * t.predict_batch(X)
+    assert ens.predict_batch(X).tobytes() == expected.tobytes()
+    if len(X):
+        assert count_regions(ens, X) == len(np.unique(leaves, axis=0))
+
+
+def test_count_regions_with_leaf_indices_past_one_byte():
+    # a tree of more than 256 nodes needs two bytes per leaf index: counted
+    # in one byte, leaves 256 apart would share a region
+    rng = np.random.default_rng(3)
+    xs = rng.random((600, 2))
+    big, _ = grow_tree(xs, rng.normal(size=600), presort(xs), 10, 1)
+    assert big.node_count > 256
+    probes = np.vstack([xs, rng.random((1000, 2))])  # every leaf is hit
+    for ens in (
+        TreeEnsemble((big,), np.array([1.0]), 2),
+        TreeEnsemble((stump(0), big, stump(1)), np.ones(3), 2),
+    ):
+        expected = len(np.unique(ens.leaf_vector_batch(probes), axis=0))
+        assert count_regions(ens, probes) == expected >= big.n_leaves
+
+
+def test_predict_batch_memory_is_bounded_by_the_block():
+    # tracemalloc peaks of predict_batch over these 20 000 rows of a 101-tree
+    # ensemble: 0.9 MB routing BLOCK_PAIRS (row, tree) pairs at a time, and
+    # 148 MB routing all 2 020 000 pairs at once
+    atm, _, _ = split3(gen_energy_like(seed=0), (0.4, 0.3, 0.3), 0)
+    ens = fit_gbt(atm, GbtConfig(min_samples_leaf=10))
+    X = atm.xs[np.random.default_rng(0).integers(0, len(atm), 20_000)]
+    tracemalloc.start()
+    try:
+        ens.predict_batch(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_leaf_vector_piecewise_constant_under_small_moves():
@@ -172,6 +270,11 @@ def test_depth_cut_without_internal_values_names_node():
     assert tree.predict_batch(X, depth=1).tolist() == [0.0, 1.0]
     with pytest.raises(ValueError, match="node 0 has no value"):
         tree.predict_batch(X, depth=0)
+
+
+def test_tree_rejects_input_narrower_than_its_features():
+    with pytest.raises(ValueError, match=r"has 1 column\(s\); the tree splits on feature 1$"):
+        stump(1).leaf_index_batch(np.zeros((3, 1)))
 
 
 def test_tree_rejects_non_finite_leaf():

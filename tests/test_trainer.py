@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rulemix.trainer
-from oracles import brute_force_best_split, per_feature_best_split, per_node_sort_grow_tree
+from oracles import (
+    _per_node_sort_best_split,
+    brute_force_best_split,
+    per_feature_best_split,
+    per_node_sort_grow_tree,
+)
 from rulemix.data import LabeledDataset, gen_energy_like, gen_xor, split3
 from rulemix.ensemble import TreeEnsemble
 from rulemix.trainer import (
@@ -110,12 +115,18 @@ def test_greedy_split_matches_brute_force_oracle():
 def split_inputs(draw):
     """(X, y, rows, min_samples_leaf) with heavily tied values: small-integer
     x (constant columns included) and y, often a repeated column, and rows a
-    sorted subset of X's rows."""
+    sorted subset of X's rows; or real-valued x, where every position between
+    two rows is a value boundary.  n is often exactly 2 * min_samples_leaf,
+    the smallest node that may split (one candidate position)."""
     min_leaf = draw(st.integers(1, 5))
-    n = draw(st.integers(2 * min_leaf, 60))
+    n = draw(st.one_of(st.just(2 * min_leaf), st.integers(2 * min_leaf, 60)))
     total = n + draw(st.integers(0, 10))
     dims = draw(st.integers(1, 4))
-    xs = draw(arrays(np.float64, (total, dims), elements=st.integers(0, 4).map(float)))
+    if draw(st.booleans()):
+        elements = st.integers(0, 4).map(float)
+    else:
+        elements = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+    xs = draw(arrays(np.float64, (total, dims), elements=elements))
     if dims > 1 and draw(st.booleans()):
         xs[:, -1] = xs[:, 0]
     ys = draw(arrays(np.float64, total, elements=st.integers(0, 3).map(float)))
@@ -130,7 +141,9 @@ def split_inputs(draw):
           np.array([1.0, 0.0, 0.0, 1.0]), np.arange(4), 1))
 def test_best_split_equals_per_feature_reference(inputs):
     # Exact equality, None included: ties in gain must go to the lower
-    # feature, then the lower threshold, as the one-feature-at-a-time scan does.
+    # feature, then the lower threshold, as the one-feature-at-a-time scan
+    # does, and scoring value boundaries only must give the floats of the
+    # scan that scores every position and masks ties.
     # The node's sorted columns are the whole presort filtered to its rows.
     xs, ys, rows, min_leaf = inputs
     order = presort(xs)
@@ -139,6 +152,7 @@ def test_best_split_equals_per_feature_reference(inputs):
     ysub = ys[rows]
     split = _best_split(ys[order], xs_sorted, ysub.sum(), (ysub * ysub).sum(), min_leaf)
     assert split == per_feature_best_split(*inputs)
+    assert split == _per_node_sort_best_split(*inputs)
 
 
 def assert_same_tree(a, b):
