@@ -9,11 +9,24 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def check_count(name: str, value, minimum: int) -> None:
-    """Reject a count field that is a bool, not an integer, or below ``minimum``."""
+def check_int(name: str, value):
+    """``value`` if it is an integer (a Python or numpy int, not a bool)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    return value
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a float if it is a number (a Python or numpy int or
+    float, not a bool); finiteness is left to the type that holds it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Reject a count field that is a bool, not an integer, or below ``minimum``."""
+    if check_int(name, value) < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
@@ -52,8 +65,7 @@ class LabeledDataset:
 def gen_xor(n: int, noise_sd: float = 0.1, seed: int = 0) -> LabeledDataset:
     """x uniform on [0,1]^2; y = 1 iff exactly one coordinate is < 0.5, plus
     Gaussian noise."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count("n", n, 1)
     check_noise_sd(noise_sd)
     rng = np.random.default_rng(seed)
     xs = rng.random((n, 2))

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import check_int, check_real
+
 LEAF = -1
 
 # (row, tree) pairs an ensemble routes at once: bounds the walk's transient
@@ -93,27 +95,45 @@ class Tree:
                     stack.append(child)
         if not all(seen):
             raise ValueError(f"node {seen.index(False)}: not reachable from the root")
-        if not np.isfinite(self.threshold[internal]).all():
-            raise ValueError("internal node with non-finite threshold")
-        if not np.isfinite(self.value[~internal]).all():
-            raise ValueError("leaf with non-finite value")
+        bad = np.flatnonzero(~np.isfinite(np.where(internal, self.threshold, self.value)))
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(f"node {i}: non-finite {'threshold' if internal[i] else 'leaf value'}")
 
     @classmethod
     def from_nodes(cls, nodes) -> "Tree":
-        """Build from a list of node dicts, either ``{"feature", "threshold",
-        "left", "right"}`` or ``{"value"}``; node 0 is the root."""
+        """Build from the ``nodes`` list of the interchange format, node 0
+        the root: each node is an object with exactly the integer fields
+        ``feature``, ``left`` and ``right`` and the number ``threshold``, or
+        exactly the number ``value``.  A defect raises ``ValueError`` naming
+        the node."""
         n = len(nodes)
         feature, left, right = [LEAF] * n, [LEAF] * n, [LEAF] * n
         threshold, value = [np.nan] * n, [np.nan] * n
+        split = {"feature", "threshold", "left", "right"}
         for i, node in enumerate(nodes):
-            if "value" in node:
-                value[i] = node["value"]
-            else:
-                feature[i] = node["feature"]
-                threshold[i] = node["threshold"]
+            if not isinstance(node, dict):
+                raise ValueError(f"node {i}: expected an object")
+            if node.keys() == {"value"}:
+                value[i] = check_real(f"node {i}: value", node["value"])
+            elif node.keys() == split:
+                d = check_int(f"node {i}: feature", node["feature"])
+                # an index past int64 is out of range for any feature_count
+                if not 0 <= d < 2**63:
+                    raise ValueError(f"node {i}: feature index {d} out of range")
+                feature[i] = d
+                threshold[i] = check_real(f"node {i}: threshold", node["threshold"])
                 # clamped: an index outside [0, n) stays outside it and fits int64
-                left[i] = min(max(node["left"], LEAF), n)
-                right[i] = min(max(node["right"], LEAF), n)
+                left[i] = min(max(check_int(f"node {i}: left", node["left"]), LEAF), n)
+                right[i] = min(max(check_int(f"node {i}: right", node["right"]), LEAF), n)
+            else:
+                shape = split if node.keys() & split else {"value"}
+                unknown = node.keys() - shape
+                if unknown:
+                    raise ValueError(f"node {i}: unknown field {min(unknown)!r}")
+                if shape == split:
+                    raise ValueError(f"node {i}: internal node missing {min(split - node.keys())!r}")
+                raise ValueError(f"node {i}: leaf missing value")
         feature, left, right = (np.array(a, dtype=np.int64) for a in (feature, left, right))
         threshold, value = (np.array(a, dtype=np.float64) for a in (threshold, value))
         return cls(feature, threshold, left, right, value)
@@ -175,14 +195,21 @@ class TreeEnsemble:
             raise ValueError("ensemble needs at least one tree")
         if len(self.weights) != len(self.trees):
             raise ValueError("one weight per tree required")
-        if not np.isfinite(self.weights).all():
-            raise ValueError("non-finite tree weight")
+        bad = np.flatnonzero(~np.isfinite(self.weights))
+        if len(bad):
+            raise ValueError(f"tree {bad[0]}: non-finite weight")
         counts = [t.node_count for t in self.trees]
         roots = np.cumsum([0] + counts[:-1])
         shift = np.repeat(roots, counts)  # a leaf's children are never read
         feature = np.concatenate([t.feature for t in self.trees])
-        if feature.max() >= self.feature_count:
-            raise ValueError("feature index out of range for ensemble")
+        bad = np.flatnonzero(feature >= self.feature_count)
+        if len(bad):
+            j = int(bad[0])
+            t = int(np.searchsorted(roots, j, side="right")) - 1
+            raise ValueError(
+                f"tree {t}: node {j - roots[t]}: feature index {feature[j]} out of range "
+                f"(feature_count {self.feature_count})"
+            )
         nodes = (
             feature,
             np.concatenate([t.threshold for t in self.trees]),

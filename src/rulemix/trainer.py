@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, check_count
+from .data import LabeledDataset, check_count, check_real
 from .ensemble import LEAF, Tree, TreeEnsemble
 
 
@@ -145,51 +144,6 @@ def fit_gbt(data: LabeledDataset, config: GbtConfig) -> TreeEnsemble:
     return TreeEnsemble(tuple(trees), weights, X.shape[1], data.feature_names)
 
 
-_NODE_SPLIT_KEYS = {"feature", "threshold", "left", "right"}
-
-
-def _check_int(v, what):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ParseError(f"{what} must be an integer, got {v!r}")
-    return v
-
-
-def _check_real(v, what):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParseError(f"{what} must be a number, got {v!r}")
-    if not math.isfinite(v):
-        raise ParseError(f"{what} must be finite, got {v!r}")
-    return float(v)
-
-
-def _parse_node(i, node, feature_count):
-    if not isinstance(node, dict):
-        raise ParseError(f"node {i}: expected an object")
-    keys = set(node)
-    if keys & _NODE_SPLIT_KEYS:
-        unknown = keys - _NODE_SPLIT_KEYS
-        if unknown:
-            raise ParseError(f"node {i}: unknown field {sorted(unknown)[0]!r}")
-        for k in sorted(_NODE_SPLIT_KEYS):
-            if k not in keys:
-                raise ParseError(f"node {i}: internal node missing {k!r}")
-        d = _check_int(node["feature"], f"node {i}: feature")
-        if not 0 <= d < feature_count:
-            raise ParseError(
-                f"node {i}: feature index {d} out of range (feature_count {feature_count})"
-            )
-        b = _check_real(node["threshold"], f"node {i}: threshold")
-        lo = _check_int(node["left"], f"node {i}: left")
-        hi = _check_int(node["right"], f"node {i}: right")
-        return {"feature": d, "threshold": b, "left": lo, "right": hi}
-    unknown = keys - {"value"}
-    if unknown:
-        raise ParseError(f"node {i}: unknown field {sorted(unknown)[0]!r}")
-    if "value" not in keys:
-        raise ParseError(f"node {i}: leaf missing value")
-    return {"value": _check_real(node["value"], f"node {i}: value")}
-
-
 def _unique_keys(pairs) -> dict:
     obj = {}
     for key, value in pairs:
@@ -201,7 +155,8 @@ def _unique_keys(pairs) -> dict:
 
 def parse_ensemble_json(text: str) -> TreeEnsemble:
     """Parse the ensemble interchange format (strict: unknown fields and
-    repeated keys rejected)."""
+    repeated keys rejected).  ``Tree.from_nodes`` reads each tree's nodes,
+    and a defect in tree t fails naming it: ``tree {t}: ...``."""
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
@@ -213,9 +168,6 @@ def parse_ensemble_json(text: str) -> TreeEnsemble:
         raise ParseError(f"unknown top-level field {sorted(unknown)[0]!r}")
     if "feature_count" not in obj or "trees" not in obj:
         raise ParseError("top level needs 'feature_count' and 'trees'")
-    feature_count = _check_int(obj["feature_count"], "feature_count")
-    if feature_count < 1:
-        raise ParseError("feature_count must be >= 1")
     names = obj.get("feature_names")
     if names is not None:
         if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
@@ -226,24 +178,24 @@ def parse_ensemble_json(text: str) -> TreeEnsemble:
 
     trees, weights = [], []
     for ti, tree_obj in enumerate(obj["trees"]):
-        if not isinstance(tree_obj, dict):
-            raise ParseError(f"tree {ti}: expected an object")
-        unknown = set(tree_obj) - {"weight", "nodes"}
-        if unknown:
-            raise ParseError(f"tree {ti}: unknown field {sorted(unknown)[0]!r}")
-        if "weight" not in tree_obj or "nodes" not in tree_obj:
-            raise ParseError(f"tree {ti}: needs 'weight' and 'nodes'")
-        weights.append(_check_real(tree_obj["weight"], f"tree {ti}: weight"))
-        nodes = tree_obj["nodes"]
-        if not isinstance(nodes, list) or len(nodes) == 0:
-            raise ParseError(f"tree {ti}: 'nodes' must be a nonempty list")
-        parsed = [_parse_node(i, n, feature_count) for i, n in enumerate(nodes)]
         try:
-            trees.append(Tree.from_nodes(parsed))
+            if not isinstance(tree_obj, dict):
+                raise ValueError("expected an object")
+            unknown = set(tree_obj) - {"weight", "nodes"}
+            if unknown:
+                raise ValueError(f"unknown field {sorted(unknown)[0]!r}")
+            if "weight" not in tree_obj or "nodes" not in tree_obj:
+                raise ValueError("needs 'weight' and 'nodes'")
+            weights.append(check_real("weight", tree_obj["weight"]))
+            nodes = tree_obj["nodes"]
+            if not isinstance(nodes, list) or len(nodes) == 0:
+                raise ValueError("'nodes' must be a nonempty list")
+            trees.append(Tree.from_nodes(nodes))
         except ValueError as e:
             raise ParseError(f"tree {ti}: {e}") from e
     try:
-        return TreeEnsemble(tuple(trees), np.array(weights), feature_count, names)
+        check_count("feature_count", obj["feature_count"], 1)
+        return TreeEnsemble(tuple(trees), np.array(weights), obj["feature_count"], names)
     except ValueError as e:
         raise ParseError(str(e)) from e
 
@@ -251,21 +203,13 @@ def parse_ensemble_json(text: str) -> TreeEnsemble:
 def serialize_ensemble(ensemble: TreeEnsemble) -> str:
     """Inverse of ``parse_ensemble_json`` (structural round trip)."""
     trees = []
-    for w, t in zip(ensemble.weights, ensemble.trees):
-        nodes = []
-        for i in range(t.node_count):
-            if t.feature[i] >= 0:
-                nodes.append(
-                    {
-                        "feature": int(t.feature[i]),
-                        "threshold": float(t.threshold[i]),
-                        "left": int(t.left[i]),
-                        "right": int(t.right[i]),
-                    }
-                )
-            else:
-                nodes.append({"value": float(t.value[i])})
-        trees.append({"weight": float(w), "nodes": nodes})
+    for w, t in zip(ensemble.weights.tolist(), ensemble.trees):
+        columns = (t.feature, t.threshold, t.left, t.right, t.value)
+        nodes = [
+            {"feature": d, "threshold": b, "left": lo, "right": hi} if d >= 0 else {"value": v}
+            for d, b, lo, hi, v in zip(*(c.tolist() for c in columns))
+        ]
+        trees.append({"weight": w, "nodes": nodes})
     obj = {"feature_count": ensemble.feature_count, "trees": trees}
     if ensemble.feature_names is not None:
         obj["feature_names"] = list(ensemble.feature_names)

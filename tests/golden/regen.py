@@ -14,7 +14,11 @@ Each case is one ``rulemix`` command run in-process through ``rulemix.cli.run``.
   the stand-in's seed-0 ATM split (the 40 % cut ``energy_pipeline`` fits);
 - ``simplify_energy_seed0_r10.json``: ``simplify --restarts 10 --seed 0`` of
   that model on the seed-0 train split; its ``fit`` block holds every
-  restart's objective trace and gate steps.
+  restart's objective trace and gate steps;
+- ``evaluate_energy_seed0.json``: ``evaluate`` of that model on the seed-0
+  test split;
+- ``baseline_energy_seed0.json``: ``baseline --seed 0`` trained on the
+  seed-0 train split and scored on its test split.
 
 ``FULL_CASES`` run only under ``pytest -m golden_full``: ``reproduce energy``
 seeds 0-9 (seed 3 is in ``CASES``) and ``reproduce synthetic`` seeds 0-2.
@@ -50,25 +54,45 @@ def _reproduce(task: str, seed: int, *extra: str):
     return argv
 
 
+def _energy_split(tmp: Path, part: int) -> str:
+    """Write part ``part`` (0 ATM, 1 train, 2 test) of the stand-in's seed-0
+    split to a CSV under ``tmp`` and return its path."""
+    path = tmp / ("atm.csv", "train.csv", "test.csv")[part]
+    write_csv(split3(gen_energy_like(seed=0), (0.4, 0.3, 0.3), 0)[part], path, ENERGY_TARGET)
+    return str(path)
+
+
 def _atm_model(tmp: Path) -> list[str]:
-    atm, _, _ = split3(gen_energy_like(seed=0), (0.4, 0.3, 0.3), 0)
-    train = tmp / "atm.csv"
-    write_csv(atm, train, ENERGY_TARGET)
     return [
-        "train-atm", "--train", str(train), "--target", ENERGY_TARGET,
+        "train-atm", "--train", _energy_split(tmp, 0), "--target", ENERGY_TARGET,
         "--min-samples-leaf", "10", "--seed", "0",
     ]
 
 
-def _simplify(tmp: Path) -> list[str]:
+def _model_file(tmp: Path) -> str:
     model = tmp / "atm.json"
     _run(_atm_model(tmp) + ["--out", str(model)])
-    _, train, _ = split3(gen_energy_like(seed=0), (0.4, 0.3, 0.3), 0)
-    path = tmp / "train.csv"
-    write_csv(train, path, ENERGY_TARGET)
+    return str(model)
+
+
+def _simplify(tmp: Path) -> list[str]:
     return [
-        "simplify", "--model", str(model), "--train", str(path), "--target", ENERGY_TARGET,
-        "--restarts", "10", "--seed", "0",
+        "simplify", "--model", _model_file(tmp), "--train", _energy_split(tmp, 1),
+        "--target", ENERGY_TARGET, "--restarts", "10", "--seed", "0",
+    ]
+
+
+def _evaluate(tmp: Path) -> list[str]:
+    return [
+        "evaluate", "--model", _model_file(tmp), "--test", _energy_split(tmp, 2),
+        "--target", ENERGY_TARGET,
+    ]
+
+
+def _baseline(tmp: Path) -> list[str]:
+    return [
+        "baseline", "--train", _energy_split(tmp, 1), "--test", _energy_split(tmp, 2),
+        "--target", ENERGY_TARGET, "--seed", "0",
     ]
 
 
@@ -77,6 +101,8 @@ CASES = {
     "energy_seed3.json": _reproduce("energy", 3),
     "atm_seed0_leaf10.json": _atm_model,
     "simplify_energy_seed0_r10.json": _simplify,
+    "evaluate_energy_seed0.json": _evaluate,
+    "baseline_energy_seed0.json": _baseline,
 }
 
 FULL_CASES = {

@@ -48,6 +48,9 @@ def test_gen_xor_seeded_and_validated():
     assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
     with pytest.raises(ValueError):
         gen_xor(0)
+    for n in (2.5, True):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            gen_xor(n)
 
 
 def test_energy_stand_in_shape():

@@ -278,10 +278,16 @@ def test_tree_rejects_input_narrower_than_its_features():
 
 
 def test_tree_rejects_non_finite_leaf():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^node 0: non-finite leaf value$"):
         constant_tree(float("nan"))
 
 
 def test_ensemble_rejects_feature_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tree 0: node 0: feature index 3 out of range \(feature_count 2\)$"):
         TreeEnsemble((stump(3),), np.array([1.0]), 2)
+
+
+def test_from_nodes_takes_numpy_scalars():
+    tree = stump(np.int64(1), np.float64(0.25), np.float32(-1.0), np.int64(2))
+    assert tree.feature.tolist() == [1, -1, -1]
+    assert tree.predict_batch(np.array([[0.0, 0.2], [0.0, 0.3]])).tolist() == [-1.0, 2.0]

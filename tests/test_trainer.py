@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +300,62 @@ def test_feature_index_out_of_range_rejected():
     bad["trees"][0]["nodes"][0]["feature"] = 2
     with pytest.raises(ParseError, match="node 0: feature index 2 out of range"):
         parse_ensemble_json(json.dumps(bad))
+
+
+def _set(path, value):
+    """Set the field at ``path`` (keys from the tree list down) of a model."""
+
+    def change(model):
+        *head, last = path
+        target = model["trees"]
+        for key in head:
+            target = target[key]
+        target[last] = value
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_set((1, "nodes", 0, "threshold"), float("nan")), r"tree 1: node 0: non-finite threshold"),
+        (_set((1, "nodes", 0, "threshold"), float("inf")), r"tree 1: node 0: non-finite threshold"),
+        (_set((2, "nodes", 2, "value"), float("nan")), r"tree 2: node 2: non-finite leaf value"),
+        (_set((1, "weight"), float("inf")), r"tree 1: non-finite weight"),
+        (
+            _set((1, "nodes", 0, "feature"), 2),
+            r"tree 1: node 0: feature index 2 out of range \(feature_count 2\)",
+        ),
+        (_set((1, "nodes", 0, "feature"), -1), r"tree 1: node 0: feature index -1 out of range"),
+        (_set((1, "nodes", 0, "feature"), 2**70), rf"tree 1: node 0: feature index {2**70} out of range"),
+        (_set((1, "nodes", 0, "feature"), True), r"tree 1: node 0: feature must be an integer, got True"),
+        (_set((1, "nodes", 0, "left"), "1"), r"tree 1: node 0: left must be an integer, got '1'"),
+        (_set((2, "nodes", 0, "right"), 2.0), r"tree 2: node 0: right must be an integer, got 2.0"),
+        (_set((1, "nodes", 0, "threshold"), "0.5"), r"tree 1: node 0: threshold must be a number, got '0.5'"),
+        (_set((1, "nodes", 1, "value"), False), r"tree 1: node 1: value must be a number, got False"),
+        (_set((1, "nodes", 1), [0.0]), r"tree 1: node 1: expected an object"),
+        (lambda m: m["trees"][1]["nodes"][0].pop("left"), r"tree 1: node 0: internal node missing 'left'"),
+        (_set((2, "nodes", 2, "gain"), 0.3), r"tree 2: node 2: unknown field 'gain'"),
+    ],
+    ids=[
+        "nan-threshold", "inf-threshold", "nan-leaf", "inf-weight", "feature-count", "negative-feature",
+        "feature-beyond-int64", "bool-feature", "str-child", "float-child", "str-threshold", "bool-value",
+        "node-not-object", "missing-field", "unknown-field",
+    ],
+)
+def test_model_file_defect_names_tree_and_node(change, message):
+    bad = json.loads(TWO_STUMP_JSON)
+    bad["trees"].append(json.loads(json.dumps(bad["trees"][0])))  # a third tree
+    change(bad)
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_ensemble_json(json.dumps(bad))
+
+
+def test_committed_model_round_trips_to_its_bytes():
+    text = (Path(__file__).parent / "golden" / "atm_seed0_leaf10.json").read_text(encoding="utf-8")
+    ens = parse_ensemble_json(text)
+    assert ens.tree_count == 101
+    assert serialize_ensemble(ens) + "\n" == text
 
 
 def test_missing_child_rejected():
