@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,19 +76,39 @@ def count_regions_exact(ensemble: TreeEnsemble) -> int:
     return count_regions(ensemble, probes)
 
 
+def gate_design(S: np.ndarray) -> np.ndarray:
+    """Gate inputs: the bit rows with a constant 1 column appended.  The
+    (n, L+1) result is the transpose of a C-ordered (L+1, n) array for every
+    layout of ``S``, so the logits product ``weights @ design.T`` is a plain
+    one and every product that reads the design sums in one order."""
+    S = np.asarray(S, dtype=np.float64)
+    cols = np.empty((S.shape[1] + 1, len(S)))
+    cols[:-1] = S.T
+    cols[-1] = 1.0
+    return cols.T
+
+
 @dataclass(frozen=True)
 class BinaryDataset:
-    """Rows of (s, z): split-indicator bits and the ensemble's prediction."""
+    """Rows of (s, z): split-indicator bits and the ensemble's prediction.
+
+    The gate's (N, L+1) ``design``, ``gate_design`` of the bits, is built
+    once, here; ``bits`` is the view of its first L columns, so the dataset
+    holds no second N x L array."""
 
     bits: np.ndarray
     z: np.ndarray
     schema: SplitSchema
+    design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.bits) != len(self.z):
             raise ValueError("bits and z must have the same number of rows")
         if self.bits.shape[1] != len(self.schema):
             raise ValueError("bit width must match schema length")
+        design = gate_design(self.bits)
+        object.__setattr__(self, "design", design)
+        object.__setattr__(self, "bits", design[:, :-1])
 
     def __len__(self) -> int:
         return len(self.z)

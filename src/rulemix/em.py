@@ -15,14 +15,7 @@ import numpy as np
 
 from .binarizer import BinaryDataset
 from .data import check_count
-from .mixture import (
-    MixtureModel,
-    gate_design,
-    log_joint_matrix,
-    normalize_rows,
-    shifted_exp,
-    softmax_of,
-)
+from .mixture import MixtureModel, log_joint_matrix, normalize_rows, shifted_exp
 
 DEGENERATE_MASS_FACTOR = 1e-10
 MAX_RESEEDS_PER_RUN = 5
@@ -55,7 +48,9 @@ class EmConfig:
 
 def e_step(model: MixtureModel, data: BinaryDataset) -> tuple[np.ndarray, np.ndarray]:
     """Posterior responsibilities (row softmax of log gate + log density) and
-    each row's log-likelihood (their log-sum-exp), in one pass over the joint matrix."""
+    each row's log-likelihood (their log-sum-exp), in one pass over the joint
+    matrix.  The (N, K) responsibilities are the transpose of a C-ordered
+    (K, N) array, as ``normalize_rows`` returns them."""
     return normalize_rows(log_joint_matrix(model, data))
 
 
@@ -80,26 +75,29 @@ def m_step_closed_form(beta: np.ndarray, data: BinaryDataset):
 
 def gate_objective(
     weights: np.ndarray, moments: np.ndarray, design: np.ndarray, ridge: float
-) -> tuple[float | list[float], tuple[np.ndarray, np.ndarray]]:
+) -> tuple[float | list[float], np.ndarray]:
     """Ridge-penalized weighted log-likelihood of the gate at ``weights``,
-    and the ``(e, total)`` of its ``shifted_exp``, from which ``gate_gradient``
-    forms the softmax at the same point.
+    and the gate's softmax there, (K, N) with one row per component, from
+    which ``gate_gradient`` takes the gradient at the same point.
 
     ``weights`` and ``moments`` are (K, W), or stacks (R, K, W) of independent
-    problems on one ``design``; a stack gives a list of R values, each the
-    float its slice gives alone.  ``moments`` is ``beta.T @ design``.  As
-    every row of ``beta`` sums to 1, ``sum(beta * log_softmax(design @ weights.T))``
-    is ``sum(moments * weights)`` less the rows' log-sum-exps, so a trial
-    point costs one logits product and one ``shifted_exp``.
+    problems on one ``design``; a stack gives a list of R values and an
+    (R, K, N) softmax, each slice the floats it gives alone.  ``moments`` is
+    ``beta.T @ design``.  As every row of ``beta`` sums to 1,
+    ``sum(beta * log_softmax(design @ weights.T))`` is ``sum(moments * weights)``
+    less the rows' log-sum-exps, so a trial point costs one logits product
+    and one ``shifted_exp``, made in place on the logits.
     """
-    e, total, top = shifted_exp(np.matmul(weights, design.T))
+    probs = np.matmul(weights, design.T)
+    total, top = shifted_exp(probs)
+    probs /= total[..., None, :]
     lse = (np.log(total) + top).sum(axis=-1)
     value = (
         (moments * weights).sum(axis=(-2, -1))
         - lse
         - 0.5 * ridge * (weights * weights).sum(axis=(-2, -1))
     )
-    return value.tolist(), (e, total)
+    return value.tolist(), probs
 
 
 def gate_gradient(
@@ -107,11 +105,11 @@ def gate_gradient(
     moments: np.ndarray,
     design: np.ndarray,
     ridge: float,
-    shifted: tuple[np.ndarray, np.ndarray],
+    probs: np.ndarray,
 ) -> np.ndarray:
-    """Gradient of ``gate_objective`` at ``weights``, whose ``(e, total)`` is
-    ``shifted``; stacks as ``gate_objective`` does."""
-    return moments - np.matmul(softmax_of(*shifted).swapaxes(-1, -2), design) - ridge * weights
+    """Gradient of ``gate_objective`` at ``weights``, whose softmax is
+    ``probs``; stacks as ``gate_objective`` does."""
+    return moments - np.matmul(probs, design) - ridge * weights
 
 
 def m_step_gate(
@@ -127,11 +125,12 @@ def m_step_gate(
 
     Every row of ``beta`` must sum to 1 (within ``BETA_ROW_SUM_TOL``): the
     objective is scored from the moments ``beta.T @ design``, taken once per
-    call.  Each slice runs its own line search: only improving steps are
-    accepted, so its weights never score below its ``w_init`` on the
-    ridge-penalized objective; each search starts at the step the slice's
+    call, a plain product when ``beta`` is the transpose of a C-ordered
+    (R, K, N) array, as ``fit`` stacks it.  Each slice runs its own line
+    search: only improving steps are accepted, so its weights never score
+    below its ``w_init`` on the ridge-penalized objective; each search starts at the step the slice's
     last one accepted, doubled if that was its first trial; each gradient
-    forms its softmax from the objective call that accepted its point; and
+    reads the softmax of the objective call that accepted its point; and
     each slice has its own ``gate_max_iters`` budget.  A round scores one
     trial for every slice still searching in one ``gate_objective`` call and
     takes the gradients of the slices that accepted in one ``gate_gradient``
@@ -150,12 +149,12 @@ def m_step_gate(
     if off.size:
         r, row = off[0]
         raise ValueError(f"restart {ids[r]}: beta row {row} sums to {float(sums[r, row])!r}, not 1")
-    S1 = gate_design(data.bits)
+    S1 = data.design
     W = np.array(w_init, dtype=np.float64)
     if W.shape != (len(beta), beta.shape[2], S1.shape[1]):
         raise ValueError(f"gate weights must have shape ({len(beta)}, {beta.shape[2]}, {S1.shape[1]})")
     moments = np.matmul(beta.swapaxes(-1, -2), S1)
-    J, (e, total) = gate_objective(W, moments, S1, GATE_RIDGE)
+    J, probs = gate_objective(W, moments, S1, GATE_RIDGE)
     for r, value in enumerate(J):
         if not math.isfinite(value):
             raise RuntimeError(f"restart {ids[r]}: gate objective non-finite at the initial point")
@@ -170,13 +169,13 @@ def m_step_gate(
     W_live, G_live, moments_live = W, None, moments
     fresh, leaving = list(range(n_slices)), []  # stack positions at a new point; leaving the stack
     while True:
-        if fresh:  # gradients at the newly accepted points, from their (e, total)
+        if fresh:  # gradients at the newly accepted points, from their softmax
             if len(fresh) == len(live):
-                G_live = G_new = gate_gradient(W_live, moments_live, S1, GATE_RIDGE, (e, total))
+                G_live = G_new = gate_gradient(W_live, moments_live, S1, GATE_RIDGE, probs)
             else:
                 at = np.array(fresh)
-                W_at, moments_at, e_at, total_at = (a.take(at, axis=0) for a in (W_live, moments_live, e, total))
-                G_new = gate_gradient(W_at, moments_at, S1, GATE_RIDGE, (e_at, total_at))
+                W_at, moments_at, probs_at = (a.take(at, axis=0) for a in (W_live, moments_live, probs))
+                G_new = gate_gradient(W_at, moments_at, S1, GATE_RIDGE, probs_at)
                 G_live[at] = G_new
             for p, g in zip(fresh, (G_new * G_new).sum(axis=(-2, -1)).tolist()):
                 r = live[p]
@@ -197,7 +196,7 @@ def m_step_gate(
             live = [live[p] for p in keep]
             leaving = []
         W_try = W_live + np.array([t[r] for r in live])[:, None, None] * G_live
-        J_try, (e, total) = gate_objective(W_try, moments_live, S1, GATE_RIDGE)
+        J_try, probs = gate_objective(W_try, moments_live, S1, GATE_RIDGE)
         fresh, accepted = [], []
         for p, r in enumerate(live):
             if not math.isfinite(J_try[p]):
@@ -331,7 +330,9 @@ def fit(data: BinaryDataset, config: EmConfig):
     while waiting:
         live = sorted(waiting)
         betas, weights = zip(*(waiting.pop(r) for r in live))
-        stepped = m_step_gate(np.stack(betas), data, np.stack(weights), config, live)
+        # (R, K, N) rows, handed over as its (R, N, K) transpose
+        beta = np.stack([b.T for b in betas]).swapaxes(-1, -2)
+        stepped = m_step_gate(beta, data, np.stack(weights), config, live)
         for r, sent in zip(live, zip(*stepped)):
             advance(r, sent)
     models, traces = zip(*results)

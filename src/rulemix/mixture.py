@@ -8,48 +8,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binarizer import BinaryDataset, SplitSchema
+from .binarizer import BinaryDataset, SplitSchema, gate_design
 
 # Bernoulli parameters are clamped only when densities are evaluated, so the
 # stored values (and the M-step closed forms) stay exact.
 BERNOULLI_EPS = 1e-6
 
 
-def gate_design(S: np.ndarray) -> np.ndarray:
-    """Gate inputs: the bit rows with a constant 1 column appended."""
-    return np.concatenate([S, np.ones((len(S), 1))], axis=1)
-
-
-def shifted_exp(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The column-wise shift-and-exp of a (..., K, n) array, one column per row
-    of logits: ``e``, the exp of each column less its maximum, its column sums
-    ``total`` (..., n) and the maxima ``top`` (..., n).  Every ``exp`` lies in
-    [0, 1], each column holds an exact 1 and no sum falls below 1; the
-    log-sum-exp is ``log(total) + top`` and the softmax ``softmax_of(e, total)``.
-    Leading axes stack independent problems, each getting the floats it would
-    get alone."""
+def shifted_exp(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite a (..., K, n) array, one column per row of logits, with the
+    exp of each column less its maximum; return its column sums ``total``
+    (..., n) and the maxima ``top`` (..., n).  Every ``exp`` lies in [0, 1],
+    each column holds an exact 1 and no sum falls below 1; the log-sum-exp
+    is ``log(total) + top`` and the softmax ``cols / total``.  Leading axes
+    stack independent problems, each getting the floats it would get alone."""
     top = cols.max(axis=-2)
-    e = np.exp(cols - top[..., None, :])
-    return e, e.sum(axis=-2), top
-
-
-def softmax_of(e: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """The (..., n, K) row softmax from ``shifted_exp``'s ``e`` and ``total``.
-    Each (n, K) slice comes back C-contiguous for any input layout, so the
-    matrix products that read it sum in the same order."""
-    return np.ascontiguousarray((e / total[..., None, :]).swapaxes(-1, -2))
+    cols -= top[..., None, :]
+    np.exp(cols, out=cols)
+    return cols.sum(axis=-2), top
 
 
 def normalize_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise softmax (n, K) and log-sum-exp (n,) of an (n, K) array, both
-    from one ``shifted_exp``."""
-    e, total, top = shifted_exp(np.ascontiguousarray(logits.T))
-    return softmax_of(e, total), np.log(total) + top
+    from one ``shifted_exp``.  The softmax is the transpose of a C-ordered
+    (K, n) array, one row per component, for every input layout, so the
+    products that read it sum in one order."""
+    probs = np.array(logits.T, dtype=np.float64, order="C")
+    total, top = shifted_exp(probs)
+    probs /= total
+    return probs.T, np.log(total) + top
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log of the softmax of an (n, K) array."""
-    _, total, top = shifted_exp(np.ascontiguousarray(logits.T))
+    total, top = shifted_exp(np.array(logits.T, dtype=np.float64, order="C"))
     return logits - (np.log(total) + top)[:, None]
 
 
@@ -95,19 +87,17 @@ class MixtureModel:
     def n_components(self) -> int:
         return len(self.mu)
 
-    def _gate_logits(self, S: np.ndarray) -> np.ndarray:
-        return gate_design(np.asarray(S, dtype=np.float64)) @ self.gate_weights.T
-
     def gate_batch(self, S: np.ndarray) -> np.ndarray:
         """(n, K) softmax component weights of the bit rows ``S``; each row
         is positive and sums to 1."""
-        return normalize_rows(self._gate_logits(S))[0]
+        return normalize_rows(gate_design(S) @ self.gate_weights.T)[0]
 
     def log_density_matrix(self, S: np.ndarray, z: np.ndarray) -> np.ndarray:
         """(n, K) matrix of log p(s | eta_k) + log N(z; mu_k, 1/lam_k) over
         the (s, z) rows, always finite."""
         eta = np.clip(self.eta, BERNOULLI_EPS, 1.0 - BERNOULLI_EPS)
-        bern = S @ np.log(eta).T + (1.0 - S) @ np.log1p(-eta).T
+        log_off = np.log1p(-eta)
+        bern = S @ (np.log(eta) - log_off).T + log_off.sum(axis=1)
         resid = z[:, None] - self.mu[None, :]
         gauss = 0.5 * np.log(self.lam / (2.0 * np.pi))[None, :] - 0.5 * self.lam[None, :] * resid**2
         return bern + gauss
@@ -130,7 +120,7 @@ def _check_schema(model: MixtureModel, data: BinaryDataset) -> None:
 def log_joint_matrix(model: MixtureModel, data: BinaryDataset) -> np.ndarray:
     """(N, K) matrix of log gate_k(s_n) + log density_k(s_n, z_n)."""
     _check_schema(model, data)
-    return log_softmax(model._gate_logits(data.bits)) + model.log_density_matrix(data.bits, data.z)
+    return log_softmax(data.design @ model.gate_weights.T) + model.log_density_matrix(data.bits, data.z)
 
 
 def joint_log_likelihood(model: MixtureModel, data: BinaryDataset) -> float:

@@ -200,17 +200,37 @@ def parse_ensemble_json(text: str) -> TreeEnsemble:
         raise ParseError(str(e)) from e
 
 
+def _json_list(items: list[str], indent: str) -> str:
+    """A list as ``json.dumps(..., indent=2)`` lays it out at ``indent``,
+    from its items already written at ``indent`` plus two spaces."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
 def serialize_ensemble(ensemble: TreeEnsemble) -> str:
-    """Inverse of ``parse_ensemble_json`` (structural round trip)."""
+    """Inverse of ``parse_ensemble_json`` (structural round trip).
+
+    Writes the bytes of ``json.dumps(obj, indent=2)`` of the model object
+    directly: with ``indent`` set, ``json`` runs its pure-Python encoder.
+    Every number is a Python int or a finite float, whose ``repr`` is its
+    JSON text; each feature name goes through ``json.dumps``."""
     trees = []
     for w, t in zip(ensemble.weights.tolist(), ensemble.trees):
         columns = (t.feature, t.threshold, t.left, t.right, t.value)
         nodes = [
-            {"feature": d, "threshold": b, "left": lo, "right": hi} if d >= 0 else {"value": v}
+            f'        {{\n          "feature": {d!r},\n          "threshold": {b!r},\n'
+            f'          "left": {lo!r},\n          "right": {hi!r}\n        }}'
+            if d >= 0
+            else f'        {{\n          "value": {v!r}\n        }}'
             for d, b, lo, hi, v in zip(*(c.tolist() for c in columns))
         ]
-        trees.append({"weight": w, "nodes": nodes})
-    obj = {"feature_count": ensemble.feature_count, "trees": trees}
+        trees.append(f'    {{\n      "weight": {w!r},\n      "nodes": {_json_list(nodes, "      ")}\n    }}')
+    fields = [
+        f'  "feature_count": {json.dumps(ensemble.feature_count)}',
+        f'  "trees": {_json_list(trees, "  ")}',
+    ]
     if ensemble.feature_names is not None:
-        obj["feature_names"] = list(ensemble.feature_names)
-    return json.dumps(obj, indent=2)
+        names = [f"    {json.dumps(name)}" for name in ensemble.feature_names]
+        fields.append(f'  "feature_names": {_json_list(names, "  ")}')
+    return "{\n" + ",\n".join(fields) + "\n}"

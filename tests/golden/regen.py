@@ -4,6 +4,13 @@ Run from the repository root with the package importable, for example::
 
     PYTHONPATH=src python tests/golden/regen.py
 
+``--out DIR`` writes the files to ``DIR`` instead of this directory, so a
+change that moves the fits can be certified against the committed set before
+it is overwritten::
+
+    PYTHONPATH=src python tests/golden/regen.py --out build/golden
+    PYTHONPATH=src python tests/golden/compare.py tests/golden build/golden
+
 Each case is one ``rulemix`` command run in-process through ``rulemix.cli.run``.
 ``CASES`` run in the default test suite:
 
@@ -29,6 +36,7 @@ CHANGES.md; a change that keeps the fits byte-identical leaves them alone.
 
 from __future__ import annotations
 
+import argparse
 import re
 import sys
 import tempfile
@@ -125,10 +133,14 @@ def produce(name: str) -> str:
         return out.read_text(encoding="utf-8")
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Write the golden rulemix outputs.")
+    parser.add_argument("--out", type=Path, default=GOLDEN_DIR, help="directory to write (default: tests/golden)")
+    out = parser.parse_args(argv).out
+    out.mkdir(parents=True, exist_ok=True)
     for name in {**CASES, **FULL_CASES}:
-        (GOLDEN_DIR / name).write_text(produce(name), encoding="utf-8")
-        print(f"wrote {GOLDEN_DIR / name}")
+        (out / name).write_text(produce(name), encoding="utf-8")
+        print(f"wrote {out / name}")
     return 0
 
 

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import stump, two_stump_ensemble
-from rulemix.binarizer import SplitSchema, build_dataset, count_patterns, extract_splits
+from conftest import schema_of_length, stump, two_stump_ensemble
+from rulemix.binarizer import BinaryDataset, SplitSchema, build_dataset, count_patterns, extract_splits
 from rulemix.data import gen_xor
 from rulemix.ensemble import TreeEnsemble
 from rulemix.trainer import GbtConfig, fit_gbt, parse_ensemble_json, serialize_ensemble
@@ -136,3 +136,18 @@ def test_schema_stable_under_round_trip():
 def test_schema_rejects_unsorted_rules():
     with pytest.raises(ValueError):
         SplitSchema(np.array([1, 0]), np.array([0.5, 0.5]))
+
+
+@settings(deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 20), st.integers(0, 6)), elements=st.sampled_from([0.0, 1.0])))
+def test_dataset_holds_one_design_for_every_bits_layout(bits):
+    # the gate's products read the design, so its bytes and its layout (the
+    # transpose of a C-ordered (L+1, N) array) must not follow the caller's
+    want = np.concatenate([bits, np.ones((len(bits), 1))], axis=1)
+    schema = schema_of_length(bits.shape[1])
+    for view in (bits, np.asfortranarray(bits), bits.astype(np.int8)):
+        ds = BinaryDataset(view, np.zeros(len(bits)), schema)
+        assert ds.design.T.flags.c_contiguous
+        assert ds.design.tobytes() == want.tobytes()
+        # the bits are the design's first columns, not a second array
+        assert ds.bits.base is ds.design.base and np.array_equal(ds.bits, bits)

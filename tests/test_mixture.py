@@ -22,7 +22,6 @@ from rulemix.mixture import (
     render_rules_text,
     rule_text,
     rules_to_json_dict,
-    softmax_of,
 )
 
 # Logits up to +-1000: a plain exp overflows above ~709.8 and underflows to 0
@@ -327,14 +326,15 @@ def test_softmax_rows_sum_to_one(a):
 @settings(deadline=None)
 @given(logit_matrices)
 def test_normalize_rows_ignores_memory_layout(a):
-    # An F-ordered softmax would change later BLAS sums by an ulp or two, so
-    # the result must be C-ordered and the same bits for every input layout.
+    # Another softmax layout would change later BLAS sums by an ulp or two, so
+    # the result must be component-major, the transpose of a C-ordered (K, n)
+    # array, and the same bits for every input layout.
     padded = np.zeros((len(a), 2 * a.shape[1]))
     padded[:, ::2] = a
     want_p, want_lse = normalize_rows(a)
     for view in (a, np.asfortranarray(a), padded[:, ::2], np.ascontiguousarray(a[::-1])[::-1]):
         p, lse = normalize_rows(view)
-        assert p.flags.c_contiguous
+        assert p.T.flags.c_contiguous
         assert p.tobytes() == want_p.tobytes()
         assert lse.tobytes() == want_lse.tobytes()
 
@@ -357,14 +357,14 @@ def test_gate_objective_matches_scipy_reference(n, k, l, ridge, scale, seed):
     expected = (beta * (logits - scipy_logsumexp(logits, axis=1, keepdims=True))).sum() - (
         0.5 * ridge * (weights**2).sum()
     )
-    got, shifted = gate_objective(weights, beta.T @ design, design, ridge)
+    got, probs = gate_objective(weights, beta.T @ design, design, ridge)
     # the moments form sums terms as large as |W| times the design: allow their rounding
     moments_atol = 1e-14 * (design @ np.abs(weights).T).sum()
     assert got == pytest.approx(expected, rel=1e-12, abs=n * LSE_ATOL + moments_atol)
-    # the softmax the next gradient reads: C-ordered, so its products sum in one order
-    probs = softmax_of(*shifted)
-    assert probs.flags.c_contiguous
-    np.testing.assert_allclose(probs, scipy_softmax(logits, axis=1), rtol=1e-12, atol=1e-15)
+    # the softmax the next gradient reads: a C-ordered (K, n) array, so its
+    # product with the design is a plain one and sums in one order
+    assert probs.shape == (k, n) and probs.flags.c_contiguous
+    np.testing.assert_allclose(probs.T, scipy_softmax(logits, axis=1), rtol=1e-12, atol=1e-15)
 
 
 def test_gate_design_appends_intercept_column():

@@ -15,7 +15,7 @@ from oracles import (
     per_node_sort_grow_tree,
 )
 from rulemix.data import LabeledDataset, gen_energy_like, gen_xor, split3
-from rulemix.ensemble import TreeEnsemble
+from rulemix.ensemble import Tree, TreeEnsemble
 from rulemix.trainer import (
     GbtConfig,
     ParseError,
@@ -356,6 +356,77 @@ def test_committed_model_round_trips_to_its_bytes():
     ens = parse_ensemble_json(text)
     assert ens.tree_count == 101
     assert serialize_ensemble(ens) + "\n" == text
+
+
+def json_dumps_model(ensemble):
+    """The model writer as it was: the model object through ``json.dumps``
+    with ``indent=2``.  ``serialize_ensemble`` must write its very bytes."""
+    trees = []
+    for w, t in zip(ensemble.weights.tolist(), ensemble.trees):
+        columns = (t.feature, t.threshold, t.left, t.right, t.value)
+        nodes = [
+            {"feature": d, "threshold": b, "left": lo, "right": hi} if d >= 0 else {"value": v}
+            for d, b, lo, hi, v in zip(*(c.tolist() for c in columns))
+        ]
+        trees.append({"weight": w, "nodes": nodes})
+    obj = {"feature_count": ensemble.feature_count, "trees": trees}
+    if ensemble.feature_names is not None:
+        obj["feature_names"] = list(ensemble.feature_names)
+    return json.dumps(obj, indent=2)
+
+
+# the signed zero, the smallest subnormal and near-overflow magnitudes, whose
+# reprs are the ones most likely to differ from a JSON encoder's
+model_floats = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def model_ensembles(draw):
+    """Random ensembles of random-shaped trees, with or without names."""
+    feature_count = draw(st.integers(1, 4))
+
+    def grow(nodes, depth):
+        at = len(nodes)
+        if depth == 0 or draw(st.booleans()):
+            nodes.append({"value": draw(model_floats)})
+            return
+        nodes.append(None)
+        split = {"feature": draw(st.integers(0, feature_count - 1)), "threshold": draw(model_floats)}
+        split["left"] = len(nodes)
+        grow(nodes, depth - 1)
+        split["right"] = len(nodes)
+        grow(nodes, depth - 1)
+        nodes[at] = split
+
+    trees = []
+    for _ in range(draw(st.integers(1, 4))):
+        nodes = []
+        grow(nodes, draw(st.integers(0, 3)))
+        trees.append(Tree.from_nodes(nodes))
+    weights = draw(st.lists(model_floats, min_size=len(trees), max_size=len(trees)))
+    names = draw(st.none() | st.lists(st.text(), min_size=feature_count, max_size=feature_count, unique=True))
+    return TreeEnsemble(tuple(trees), np.array(weights), feature_count, names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_ensembles())
+@example(
+    TreeEnsemble(
+        (
+            Tree.from_nodes(
+                [{"feature": 1, "threshold": -0.0, "left": 1, "right": 2}, {"value": 5e-324}, {"value": 1e308}]
+            ),
+            Tree.from_nodes([{"value": -1e308}]),
+        ),
+        np.array([-0.0, 5e-324]),
+        3,
+        ('say "hi"', "back\\slash\\", "Temp\u00e9rature \u80fd\u6e90 \U0001f600\n\t\x00"),
+    )
+)
+def test_model_writer_writes_json_dumps_bytes(ensemble):
+    assert serialize_ensemble(ensemble) == json_dumps_model(ensemble)
 
 
 def test_missing_child_rejected():
