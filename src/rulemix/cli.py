@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -239,6 +240,8 @@ def cmd_reproduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; ``args.command`` names the subcommand, which
+    ``run`` dispatches to ``cmd_<command>`` (dashes as underscores)."""
     parser = argparse.ArgumentParser(
         prog="rulemix",
         description="Approximate a boosted tree ensemble by a few readable interval rules.",
@@ -250,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-sd", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train-atm", help="fit a boosted tree ensemble on a CSV")
     p.add_argument("--train", required=True)
@@ -261,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-samples-leaf", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_train_atm)
 
     p = sub.add_parser("simplify", help="fit the mixture surrogate and extract rules")
     p.add_argument("--model", required=True)
@@ -272,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simplify)
 
     p = sub.add_parser("baseline", help="cross-validated CART regression tree")
     p.add_argument("--train", required=True)
@@ -284,14 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-samples-leaf", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("evaluate", help="test error of a stored ensemble")
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--target", default="y")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("reproduce", help="run a full pipeline with stock settings")
     p.add_argument("task", choices=("synthetic", "energy"))
@@ -301,18 +299,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_reproduce)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first ``run``; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    # Looked up on each call, so a wrapper later set on rulemix.cli.cmd_*
+    # (a tracer's, a test's monkeypatch) is what runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except Exception as e:  # surfaced as a one-line diagnostic, exit 1
         print(f"error: {e}", file=sys.stderr)
         return 1

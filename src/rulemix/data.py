@@ -103,6 +103,12 @@ _ENERGY_SHAPES = (
     (0.64, 784.0, 343.0, 220.50, 3.5),
     (0.62, 808.5, 367.5, 220.50, 3.5),
 )
+_ENERGY_ORIENTATIONS = (2.0, 3.0, 4.0, 5.0)
+# (glazing area, glazing area distribution): no glazing, or one of three
+# areas spread in one of five ways
+_ENERGY_GLAZING = ((0.0, 0.0),) + tuple(
+    (area, dist) for area in (0.1, 0.25, 0.4) for dist in (1.0, 2.0, 3.0, 4.0, 5.0)
+)
 
 
 def gen_energy_like(seed: int = 0, noise_sd: float = 1.0) -> LabeledDataset:
@@ -116,14 +122,19 @@ def gen_energy_like(seed: int = 0, noise_sd: float = 1.0) -> LabeledDataset:
     """
     check_noise_sd(noise_sd)
     rng = np.random.default_rng(seed)
-    rows = []
-    for shape in _ENERGY_SHAPES:
-        for orientation in (2, 3, 4, 5):
-            for area in (0.0, 0.1, 0.25, 0.4):
-                dists = (0,) if area == 0.0 else (1, 2, 3, 4, 5)
-                for dist in dists:
-                    rows.append(shape + (orientation, area, dist))
-    xs = np.array(rows)
+    # every geometry with every (orientation, glazing area, distribution)
+    options = np.column_stack(
+        [
+            np.repeat(_ENERGY_ORIENTATIONS, len(_ENERGY_GLAZING)),
+            np.tile(_ENERGY_GLAZING, (len(_ENERGY_ORIENTATIONS), 1)),
+        ]
+    )
+    xs = np.column_stack(
+        [
+            np.repeat(_ENERGY_SHAPES, len(options), axis=0),
+            np.tile(options, (len(_ENERGY_SHAPES), 1)),
+        ]
+    )
     rc, wall, height, area = xs[:, 0], xs[:, 2], xs[:, 4], xs[:, 6]
     load = (
         6.0
@@ -155,40 +166,57 @@ def load_csv(path, target_column: str) -> LabeledDataset:
         feature_names = [h for i, h in enumerate(header) if i != target_idx]
         if not feature_names:
             raise ValueError(f"{path}: no feature column besides the target {target_column!r}")
-        xs, ys = [], []
+        rows = []
         for row_number, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
-                )
-            values = []
-            for col, cell in zip(header, row):
-                try:
-                    value = float(cell)
-                except ValueError:
+            try:
+                values = list(map(float, row))
+            except ValueError:
+                values = None
+            if values is None or len(values) != len(header) or not all(map(math.isfinite, values)):
+                # a defect: find it, cell by cell
+                if len(row) != len(header):
                     raise ValueError(
-                        f"{path}: row {row_number}, column {col!r}: "
-                        f"non-numeric cell {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}: row {row_number}, column {col!r}: "
-                        f"non-finite cell {cell!r}"
+                        f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
                     )
-                values.append(value)
-            ys.append(values.pop(target_idx))
-            xs.append(values)
-    if not xs:
+                for col, cell in zip(header, row):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: row {row_number}, column {col!r}: "
+                            f"non-numeric cell {cell!r}"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise ValueError(
+                            f"{path}: row {row_number}, column {col!r}: "
+                            f"non-finite cell {cell!r}"
+                        )
+            rows.append(values)
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    return LabeledDataset(np.array(xs), np.array(ys), tuple(feature_names))
+    table = np.array(rows)
+    ys = np.ascontiguousarray(table[:, target_idx])
+    return LabeledDataset(np.delete(table, target_idx, axis=1), ys, tuple(feature_names))
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV cell: quoted, its quotes doubled, when it holds a
+    comma, a quote or a line break, else as it is.  (The ``csv`` writer with a
+    ``"\\n"`` terminator leaves a ``"\\r"`` unquoted, which ends the row.)"""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(data: LabeledDataset, path, target_column: str = "y") -> None:
+    """Write ``data`` as a CSV ``load_csv`` reads back to the same floats:
+    a header row of the feature names and ``target_column``, then each row's
+    features and target, every number as its ``repr``."""
     names = data.feature_names or tuple(f"x_{i + 1}" for i in range(data.dimension))
+    table = np.column_stack([data.xs, data.ys]).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(list(names) + [target_column]) + "\n")
-        for x, y in zip(data.xs, data.ys):
-            fh.write(",".join(repr(float(v)) for v in x) + f",{float(y)!r}\n")
+        fh.write(",".join(map(_csv_cell, [*names, target_column])) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in table)
 
 
 def split3(data: LabeledDataset, fractions, seed: int = 0):

@@ -17,6 +17,10 @@ BLOCK_PAIRS = 1 << 13
 
 _ROOT = np.zeros(1, dtype=np.int64)
 
+# the fields of a leaf and of an internal node in the interchange format
+_LEAF_FIELDS = frozenset({"value"})
+_SPLIT_FIELDS = frozenset({"feature", "threshold", "left", "right"})
+
 
 def _walk(nodes, X, roots, depth=None) -> np.ndarray:
     """The (len(X), len(roots)) nodes where each row of the float64 matrix
@@ -110,29 +114,39 @@ class Tree:
         n = len(nodes)
         feature, left, right = [LEAF] * n, [LEAF] * n, [LEAF] * n
         threshold, value = [np.nan] * n, [np.nan] * n
-        split = {"feature", "threshold", "left", "right"}
+        # Each field's usual type (what json.loads gives) is tested inline;
+        # check_int/check_real, and the f-string naming the field, run only
+        # for a value of another type.
         for i, node in enumerate(nodes):
             if not isinstance(node, dict):
                 raise ValueError(f"node {i}: expected an object")
-            if node.keys() == {"value"}:
-                value[i] = check_real(f"node {i}: value", node["value"])
-            elif node.keys() == split:
-                d = check_int(f"node {i}: feature", node["feature"])
+            if node.keys() == _LEAF_FIELDS:
+                v = node["value"]
+                value[i] = v if type(v) is float else check_real(f"node {i}: value", v)
+            elif node.keys() == _SPLIT_FIELDS:
+                d, b, lo, hi = node["feature"], node["threshold"], node["left"], node["right"]
+                if type(d) is not int:
+                    check_int(f"node {i}: feature", d)
                 # an index past int64 is out of range for any feature_count
                 if not 0 <= d < 2**63:
                     raise ValueError(f"node {i}: feature index {d} out of range")
                 feature[i] = d
-                threshold[i] = check_real(f"node {i}: threshold", node["threshold"])
+                threshold[i] = b if type(b) is float else check_real(f"node {i}: threshold", b)
+                if type(lo) is not int:
+                    check_int(f"node {i}: left", lo)
+                if type(hi) is not int:
+                    check_int(f"node {i}: right", hi)
                 # clamped: an index outside [0, n) stays outside it and fits int64
-                left[i] = min(max(check_int(f"node {i}: left", node["left"]), LEAF), n)
-                right[i] = min(max(check_int(f"node {i}: right", node["right"]), LEAF), n)
+                left[i] = min(max(lo, LEAF), n)
+                right[i] = min(max(hi, LEAF), n)
             else:
-                shape = split if node.keys() & split else {"value"}
+                shape = _SPLIT_FIELDS if node.keys() & _SPLIT_FIELDS else _LEAF_FIELDS
                 unknown = node.keys() - shape
                 if unknown:
                     raise ValueError(f"node {i}: unknown field {min(unknown)!r}")
-                if shape == split:
-                    raise ValueError(f"node {i}: internal node missing {min(split - node.keys())!r}")
+                if shape == _SPLIT_FIELDS:
+                    missing = _SPLIT_FIELDS - node.keys()
+                    raise ValueError(f"node {i}: internal node missing {min(missing)!r}")
                 raise ValueError(f"node {i}: leaf missing value")
         feature, left, right = (np.array(a, dtype=np.int64) for a in (feature, left, right))
         threshold, value = (np.array(a, dtype=np.float64) for a in (threshold, value))

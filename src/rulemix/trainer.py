@@ -145,11 +145,13 @@ def fit_gbt(data: LabeledDataset, config: GbtConfig) -> TreeEnsemble:
 
 
 def _unique_keys(pairs) -> dict:
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ParseError(f"repeated key {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # a key repeats: name the first repeat
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"repeated key {key!r}")
+            seen.add(key)
     return obj
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import shlex
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import constant_tree, src_env, stump
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rulemix
 import rulemix.baseline
@@ -357,3 +361,117 @@ def test_model_read_errors_name_the_file(tmp_path, capsys, xor_csv, command):
     for path, message in cases:
         assert run([command, "--model", str(path), csv_flag, str(xor_csv)]) == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+# A small valid model over gen_xor's columns and a CSV it reads: a case below
+# breaks exactly one of them in one place.
+READER_MODEL = json.loads(
+    serialize_ensemble(
+        TreeEnsemble(
+            (stump(0), stump(1, 0.25, -1.0, 2.0), constant_tree(0.5)),
+            np.array([1.0, 0.1, 0.1]),
+            2,
+            ("x_1", "x_2"),
+        )
+    )
+)
+READER_CSV_ROWS = 12
+
+# values no field of its kind accepts: 2**70 is past any index, and a float
+# is no index, but both are numbers
+NOT_AN_INDEX = (True, False, "1", [0], None, 2**70, 1.0)
+NOT_A_NUMBER = (True, False, "0.5", [0.5], None)
+
+
+@st.composite
+def model_defects(draw):
+    """(model object, tree, node) with one field of that node broken."""
+    model = json.loads(json.dumps(READER_MODEL))
+    t = draw(st.integers(0, len(model["trees"]) - 1))
+    nodes = model["trees"][t]["nodes"]
+    i = draw(st.integers(0, len(nodes) - 1))
+    node = nodes[i]
+    key = draw(st.sampled_from(sorted(node)))
+    how = draw(st.sampled_from(["value", "missing", "extra"]))
+    if how == "missing":
+        del node[key]
+    elif how == "extra":
+        node[draw(st.text().filter(lambda k: k not in node))] = 0.0
+    else:
+        bad = NOT_A_NUMBER if key in ("threshold", "value") else NOT_AN_INDEX
+        node[key] = draw(st.sampled_from(bad))
+    return model, t, i
+
+
+# a data row's defect: one cell replaced by one of these, or one cell too many
+# or too few
+NON_NUMERIC_CELLS = ("abc", "", "1.0.0")
+NON_FINITE_CELLS = ("inf", "-inf", "nan", "1e400")
+csv_defects = st.tuples(
+    st.integers(1, READER_CSV_ROWS),
+    st.integers(0, 2),
+    st.sampled_from(NON_NUMERIC_CELLS + NON_FINITE_CELLS + ("extra cell", "missing cell")),
+)
+
+
+@pytest.fixture(scope="module")
+def reader_files(tmp_path_factory):
+    """A directory holding the valid model and CSV; the cases write their
+    broken copies next to them."""
+    folder = tmp_path_factory.mktemp("readers")
+    (folder / "model.json").write_text(json.dumps(READER_MODEL))
+    write_csv(gen_xor(READER_CSV_ROWS, seed=1), folder / "data.csv", "y")
+    return folder
+
+
+def run_quietly(argv):
+    """(exit code, stderr) of ``run(argv)``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+def reader_argv(command, model, data):
+    csv_flag = "--train" if command == "simplify" else "--test"
+    argv = [command, "--model", str(model), csv_flag, str(data)]
+    return argv + (["--k", "2", "--restarts", "1"] if command == "simplify" else [])
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simplify"])
+@settings(max_examples=80, deadline=None)
+@given(case=model_defects())
+def test_model_defect_is_one_error_line_naming_tree_and_node(reader_files, command, case):
+    model, t, i = case
+    path = reader_files / "broken.json"
+    path.write_text(json.dumps(model))
+    code, err = run_quietly(reader_argv(command, path, reader_files / "data.csv"))
+    assert code == 1
+    assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+    assert err.startswith(f"error: {path}: tree {t}: node {i}: ")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simplify"])
+@settings(max_examples=80, deadline=None)
+@given(case=csv_defects)
+def test_csv_defect_is_one_error_line_naming_row_and_column(reader_files, command, case):
+    r, c, defect = case
+    lines = (reader_files / "data.csv").read_text().splitlines()
+    header, cells = lines[0].split(","), lines[r].split(",")
+    if defect == "extra cell":
+        cells.append("0.5")
+    elif defect == "missing cell":
+        cells.pop()
+    else:
+        cells[c] = defect
+    if len(cells) != len(header):
+        message = f"row {r} has {len(cells)} cells, expected {len(header)}"
+    else:
+        kind = "non-numeric" if defect in NON_NUMERIC_CELLS else "non-finite"
+        message = f"row {r}, column {header[c]!r}: {kind} cell {defect!r}"
+    lines[r] = ",".join(cells)
+    path = reader_files / "broken.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, err = run_quietly(reader_argv(command, reader_files / "model.json", path))
+    assert code == 1
+    assert err == f"error: {path}: {message}\n"

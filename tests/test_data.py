@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rulemix.data import (
+    _ENERGY_SHAPES,
     ENERGY_FEATURES,
     ENERGY_TARGET,
     LabeledDataset,
@@ -62,6 +65,100 @@ def test_energy_stand_in_shape():
     tall = data.ys[rc >= 0.75]
     short = data.ys[rc < 0.75]
     assert tall.mean() > short.mean() + 10.0
+
+
+def gen_energy_like_by_loops(seed, noise_sd):
+    """The stand-in as first written: its feature grid built one row at a
+    time, geometry, orientation, glazing area, then distribution."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for shape in _ENERGY_SHAPES:
+        for orientation in (2, 3, 4, 5):
+            for area in (0.0, 0.1, 0.25, 0.4):
+                dists = (0,) if area == 0.0 else (1, 2, 3, 4, 5)
+                for dist in dists:
+                    rows.append(shape + (orientation, area, dist))
+    xs = np.array(rows)
+    rc, wall, height, area = xs[:, 0], xs[:, 2], xs[:, 4], xs[:, 6]
+    load = (
+        6.0
+        + 16.0 * (rc >= 0.75)
+        + 26.0 * (rc - 0.62)
+        + 14.0 * area
+        + 0.012 * (wall - 245.0)
+        + 0.2 * (height - 3.5)
+    )
+    return xs, load + rng.normal(0.0, noise_sd, size=len(xs))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+@pytest.mark.parametrize("noise_sd", [0.0, 1.0, 2.5])
+def test_energy_stand_in_equals_row_by_row_construction(seed, noise_sd):
+    data = gen_energy_like(seed, noise_sd)
+    xs, ys = gen_energy_like_by_loops(seed, noise_sd)
+    assert data.xs.dtype == xs.dtype and data.xs.shape == xs.shape
+    assert data.xs.tobytes() == xs.tobytes()
+    assert data.ys.tobytes() == ys.tobytes()
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "data.csv"
+
+
+# the signed zero, the smallest subnormal and near-overflow magnitudes, whose
+# reprs are the ones most likely not to read back
+csv_floats = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def named_datasets(draw, names=st.text()):
+    """(dataset, target column name): 1-4 features, 1-5 rows, distinct names."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    *features, target = draw(st.lists(names, min_size=d + 1, max_size=d + 1, unique=True))
+    table = np.array(draw(st.lists(csv_floats, min_size=n * (d + 1), max_size=n * (d + 1))))
+    table = table.reshape(n, d + 1)
+    return LabeledDataset(table[:, :d], table[:, d], tuple(features)), target
+
+
+@settings(max_examples=200, deadline=None)
+@given(named_datasets())
+@example((LabeledDataset([[1.5, -0.0]], [2.0], ("area, m2", 'say "hi"')), "y"))
+@example((LabeledDataset([[5e-324]], [1e308], ("line\r\nbreak",)), "cr\rtarget"))
+def test_write_csv_reads_back_to_the_same_dataset(csv_path, case):
+    data, target = case
+    write_csv(data, csv_path, target)
+    back = load_csv(csv_path, target)
+    assert back.feature_names == data.feature_names
+    assert back.xs.shape == data.xs.shape and back.xs.tobytes() == data.xs.tobytes()
+    assert back.ys.tobytes() == data.ys.tobytes()
+
+
+def write_csv_row_wise(data, path, target_column):
+    """The CSV writer as it was: bare comma-joined names, then one row at a
+    time.  ``write_csv`` must write its bytes for names it does not quote."""
+    names = data.feature_names or tuple(f"x_{i + 1}" for i in range(data.dimension))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(list(names) + [target_column]) + "\n")
+        for x, y in zip(data.xs, data.ys):
+            fh.write(",".join(repr(float(v)) for v in x) + f",{float(y)!r}\n")
+
+
+plain_names = st.text("abcxyzXYZ019 _.()-", min_size=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(named_datasets(plain_names), st.booleans())
+def test_write_csv_writes_row_wise_bytes_for_plain_names(csv_path, case, unnamed):
+    data, target = case
+    if unnamed:
+        data = LabeledDataset(data.xs, data.ys)
+    write_csv(data, csv_path, target)
+    written = csv_path.read_bytes()
+    write_csv_row_wise(data, csv_path, target)
+    assert written == csv_path.read_bytes()
 
 
 def test_load_csv_round_trip(tmp_path):

@@ -7,7 +7,8 @@ from pathlib import Path
 from conftest import src_env
 
 import rulemix
-from rulemix.cli import energy_pipeline
+import rulemix.cli
+from rulemix.cli import energy_pipeline, run
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -53,6 +54,52 @@ def test_pipeline_stages_hit_their_trace_points():
     ):
         assert spans[name] >= 1, name
     assert spans["baseline.cv_mse_by_depth"] == 1
+
+
+def cli_steps(folder):
+    """One argv per command the benchmark's CLI workloads run, on small data
+    kept in ``folder``."""
+    data, model = folder / "d.csv", folder / "m.json"
+    return [
+        ["synth", "--n", "120", "--seed", "1", "--out", str(data)],
+        ["train-atm", "--train", str(data), "--trees", "5", "--out", str(model)],
+        ["simplify", "--model", str(model), "--train", str(data), "--k", "2", "--restarts", "1",
+         "--out", str(folder / "s.json")],
+        ["evaluate", "--model", str(model), "--test", str(data), "--out", str(folder / "e.json")],
+        ["baseline", "--train", str(data), "--test", str(data), "--max-depth", "3",
+         "--out", str(folder / "b.json")],
+    ]
+
+
+def test_cli_commands_hit_their_trace_points(tmp_path, capsys):
+    # The parser is built by the first run() of the process, before the
+    # tracer wraps rulemix.cli.cmd_*; a parser that bound the command
+    # functions then would run the unwrapped ones and record no span.
+    steps = cli_steps(tmp_path)
+    assert run(steps[0]) == 0
+    with load_tracing().Tracer() as tracer:
+        for _ in range(2):
+            for argv in steps:
+                assert run(argv) == 0, argv
+    capsys.readouterr()
+    spans = Counter(span.name for span in tracer.spans if span.name.startswith("cli."))
+    commands = ("synth", "train_atm", "simplify", "evaluate", "baseline")
+    assert spans == {f"cli.cmd_{c}": 2 for c in commands}
+
+
+def test_run_dispatches_to_the_command_function_of_the_call(monkeypatch, tmp_path, capsys):
+    steps = cli_steps(tmp_path)
+    assert run(steps[0]) == 0 and run(steps[1]) == 0
+    calls = []
+
+    def patched(args):
+        calls.append(args)
+        return 7
+
+    monkeypatch.setattr(rulemix.cli, "cmd_evaluate", patched)
+    assert run(steps[3]) == 7
+    assert [(a.command, a.model) for a in calls] == [("evaluate", steps[3][2])]
+    capsys.readouterr()
 
 
 def test_cli_import_loads_no_scipy_or_test_modules():
