@@ -22,6 +22,7 @@ class CartConfig:
     def __post_init__(self):
         check_count("folds", self.folds, 2)
         check_count("min_samples_leaf", self.min_samples_leaf, 1)
+        check_count("seed", self.seed, 0)
         if len(self.depth_grid) == 0:
             raise ValueError("depth_grid must be nonempty")
         for depth in self.depth_grid:

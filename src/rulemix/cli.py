@@ -48,7 +48,7 @@ def _read_model(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_ensemble_json(fh.read())
-    except ParseError as e:
+    except (ParseError, UnicodeDecodeError) as e:
         raise ParseError(f"{path}: {e}") from e
 
 

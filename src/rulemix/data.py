@@ -18,10 +18,14 @@ def check_int(name: str, value):
 
 def check_real(name: str, value) -> float:
     """``value`` as a float if it is a number (a Python or numpy int or
-    float, not a bool); finiteness is left to the type that holds it."""
+    float, not a bool); finiteness is left to the type that holds it, so an
+    integer beyond float range becomes an infinity of its sign."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def check_count(name: str, value, minimum: int) -> None:
@@ -67,6 +71,7 @@ def gen_xor(n: int, noise_sd: float = 0.1, seed: int = 0) -> LabeledDataset:
     Gaussian noise."""
     check_count("n", n, 1)
     check_noise_sd(noise_sd)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     xs = rng.random((n, 2))
     signal = np.logical_xor(xs[:, 0] < 0.5, xs[:, 1] < 0.5).astype(np.float64)
@@ -121,6 +126,7 @@ def gen_energy_like(seed: int = 0, noise_sd: float = 1.0) -> LabeledDataset:
     same rule structure without shipping the original simulation outputs.
     """
     check_noise_sd(noise_sd)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     # every geometry with every (orientation, glazing area, distribution)
     options = np.column_stack(
@@ -148,11 +154,26 @@ def gen_energy_like(seed: int = 0, noise_sd: float = 1.0) -> LabeledDataset:
     return LabeledDataset(xs, ys, ENERGY_FEATURES)
 
 
+def _csv_rows(path, fh):
+    """The rows of the open CSV file ``fh``, header first.  A byte that is not
+    UTF-8, or a cell longer than ``csv.field_size_limit()``, raises
+    ``ValueError`` naming ``path`` and, for the cell, its row."""
+    read = 0
+    try:
+        for row in csv.reader(fh):
+            yield row
+            read += 1
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
+    except csv.Error as e:
+        raise ValueError(f"{path}: {f'row {read}' if read else 'header'}: {e}") from None
+
+
 def load_csv(path, target_column: str) -> LabeledDataset:
     """Read a comma-separated file with a header row; every non-target column
     becomes a numeric feature (header order preserved)."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -226,6 +247,7 @@ def split3(data: LabeledDataset, fractions, seed: int = 0):
         raise ValueError("fractions must sum to 1")
     if min(f1, f2, f3) <= 0.0:
         raise ValueError("all three fractions must be positive")
+    check_count("seed", seed, 0)
     n = len(data)
     perm = np.random.default_rng(seed).permutation(n)
     a = int(np.floor(f1 * n))

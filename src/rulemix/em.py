@@ -42,6 +42,7 @@ class EmConfig:
     def __post_init__(self):
         for name in ("n_components", "max_iters", "restarts", "gate_max_iters"):
             check_count(name, getattr(self, name), 1)
+        check_count("seed", self.seed, 0)
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
 
@@ -269,75 +270,59 @@ def reseed_components(beta: np.ndarray, bad, scores: np.ndarray) -> int:
     return len(bad)
 
 
-def _run_em(data: BinaryDataset, config: EmConfig, rng: np.random.Generator):
-    """One EM restart, as a generator: at each gate M-step it yields
-    ``(beta, weights)`` and is sent back ``m_step_gate``'s ``(weights, iters,
-    grad_norm)`` for them; it returns ``(model, RestartTrace)``."""
-    n, k = len(data), config.n_components
-    beta = rng.dirichlet(np.ones(k), size=n)
-    weights = np.zeros((k, data.n_bits + 1))
-    model = row_ll = None
-    trace: list[float] = []
-    gate_iters: list[int] = []
-    grad_norms: list[float] = []
-    reseeds = 0
-
-    for _ in range(config.max_iters):
-        mass = beta.sum(axis=0)
-        bad = np.nonzero(mass < DEGENERATE_MASS_FACTOR * n)[0]
-        if bad.size:
-            scores = row_ll if row_ll is not None else rng.random(n)
-            reseeds += reseed_components(beta, bad, scores)
-            if reseeds > MAX_RESEEDS_PER_RUN:
-                return model, RestartTrace(len(trace), trace, True, reseeds, gate_iters, grad_norms)
-        eta, mu, lam = m_step_closed_form(beta, data)
-        weights, iters, grad_norm = yield beta, weights
-        gate_iters.append(iters)
-        grad_norms.append(grad_norm)
-        model = MixtureModel(weights, eta, mu, lam, data.schema)
-        beta, row_ll = e_step(model, data)
-        trace.append(float(row_ll.sum()))
-        if len(trace) > 1 and (
-            abs(trace[-1] - trace[-2]) <= config.rel_tol * max(1.0, abs(trace[-2]))
-        ):
-            break
-    return model, RestartTrace(len(trace), trace, False, reseeds, gate_iters, grad_norms)
-
-
 def fit(data: BinaryDataset, config: EmConfig):
     """Best-of-restarts EM fit; returns (model, report with per-run traces).
 
-    The restarts advance in lockstep: the gate M-steps of all live restarts
-    run as one stacked ``m_step_gate`` call, and a restart leaves the stack
-    when it converges or fails.  Each restart draws from its own generator,
-    so its fit is the one it would make alone.
+    The restarts advance in lockstep, one EM iteration at a time: the gate
+    M-steps of all live restarts run as one stacked ``m_step_gate`` call, and
+    a restart leaves when it converges or fails.  Each restart draws from its
+    own generator and makes the calls it would make alone, in that order.
     """
-    if len(data) < config.n_components:
+    n, k = len(data), config.n_components
+    if n < k:
         raise ValueError("need at least one row per component")
-    rngs = (np.random.default_rng([config.seed, r]) for r in range(config.restarts))
-    runs = [_run_em(data, config, rng) for rng in rngs]
-    results = [None] * config.restarts
-    waiting = {}  # restart -> the (beta, weights) of its next gate M-step
-
-    def advance(r, sent):
-        try:
-            waiting[r] = runs[r].send(sent)
-        except StopIteration as done:
-            results[r] = done.value
-
-    for r in range(config.restarts):
-        advance(r, None)
-    while waiting:
-        live = sorted(waiting)
-        betas, weights = zip(*(waiting.pop(r) for r in live))
+    restarts = range(config.restarts)
+    rngs = [np.random.default_rng([config.seed, r]) for r in restarts]
+    betas = [rng.dirichlet(np.ones(k), size=n) for rng in rngs]
+    weights = [np.zeros((k, data.n_bits + 1)) for _ in restarts]
+    row_lls, models = [None] * len(restarts), [None] * len(restarts)
+    traces = [RestartTrace(0, [], False, 0, [], []) for _ in restarts]
+    live = list(restarts)
+    for _ in range(config.max_iters):
+        params = {}  # live restart -> its closed-form (eta, mu, lam)
+        for r in live:
+            bad = np.nonzero(betas[r].sum(axis=0) < DEGENERATE_MASS_FACTOR * n)[0]
+            if bad.size:
+                scores = row_lls[r] if row_lls[r] is not None else rngs[r].random(n)
+                traces[r].reseed_events += reseed_components(betas[r], bad, scores)
+                if traces[r].reseed_events > MAX_RESEEDS_PER_RUN:
+                    traces[r].failed = True
+                    continue
+            params[r] = m_step_closed_form(betas[r], data)
+        live = list(params)
+        if not live:
+            break
         # (R, K, N) rows, handed over as its (R, N, K) transpose
-        beta = np.stack([b.T for b in betas]).swapaxes(-1, -2)
-        stepped = m_step_gate(beta, data, np.stack(weights), config, live)
-        for r, sent in zip(live, zip(*stepped)):
-            advance(r, sent)
-    models, traces = zip(*results)
-    done = [r for r, trace in enumerate(traces) if not trace.failed]
+        beta = np.stack([betas[r].T for r in live]).swapaxes(-1, -2)
+        stepped = m_step_gate(beta, data, np.stack([weights[r] for r in live]), config, live)
+        going = []
+        for r, w, iters, grad_norm in zip(live, *stepped):
+            trace, objective = traces[r], traces[r].objective_trace
+            trace.gate_iters.append(iters)
+            trace.gate_final_grad_norms.append(grad_norm)
+            weights[r] = w
+            models[r] = MixtureModel(w, *params[r], data.schema)
+            betas[r], row_lls[r] = e_step(models[r], data)
+            objective.append(float(row_lls[r].sum()))
+            trace.iters = len(objective)
+            if not (
+                len(objective) > 1
+                and abs(objective[-1] - objective[-2]) <= config.rel_tol * max(1.0, abs(objective[-2]))
+            ):
+                going.append(r)
+        live = going
+    done = [r for r in restarts if not traces[r].failed]
     if not done:
         raise RuntimeError("all EM restarts failed (persistent degenerate components)")
     best = max(done, key=lambda r: traces[r].objective_trace[-1])  # first of equal maxima
-    return models[best], FitReport(list(traces), best)
+    return models[best], FitReport(traces, best)

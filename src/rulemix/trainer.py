@@ -161,7 +161,7 @@ def parse_ensemble_json(text: str) -> TreeEnsemble:
     and a defect in tree t fails naming it: ``tree {t}: ...``."""
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deeply
         raise ParseError(f"malformed JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object")

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import shlex
@@ -475,3 +476,158 @@ def test_csv_defect_is_one_error_line_naming_row_and_column(reader_files, comman
     code, err = run_quietly(reader_argv(command, reader_files / "model.json", path))
     assert code == 1
     assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--out", "{tmp}/d.csv"],
+        ["simplify", "--model", "{model}", "--train", "{csv}", "--k", "2", "--restarts", "1"],
+        ["baseline", "--train", "{csv}"],
+        ["reproduce", "synthetic"],
+        ["reproduce", "energy"],
+        ["reproduce", "energy", "--data", "{energy}"],
+    ],
+    ids=["synth", "simplify", "baseline", "reproduce-synthetic", "reproduce-energy", "reproduce-energy-data"],
+)
+def test_negative_seed_named(monkeypatch, tmp_path, capsys, xor_csv, argv):
+    model, energy = tmp_path / "model.json", tmp_path / "energy.csv"
+    assert run(["train-atm", "--train", str(xor_csv), "--trees", "2", "--out", str(model)]) == 0
+    write_csv(gen_energy_like(seed=0), energy, ENERGY_TARGET)
+    monkeypatch.setattr(rulemix.cli, "fit_gbt", None)  # no argv reaches a fit
+    paths = {"tmp": tmp_path, "model": model, "csv": xor_csv, "energy": energy}
+    capsys.readouterr()
+    assert run([a.format(**paths) for a in argv] + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "d.csv").exists()
+
+
+def deep_json(path):
+    path.write_text("[" * 100_000)
+
+
+def csv_cell_past_limit(path):
+    rows = path.read_text().splitlines()
+    rows[3] = "x" * (csv.field_size_limit() + 1) + rows[3][rows[3].index(",") :]
+    path.write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simplify"])
+@pytest.mark.parametrize(
+    "broken, break_it, message",
+    [
+        ("model", lambda p: p.write_bytes(b"\xff" + p.read_bytes()), "'utf-8' codec can't decode byte 0xff"),
+        ("data", lambda p: p.write_bytes(p.read_bytes()[:40] + b"\xff"), "'utf-8' codec can't decode byte 0xff"),
+        ("model", deep_json, "malformed JSON: maximum recursion depth exceeded"),
+        ("data", csv_cell_past_limit, "row 3: field larger than field limit"),
+    ],
+    ids=["model-not-utf8", "csv-not-utf8", "model-nested-too-deep", "csv-cell-past-limit"],
+)
+def test_read_error_names_the_file(reader_files, tmp_path, command, broken, break_it, message):
+    model, data = tmp_path / "model.json", tmp_path / "data.csv"
+    for path in (model, data):
+        path.write_bytes((reader_files / path.name).read_bytes())
+    path = model if broken == "model" else data
+    break_it(path)
+    code, err = run_quietly(reader_argv(command, model, data))
+    assert code == 1
+    assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+    assert err.startswith(f"error: {path}: {message}")
+
+
+# integers past float range (the largest float is below 2**1024)
+BEYOND_FLOAT = (2**1024, -(2**1024), 10**400)
+
+
+@st.composite
+def model_file_defects(draw):
+    """(model object, the start its error must have) with one defect at the
+    top level or in one tree object."""
+    model = json.loads(json.dumps(READER_MODEL))
+    where = draw(st.sampled_from(["top level", "field", "tree", "tree field", "node field"]))
+    if where == "top level":
+        return draw(st.sampled_from([[], "model", 2, None, True])), ""
+    if where == "field":
+        how = draw(st.sampled_from(["value", "missing", "extra"]))
+        if how == "missing":
+            del model[draw(st.sampled_from(["feature_count", "trees"]))]  # feature_names is optional
+        elif how == "extra":
+            model[draw(st.text().filter(lambda k: k not in model))] = 0
+        else:
+            bad = {
+                "feature_count": (True, "2", 2.0, None, [2], 0, *BEYOND_FLOAT),
+                "trees": ({}, "trees", None, 1, []),
+                "feature_names": ("x_1", ["x_1", 2], ["x_1", "x_1"], {"x_1": 0}, [], ["x_1"]),
+            }
+            key = draw(st.sampled_from(sorted(bad)))
+            model[key] = draw(st.sampled_from(bad[key]))
+        return model, ""
+    if where == "node field":
+        key = draw(st.sampled_from(["value", "threshold"]))
+        t, i = draw(
+            st.sampled_from(
+                [(t, i) for t, tree in enumerate(model["trees"]) for i, node in enumerate(tree["nodes"]) if key in node]
+            )
+        )
+        model["trees"][t]["nodes"][i][key] = draw(st.sampled_from(BEYOND_FLOAT))
+        return model, f"tree {t}: node {i}: non-finite {'leaf value' if key == 'value' else key}"
+    t = draw(st.integers(0, len(model["trees"]) - 1))
+    tree = model["trees"][t]
+    if where == "tree":
+        model["trees"][t] = draw(st.sampled_from([[], "tree", 1.0, None]))
+    else:
+        how = draw(st.sampled_from(["value", "missing", "extra"]))
+        if how == "missing":
+            del tree[draw(st.sampled_from(sorted(tree)))]
+        elif how == "extra":
+            tree[draw(st.text().filter(lambda k: k not in tree))] = 0
+        else:
+            bad = {"weight": (True, "1", None, [1.0], *BEYOND_FLOAT), "nodes": ({}, "nodes", None, 1, [])}
+            key = draw(st.sampled_from(sorted(bad)))
+            tree[key] = draw(st.sampled_from(bad[key]))
+    return model, f"tree {t}: "
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simplify"])
+@settings(max_examples=80, deadline=None)
+@given(case=model_file_defects())
+def test_model_file_defect_is_one_error_line_naming_the_file(reader_files, command, case):
+    model, start = case
+    path = reader_files / "broken.json"
+    path.write_text(json.dumps(model))
+    code, err = run_quietly(reader_argv(command, path, reader_files / "data.csv"))
+    assert code == 1
+    assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+    assert err.startswith(f"error: {path}: {start}")
+
+
+@st.composite
+def csv_header_defects(draw):
+    """The reader CSV's header line, as bytes, with one defect."""
+    header = ["x_1", "x_2", "y"]
+    c = draw(st.integers(0, len(header) - 1))
+    how = draw(st.sampled_from(["repeated", "no target", "empty", "not UTF-8"]))
+    if how == "repeated":
+        header[c] = header[draw(st.integers(0, len(header) - 1).filter(lambda j: j != c))]
+    elif how == "no target":
+        header[-1] = draw(st.sampled_from(["Y", " y", "target", "x_3"]))
+    elif how == "empty":
+        header[c] = ""
+    line = ",".join(header).encode()
+    if how == "not UTF-8":
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])) + line[at:]
+    return line
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simplify"])
+@settings(max_examples=80, deadline=None)
+@given(header=csv_header_defects())
+def test_csv_header_defect_is_one_error_line_naming_the_file(reader_files, command, header):
+    rows = (reader_files / "data.csv").read_bytes().split(b"\n", 1)[1]
+    path = reader_files / "broken.csv"
+    path.write_bytes(header + b"\n" + rows)
+    code, err = run_quietly(reader_argv(command, reader_files / "model.json", path))
+    assert code == 1
+    assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+    assert err.startswith(f"error: {path}: ")

@@ -1,7 +1,7 @@
 import json
 import math
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -24,7 +24,6 @@ from rulemix.em import (
     LAMBDA_BOUNDS,
     DegenerateComponentError,
     EmConfig,
-    RestartTrace,
     e_step,
     fit,
     gate_gradient,
@@ -490,35 +489,45 @@ def test_fit_best_restart_skips_failed_restarts(monkeypatch):
 
 
 def test_fit_best_restart_rule(monkeypatch):
-    # stubbed restarts: a failed one with the highest objective, then a tie
+    # Stubbed E-steps give restart r the objective finals[r] at each step; a
+    # restart marked failed gets responsibilities that leave component 1
+    # empty, so with no reseed allowed it fails at its second iteration.
     finals = [(1.0, False), (9.0, True), (3.0, False), (3.0, False), (2.0, False)]
-    runs = iter(
-        (f"model {r}", RestartTrace(1, [obj], failed, 0, [], [])) for r, (obj, failed) in enumerate(finals)
-    )
+    data = random_dataset(48, n=10, l=2)
+    monkeypatch.setattr(rulemix.em, "MAX_RESEEDS_PER_RUN", 0)
 
-    def finished(*args):  # a restart that returns before its first gate M-step
-        return next(runs)
-        yield
+    def stub_fit(finals):
+        steps = iter([*range(len(finals)), *(r for r, (_, failed) in enumerate(finals) if not failed)])
+        models = {}
 
-    monkeypatch.setattr(rulemix.em, "_run_em", finished)
-    model, report = fit(random_dataset(48, n=10, l=2), EmConfig(n_components=2, restarts=5))
-    assert (model, report.best_restart) == ("model 2", 2)
+        def stub_e_step(model, data):
+            r = next(steps)
+            models[r] = model
+            objective, failed = finals[r]
+            row_ll = np.zeros(len(data))
+            row_ll[0] = objective
+            return np.eye(2)[[0] * len(data)] if failed else np.full((len(data), 2), 0.5), row_ll
+
+        monkeypatch.setattr(rulemix.em, "e_step", stub_e_step)
+        config = EmConfig(n_components=2, restarts=len(finals), max_iters=2)
+        return fit(data, config), models
+
+    (model, report), models = stub_fit(finals)
+    assert report.best_restart == 2  # not the failed restart 1; restart 2 before the equal 3
+    assert model is models[2]
     assert [r.failed for r in report.restarts] == [f for _, f in finals]
+    assert [r.objective_trace for r in report.restarts] == [[v] if f else [v, v] for v, f in finals]
+    with pytest.raises(RuntimeError, match="all EM restarts failed"):
+        stub_fit([(1.0, True), (2.0, True)])
 
 
-def run_alone(data, config, r):
-    """Restart ``r`` of ``fit`` driven by itself, each gate M-step a stack of one."""
-    run = rulemix.em._run_em(data, config, np.random.default_rng([config.seed, r]))
-    sent = None
-    while True:
-        try:
-            beta, weights = run.send(sent)
-        except StopIteration as done:
-            return done.value
-        sent = gate_alone(beta, data, weights, config)
+def gate_slice_by_slice(beta, data, w_init, config, restart_ids=None):
+    """``m_step_gate`` run on each slice of the stack alone."""
+    weights, iters, norms = zip(*(gate_alone(b, data, w, config) for b, w in zip(beta, w_init)))
+    return np.stack(weights), list(iters), list(norms)
 
 
-@pytest.mark.parametrize(
+lockstep_cases = pytest.mark.parametrize(
     "data, config, reseed_cap",
     [
         (random_dataset(50, n=40, l=5), EmConfig(n_components=3, restarts=4, seed=2, gate_max_iters=30), None),
@@ -526,37 +535,40 @@ def run_alone(data, config, r):
     ],
     ids=["random", "one-fails-on-reseed-cap"],
 )
-def test_lockstep_restarts_equal_restarts_run_alone(monkeypatch, data, config, reseed_cap):
+
+
+def cap_reseeds(monkeypatch, reseed_cap):
     if reseed_cap is not None:  # as in test_fit_best_restart_skips_failed_restarts
         monkeypatch.setattr(rulemix.em, "DEGENERATE_MASS_FACTOR", 0.3)
         monkeypatch.setattr(rulemix.em, "MAX_RESEEDS_PER_RUN", reseed_cap)
-    alone = [run_alone(data, config, r) for r in range(config.restarts)]
-    run_em, in_fit = rulemix.em._run_em, []
 
-    def kept(*args):  # fit creates restart r's generator r-th
-        slot = len(in_fit)
-        in_fit.append(None)
 
-        def run():
-            in_fit[slot] = yield from run_em(*args)
-            return in_fit[slot]
-
-        return run()
-
-    monkeypatch.setattr(rulemix.em, "_run_em", kept)
+@lockstep_cases
+def test_lockstep_restarts_equal_restarts_run_alone(monkeypatch, data, config, reseed_cap):
+    cap_reseeds(monkeypatch, reseed_cap)
     model, report = fit(data, config)
+    monkeypatch.setattr(rulemix.em, "m_step_gate", gate_slice_by_slice)
+    alone_model, alone = fit(data, config)
     if reseed_cap is not None:
-        failed = [trace.failed for _, trace in alone]
+        failed = [trace.failed for trace in alone.restarts]
         assert any(failed) and not all(failed)
-        assert any(trace.failed and trace.objective_trace for _, trace in alone)  # failed mid-run
-    assert [asdict(r) for r in report.restarts] == [asdict(trace) for _, trace in alone]
-    assert len(in_fit) == config.restarts
-    for (got, _), (want, _) in zip(in_fit, alone):
-        assert (got is None) == (want is None)
-        if want is not None:
-            for name in ("gate_weights", "eta", "mu", "lam"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-    assert model is in_fit[report.best_restart][0]
+        assert any(trace.failed and trace.objective_trace for trace in alone.restarts)  # failed mid-run
+    assert asdict(report) == asdict(alone)
+    for name in ("gate_weights", "eta", "mu", "lam"):
+        assert np.array_equal(getattr(model, name), getattr(alone_model, name))
+
+
+@lockstep_cases
+def test_restart_independent_of_restarts_beside_it(monkeypatch, data, config, reseed_cap):
+    cap_reseeds(monkeypatch, reseed_cap)
+    _, report = fit(data, config)
+    for r, want in enumerate(report.restarts):
+        fewer = replace(config, restarts=r + 1)
+        if all(trace.failed for trace in report.restarts[: r + 1]):
+            with pytest.raises(RuntimeError, match="all EM restarts failed"):
+                fit(data, fewer)
+        else:
+            assert asdict(fit(data, fewer)[1].restarts[r]) == asdict(want)
 
 
 def test_fit_all_restarts_failed_raises(monkeypatch):

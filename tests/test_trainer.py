@@ -336,11 +336,15 @@ def _set(path, value):
         (_set((1, "nodes", 1), [0.0]), r"tree 1: node 1: expected an object"),
         (lambda m: m["trees"][1]["nodes"][0].pop("left"), r"tree 1: node 0: internal node missing 'left'"),
         (_set((2, "nodes", 2, "gain"), 0.3), r"tree 2: node 2: unknown field 'gain'"),
+        (_set((1, "nodes", 0, "threshold"), 10**400), r"tree 1: node 0: non-finite threshold"),
+        (_set((2, "nodes", 1, "value"), -(10**400)), r"tree 2: node 1: non-finite leaf value"),
+        (_set((1, "weight"), 2**1024), r"tree 1: non-finite weight"),
     ],
     ids=[
         "nan-threshold", "inf-threshold", "nan-leaf", "inf-weight", "feature-count", "negative-feature",
         "feature-beyond-int64", "bool-feature", "str-child", "float-child", "str-threshold", "bool-value",
-        "node-not-object", "missing-field", "unknown-field",
+        "node-not-object", "missing-field", "unknown-field", "threshold-beyond-float", "leaf-beyond-float",
+        "weight-beyond-float",
     ],
 )
 def test_model_file_defect_names_tree_and_node(change, message):
