@@ -53,10 +53,13 @@ def _read_model(path):
 
 
 def _read_csv_for(expected, path, target):
-    """``load_csv``, requiring the feature columns to be ``expected``, in
-    order, unless ``expected`` is None."""
+    """``load_csv``, requiring the feature columns to be ``expected``: their
+    names, in order, or, for a model without names, their count."""
     data = load_csv(path, target)
-    expected = expected or data.feature_names
+    if isinstance(expected, int):
+        if data.dimension != expected:
+            raise ValueError(f"{path}: {data.dimension} feature columns, expected {expected}")
+        return data
     for i, (got, want) in enumerate(itertools.zip_longest(data.feature_names, expected)):
         if got != want:
             raise ValueError(f"{path}: feature column {i + 1} is {got!r}, expected {want!r}")
@@ -101,7 +104,7 @@ def _fit_baseline(data, cart_config):
 def cmd_simplify(args) -> int:
     check_tau(args.tau)
     ensemble = _read_model(args.model)
-    train = _read_csv_for(ensemble.feature_names, args.train, args.target)
+    train = _read_csv_for(ensemble.feature_names or ensemble.feature_count, args.train, args.target)
     config = em.EmConfig(args.k, restarts=args.restarts, seed=args.seed)
     dataset, model, fit_report, rules, warnings = _fit_rules(ensemble, train.xs, config, args.tau)
     report = {
@@ -132,7 +135,7 @@ def cmd_baseline(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ensemble = _read_model(args.model)
-    test = _read_csv_for(ensemble.feature_names, args.test, args.target)
+    test = _read_csv_for(ensemble.feature_names or ensemble.feature_count, args.test, args.target)
     report = {"n_test": len(test), "test_mse": mse(ensemble.predict_batch(test.xs), test.ys)}
     _emit_report(report, args.out)
     return 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -155,12 +156,13 @@ def gen_energy_like(seed: int = 0, noise_sd: float = 1.0) -> LabeledDataset:
 
 
 def _csv_rows(path, fh):
-    """The rows of the open CSV file ``fh``, header first.  A byte that is not
-    UTF-8, or a cell longer than ``csv.field_size_limit()``, raises
-    ``ValueError`` naming ``path`` and, for the cell, its row."""
+    """The rows of the CSV file ``fh``, open in binary mode, header first.  A
+    byte that is not UTF-8 raises ``ValueError`` naming ``path`` and, as the
+    file is decoded in one pass, the byte's offset in the file; a cell longer
+    than ``csv.field_size_limit()`` raises one naming ``path`` and its row."""
     read = 0
     try:
-        for row in csv.reader(fh):
+        for row in csv.reader(io.StringIO(fh.read().decode("utf-8"), newline="")):
             yield row
             read += 1
     except UnicodeDecodeError as e:
@@ -172,7 +174,7 @@ def _csv_rows(path, fh):
 def load_csv(path, target_column: str) -> LabeledDataset:
     """Read a comma-separated file with a header row; every non-target column
     becomes a numeric feature (header order preserved)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         reader = _csv_rows(path, fh)
         try:
             header = next(reader)

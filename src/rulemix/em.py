@@ -15,7 +15,7 @@ import numpy as np
 
 from .binarizer import BinaryDataset
 from .data import check_count
-from .mixture import MixtureModel, log_joint_matrix, normalize_rows, shifted_exp
+from .mixture import MixtureModel, log_joint_matrix, softmax_columns
 
 DEGENERATE_MASS_FACTOR = 1e-10
 MAX_RESEEDS_PER_RUN = 5
@@ -49,10 +49,11 @@ class EmConfig:
 
 def e_step(model: MixtureModel, data: BinaryDataset) -> tuple[np.ndarray, np.ndarray]:
     """Posterior responsibilities (row softmax of log gate + log density) and
-    each row's log-likelihood (their log-sum-exp), in one pass over the joint
-    matrix.  The (N, K) responsibilities are the transpose of a C-ordered
-    (K, N) array, as ``normalize_rows`` returns them."""
-    return normalize_rows(log_joint_matrix(model, data))
+    each row's log-likelihood (their log-sum-exp), normalized in place on the
+    joint matrix.  The (N, K) responsibilities are the transpose of that
+    C-ordered (K, N) array."""
+    joint = log_joint_matrix(model, data)
+    return joint.T, softmax_columns(joint)  # the view sees the normalization
 
 
 def m_step_closed_form(beta: np.ndarray, data: BinaryDataset):
@@ -84,18 +85,16 @@ def gate_objective(
     ``weights`` and ``moments`` are (K, W), or stacks (R, K, W) of independent
     problems on one ``design``; a stack gives a list of R values and an
     (R, K, N) softmax, each slice the floats it gives alone.  ``moments`` is
-    ``beta.T @ design``.  As every row of ``beta`` sums to 1,
-    ``sum(beta * log_softmax(design @ weights.T))`` is ``sum(moments * weights)``
-    less the rows' log-sum-exps, so a trial point costs one logits product
-    and one ``shifted_exp``, made in place on the logits.
+    ``beta.T @ design``.  As every row of ``beta`` sums to 1, the
+    ``beta``-weighted sum of the log softmax of the logits
+    ``weights @ design.T`` is ``sum(moments * weights)`` less the rows'
+    log-sum-exps, so a trial point costs one logits product and one
+    ``softmax_columns``, made in place on the logits.
     """
     probs = np.matmul(weights, design.T)
-    total, top = shifted_exp(probs)
-    probs /= total[..., None, :]
-    lse = (np.log(total) + top).sum(axis=-1)
     value = (
         (moments * weights).sum(axis=(-2, -1))
-        - lse
+        - softmax_columns(probs).sum(axis=-1)
         - 0.5 * ridge * (weights * weights).sum(axis=(-2, -1))
     )
     return value.tolist(), probs
@@ -228,7 +227,7 @@ def lower_bound(model: MixtureModel, beta: np.ndarray, data: BinaryDataset) -> f
     Equals ``joint_log_likelihood`` when ``beta`` is the exact posterior.
     """
     beta = np.asarray(beta, dtype=np.float64)
-    lj = log_joint_matrix(model, data)
+    lj = log_joint_matrix(model, data).T
     if beta.shape != lj.shape:
         raise ValueError("beta shape must match (N, K)")
     with np.errstate(divide="ignore", invalid="ignore"):

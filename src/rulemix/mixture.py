@@ -15,34 +15,18 @@ from .binarizer import BinaryDataset, SplitSchema, gate_design
 BERNOULLI_EPS = 1e-6
 
 
-def shifted_exp(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Overwrite a (..., K, n) array, one column per row of logits, with the
-    exp of each column less its maximum; return its column sums ``total``
-    (..., n) and the maxima ``top`` (..., n).  Every ``exp`` lies in [0, 1],
-    each column holds an exact 1 and no sum falls below 1; the log-sum-exp
-    is ``log(total) + top`` and the softmax ``cols / total``.  Leading axes
-    stack independent problems, each getting the floats it would get alone."""
+def softmax_columns(cols: np.ndarray) -> np.ndarray:
+    """Overwrite a (..., K, n) array of logits, one column per row, with the
+    softmax of each column; return the columns' log-sum-exps (..., n).  Each
+    column is shifted by its maximum before the ``exp``, so every ``exp``
+    lies in [0, 1] and no column sum falls below 1.  Leading axes stack
+    independent problems, each getting the floats it would get alone."""
     top = cols.max(axis=-2)
     cols -= top[..., None, :]
     np.exp(cols, out=cols)
-    return cols.sum(axis=-2), top
-
-
-def normalize_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise softmax (n, K) and log-sum-exp (n,) of an (n, K) array, both
-    from one ``shifted_exp``.  The softmax is the transpose of a C-ordered
-    (K, n) array, one row per component, for every input layout, so the
-    products that read it sum in one order."""
-    probs = np.array(logits.T, dtype=np.float64, order="C")
-    total, top = shifted_exp(probs)
-    probs /= total
-    return probs.T, np.log(total) + top
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log of the softmax of an (n, K) array."""
-    total, top = shifted_exp(np.array(logits.T, dtype=np.float64, order="C"))
-    return logits - (np.log(total) + top)[:, None]
+    total = cols.sum(axis=-2)
+    cols /= total[..., None, :]
+    return np.log(total) + top
 
 
 @dataclass(frozen=True)
@@ -89,8 +73,10 @@ class MixtureModel:
 
     def gate_batch(self, S: np.ndarray) -> np.ndarray:
         """(n, K) softmax component weights of the bit rows ``S``; each row
-        is positive and sums to 1."""
-        return normalize_rows(gate_design(S) @ self.gate_weights.T)[0]
+        is positive and sums to 1; the transpose of a C-ordered (K, n) array."""
+        probs = self.gate_weights @ gate_design(S).T
+        softmax_columns(probs)
+        return probs.T
 
     def log_density_matrix(self, S: np.ndarray, z: np.ndarray) -> np.ndarray:
         """(n, K) matrix of log p(s | eta_k) + log N(z; mu_k, 1/lam_k) over
@@ -118,14 +104,18 @@ def _check_schema(model: MixtureModel, data: BinaryDataset) -> None:
 
 
 def log_joint_matrix(model: MixtureModel, data: BinaryDataset) -> np.ndarray:
-    """(N, K) matrix of log gate_k(s_n) + log density_k(s_n, z_n)."""
+    """C-ordered (K, N) matrix of log gate_k(s_n) + log density_k(s_n, z_n),
+    one row per component, built in place on the gate logits."""
     _check_schema(model, data)
-    return log_softmax(data.design @ model.gate_weights.T) + model.log_density_matrix(data.bits, data.z)
+    joint = model.gate_weights @ data.design.T
+    joint -= softmax_columns(joint.copy())
+    joint += model.log_density_matrix(data.bits, data.z).T
+    return joint
 
 
 def joint_log_likelihood(model: MixtureModel, data: BinaryDataset) -> float:
     """Sum over rows of log sum_k gate_k(s) density_k(s, z), via log-sum-exp."""
-    return float(normalize_rows(log_joint_matrix(model, data))[1].sum())
+    return float(softmax_columns(log_joint_matrix(model, data)).sum())
 
 
 @dataclass

@@ -45,10 +45,11 @@ def _best_split(ys_sorted, xs_sorted, total, total_sq, min_samples_leaf):
     and targets in the stable order of feature d (see ``presort``); ``total``
     and ``total_sq`` sum the targets and their squares in row order.  Returns
     (feature, threshold, gain) or None.  Candidate thresholds are midpoints of
-    consecutive distinct sorted feature values; ties broken by (lower feature
-    index, lower threshold).  All features are scanned at once, and gains are
-    computed only at value boundaries: a position between tied values cannot
-    take a threshold.
+    consecutive distinct sorted feature values ``a < b``, or ``b`` where the
+    midpoint rounds down to ``a`` (adjacent doubles) or overflows, so both
+    children get rows; ties broken by (lower feature index, lower threshold).
+    All features are scanned at once, and gains are computed only at value
+    boundaries: a position between tied values cannot take a threshold.
     """
     n = ys_sorted.shape[1]
     if n < 2 * min_samples_leaf:
@@ -77,7 +78,9 @@ def _best_split(ys_sorted, xs_sorted, total, total_sq, min_samples_leaf):
     if not gains[i] > 0.0:
         return None
     d, q = divmod(int(k[i]), n)
-    return (d, (xs_sorted[d, q] + xs_sorted[d, q + 1]) / 2.0, float(gains[i]))
+    a, b = float(xs_sorted[d, q]), float(xs_sorted[d, q + 1])
+    mid = (a + b) / 2.0
+    return (d, mid if a < mid <= b else b, float(gains[i]))
 
 
 def grow_tree(X, y, order, max_depth, min_samples_leaf) -> tuple[Tree, np.ndarray]:

@@ -11,8 +11,8 @@ because what it checks is only the grower, not the tree type;
 ``cv_mse_per_depth`` calls the package's ``grow_tree``, ``presort``,
 ``cv_folds`` and ``mse``, because what it checks is only the
 one-tree-per-fold cut, not the grower, and ``unfused_m_step_gate`` calls
-``gate_design`` and ``normalize_rows``, because what it checks is only the
-fused value and gradient, not the row kernel.
+``gate_design`` and ``softmax_columns``, because what it checks is only the
+fused value and gradient, not the softmax kernel.
 """
 
 import itertools
@@ -24,7 +24,7 @@ from scipy.optimize import minimize
 from rulemix.baseline import cv_folds
 from rulemix.data import mse
 from rulemix.ensemble import LEAF, Tree
-from rulemix.mixture import gate_design, normalize_rows
+from rulemix.mixture import gate_design, softmax_columns
 from rulemix.trainer import grow_tree, presort
 
 
@@ -317,11 +317,13 @@ def unfused_m_step_gate(beta, data, w_init, gate_max_iters, ridge=1e-8):
     """
 
     def objective(weights):
-        lse = normalize_rows(design @ weights.T)[1].sum()
+        lse = softmax_columns(weights @ design.T).sum()
         return float((moments * weights).sum() - lse - 0.5 * ridge * (weights * weights).sum())
 
     def gradient(weights):
-        return moments - normalize_rows(design @ weights.T)[0].T @ design - ridge * weights
+        probs = weights @ design.T
+        softmax_columns(probs)
+        return moments - probs @ design - ridge * weights
 
     design = gate_design(data.bits)
     moments = beta.T @ design

@@ -5,12 +5,13 @@ import json
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import constant_tree, src_env, stump
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import rulemix
@@ -258,6 +259,31 @@ def test_feature_columns_must_match_model(monkeypatch, tmp_path, capsys, xor_csv
             argv = [command, "--model", str(model_path), csv_flag, str(path)]
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["simplify", "evaluate"])
+def test_feature_count_must_match_model_without_names(tmp_path, capsys, command):
+    model = tmp_path / "model.json"
+    model.write_text(serialize_ensemble(TreeEnsemble((constant_tree(0.5),), np.ones(1), 2)))
+    data = tmp_path / "three.csv"
+    write_csv(LabeledDataset(np.zeros((2, 3)), np.zeros(2)), data, "y")
+    code, err = run_quietly(reader_argv(command, model, data))
+    assert code == 1
+    assert err == f"error: {data}: 3 feature columns, expected 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["train-atm"], ["baseline", "--folds", "2", "--test", "{csv}"]], ids=["train-atm", "baseline"]
+)
+@pytest.mark.parametrize(
+    "lo, hi", [(1.0, 1.0000000000000002), (1.7e308, 1.75e308)], ids=["adjacent-doubles", "sum-overflows"]
+)
+def test_split_between_values_without_a_midpoint(tmp_path, capsys, argv, lo, hi):
+    data = tmp_path / "d.csv"
+    write_csv(LabeledDataset([[lo], [hi], [lo], [hi]], [0.0, 1.0, 0.0, 1.0]), data, "y")
+    argv = [a.format(csv=data) for a in argv]
+    assert run([*argv, "--train", str(data), "--min-samples-leaf", "1", "--out", str(tmp_path / "o.json")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["simplify", "reproduce"])
@@ -631,3 +657,69 @@ def test_csv_header_defect_is_one_error_line_naming_the_file(reader_files, comma
     assert code == 1
     assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
     assert err.startswith(f"error: {path}: ")
+
+
+# Count flags take small integers, so no example starts a large fit.
+FLOAT_FLAG = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+NOT_A_NUMBER_FLAG = st.sampled_from(["", "x", "1.5", "1e3", "0x2", "1e999", "0.5.1"])
+
+COMMAND_FLAGS = {
+    "synth": {"--n": st.integers(-2, 200), "--noise-sd": FLOAT_FLAG},
+    "train-atm": {
+        "--trees": st.integers(-2, 6),
+        "--depth": st.integers(-2, 5),
+        "--lr": FLOAT_FLAG,
+        "--min-samples-leaf": st.integers(-2, 8),
+    },
+    "simplify": {"--k": st.integers(-2, 6), "--tau": FLOAT_FLAG, "--restarts": st.integers(-2, 3)},
+    "baseline": {
+        "--min-depth": st.integers(-2, 5),
+        "--max-depth": st.integers(-2, 6),
+        "--folds": st.integers(-2, 14),
+        "--min-samples-leaf": st.integers(-2, 8),
+    },
+}
+
+
+@st.composite
+def flag_values(draw):
+    """(command, its flags with generated values), each flag present or not;
+    one value in ten is text that its flag's type does not parse.  A value
+    goes in the flag's argument or after ``=``: argparse reads a separate
+    "-1e-05" or "-inf" as another option."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = []
+    for flag, values in COMMAND_FLAGS[command].items():
+        if draw(st.booleans()):
+            unparsable = draw(st.integers(0, 9)) == 0
+            value = str(draw(NOT_A_NUMBER_FLAG if unparsable else values))
+            flags += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return command, flags
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=flag_values())
+def test_generated_flag_values_exit_cleanly(reader_files, case):
+    # argparse's own errors (exit 2) follow a usage line; run's (exit 1) are
+    # the only line; a RuntimeWarning would print lines of its own
+    command, flags = case
+    model, data = reader_files / "model.json", reader_files / "data.csv"
+    files = {
+        "synth": ["--out", str(reader_files / "synth.csv")],
+        "train-atm": ["--train", str(data)],
+        "simplify": ["--model", str(model), "--train", str(data)],
+        "baseline": ["--train", str(data), "--test", str(data)],
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_quietly([command, *files[command], *flags])
+    event(f"{command}: exit {code}")
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        assert code in (1, 2)
+        lines = err.splitlines()
+        assert [line for line in lines if "error: " in line] == [lines[-1]]
+        assert lines[-1].startswith("error: " if code == 1 else f"rulemix {command}: error: ")

@@ -211,6 +211,20 @@ def test_load_csv_rejects_repeated_column(tmp_path, header, repeated):
         load_csv(path, "y")
 
 
+def test_load_csv_names_non_utf8_byte_at_its_file_offset(tmp_path):
+    # past the text decoder's first chunk, whose start a chunked read counts from
+    path, offset = tmp_path / "d.csv", 20_010
+    write_csv(gen_xor(1000, seed=1), path, "y")
+    raw = bytearray(path.read_bytes())
+    raw[offset] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError) as raised:
+        load_csv(path, "y")
+    assert str(raised.value) == (
+        f"{path}: 'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte"
+    )
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_csv(tmp_path / "nope.csv", "y")

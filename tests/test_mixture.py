@@ -17,18 +17,17 @@ from rulemix.mixture import (
     extract_rules,
     gate_design,
     joint_log_likelihood,
-    log_softmax,
-    normalize_rows,
     render_rules_text,
     rule_text,
     rules_to_json_dict,
+    softmax_columns,
 )
 
 # Logits up to +-1000: a plain exp overflows above ~709.8 and underflows to 0
 # below ~-745, so only a max-shifted evaluation stays finite on these rows.
 # K reaches 12 to cover K >= 8, where numpy sums a contiguous row pairwise,
-# so a row sum may differ by an ulp from the in-order column sum of the
-# transpose that normalize_rows takes.
+# so a row sum may differ by an ulp from the in-order column sum that
+# softmax_columns takes over the transpose.
 logit_matrices = st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
     lambda shape: arrays(np.float64, shape, elements=st.floats(-1000.0, 1000.0))
 )
@@ -293,11 +292,19 @@ def test_render_text_has_header_and_rows():
 LSE_ATOL = 1e-14
 
 
+def softmax_and_lse(a):
+    """Row softmax and log-sum-exp of an (n, K) array through the kernel, on
+    a C-ordered (K, n) copy, the layout every logits product gives it."""
+    cols = np.array(a.T, order="C")
+    lse = softmax_columns(cols)
+    return cols.T, lse
+
+
 @settings(deadline=None)
 @given(logit_matrices)
 @example(np.array([[1000.0, -1000.0, 0.0], [-800.0, -790.0, -1000.0], [700.0, 700.0, -700.0]]))
 def test_log_sum_exp_matches_scipy(a):
-    got = normalize_rows(a)[1]
+    got = softmax_and_lse(a)[1]
     assert got.shape == (len(a),)
     np.testing.assert_allclose(got, scipy_logsumexp(a, axis=1), rtol=1e-12, atol=LSE_ATOL)
 
@@ -306,37 +313,62 @@ def test_log_sum_exp_matches_scipy(a):
 @given(logit_matrices, st.floats(-1000.0, 1000.0))
 def test_log_sum_exp_shifts_with_row_constant(a, c):
     # a + c rounds each entry by up to an ulp of 2000
-    lse = normalize_rows(a)[1]
-    np.testing.assert_allclose(normalize_rows(a + c)[1], lse + c, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(log_softmax(a + c), log_softmax(a), rtol=0, atol=1e-10)
+    p, lse = softmax_and_lse(a)
+    p_shifted, lse_shifted = softmax_and_lse(a + c)
+    np.testing.assert_allclose(lse_shifted, lse + c, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(p_shifted, p, rtol=0, atol=1e-10)
 
 
 @settings(deadline=None)
 @given(logit_matrices)
 def test_softmax_rows_sum_to_one(a):
-    logp = log_softmax(a)
-    assert (logp <= 0.0).all()
-    np.testing.assert_allclose(np.exp(logp).sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    p = normalize_rows(a)[0]
+    p, lse = softmax_and_lse(a)
     assert p.shape == a.shape
+    assert ((p >= 0.0) & (p <= 1.0)).all()
     np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(p, np.exp(logp), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(p, scipy_softmax(a, axis=1), rtol=0, atol=1e-12)
+    # the softmax is the exp of the logits less their log-sum-exp
+    np.testing.assert_allclose(p, np.exp(a - lse[:, None]), rtol=0, atol=1e-12)
 
 
 @settings(deadline=None)
-@given(logit_matrices)
-def test_normalize_rows_ignores_memory_layout(a):
+@given(st.integers(1, 3).flatmap(lambda r: arrays(np.float64, (r, 4, 7), elements=st.floats(-1000.0, 1000.0))))
+def test_softmax_columns_stack_slices_as_alone(stack):
+    # the gate's line search scores a stack of restarts in one call
+    alone = [stack[r].copy() for r in range(len(stack))]
+    lse = softmax_columns(stack)
+    for r, cols in enumerate(alone):
+        assert softmax_columns(cols).tobytes() == lse[r].tobytes()
+        assert cols.tobytes() == stack[r].tobytes()
+
+
+@settings(deadline=None)
+@given(st.integers(1, 12), st.integers(1, 30), st.integers(0, 8), st.integers(0, 2**32 - 1))
+def test_gate_batch_ignores_memory_layout(k, n, l, seed):
     # Another softmax layout would change later BLAS sums by an ulp or two, so
     # the result must be component-major, the transpose of a C-ordered (K, n)
-    # array, and the same bits for every input layout.
-    padded = np.zeros((len(a), 2 * a.shape[1]))
-    padded[:, ::2] = a
-    want_p, want_lse = normalize_rows(a)
-    for view in (a, np.asfortranarray(a), padded[:, ::2], np.ascontiguousarray(a[::-1])[::-1]):
-        p, lse = normalize_rows(view)
-        assert p.T.flags.c_contiguous
-        assert p.tobytes() == want_p.tobytes()
-        assert lse.tobytes() == want_lse.tobytes()
+    # array, and the same bits for every layout of the bit rows.
+    rng = np.random.default_rng(seed)
+    model = random_model(seed, k=k, schema=schema_of_length(l))
+    S = rng.integers(0, 2, size=(n, l)).astype(float)
+    padded = np.zeros((n, 2 * l))
+    padded[:, ::2] = S
+    want = model.gate_batch(S)
+    for view in (S, np.asfortranarray(S), padded[:, ::2], np.ascontiguousarray(S[::-1])[::-1]):
+        g = model.gate_batch(view)
+        assert g.T.flags.c_contiguous
+        assert g.tobytes() == want.tobytes()
+
+
+@settings(deadline=None)
+@given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_gate_batch_is_the_gate_objective_softmax(n, k, l, seed):
+    # one logits product, gate_weights @ design.T, for prediction and the M-step
+    ds = random_dataset(seed, n=n, l=l)
+    model = random_model(seed, k=k, schema=ds.schema)
+    beta = np.full((n, k), 1.0 / k)
+    _, probs = gate_objective(model.gate_weights, beta.T @ ds.design, ds.design, 0.0)
+    assert model.gate_batch(ds.bits).T.tobytes() == probs.tobytes()
 
 
 @settings(deadline=None)

@@ -74,6 +74,21 @@ def test_single_stump_threshold_lands_in_margin():
     assert left_max <= t.threshold[0] < right_min
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(1.0, 1.0000000000000002), (1.7e308, 1.75e308), (-1.75e308, -1.7e308)],
+    ids=["adjacent-doubles", "sum-overflows-up", "sum-overflows-down"],
+)
+def test_split_without_a_midpoint_keeps_both_children(lo, hi):
+    # the midpoint rounds down to lo or overflows, so the threshold is hi
+    xs = np.array([[lo], [hi], [lo], [hi]])
+    ys = np.array([0.0, 1.0, 0.0, 1.0])
+    tree, leaf = grow_tree(xs, ys, presort(xs), 1, 1)
+    assert tree.threshold[0] == hi
+    assert np.array_equal(tree.value[leaf], ys)
+    assert np.array_equal(leaf, tree.leaf_index_batch(xs))
+
+
 def test_training_mse_nonincreasing_in_tree_count():
     data = gen_xor(400, seed=2)
     config = GbtConfig(tree_count=40, max_depth=3, min_samples_leaf=5)
