@@ -56,7 +56,9 @@ def extract_splits(ensemble: TreeEnsemble) -> SplitSchema:
 
 def count_regions_exact(ensemble: TreeEnsemble) -> int:
     """Exact region count via one probe per cell of the grid that the
-    ``extract_splits`` thresholds cut each feature axis into.
+    ``extract_splits`` thresholds cut each feature axis into.  A row with
+    ``x >= t`` goes right, so each threshold lies in the cell it opens and
+    probes it; -inf probes the cell below the lowest threshold.
 
     Only supported for feature_count <= 2 (the grid is exponential in D).
     """
@@ -69,8 +71,7 @@ def count_regions_exact(ensemble: TreeEnsemble) -> int:
         if len(ts) == 0:
             axes.append(np.array([0.0]))
         else:
-            inner = (ts[:-1] + ts[1:]) / 2.0
-            axes.append(np.concatenate([[ts[0] - 1.0], inner, [ts[-1] + 1.0]]))
+            axes.append(np.concatenate([[-np.inf], ts]))
     grids = np.meshgrid(*axes, indexing="ij")
     probes = np.stack([g.ravel() for g in grids], axis=1)
     return count_regions(ensemble, probes)

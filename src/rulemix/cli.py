@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -18,6 +19,7 @@ from .binarizer import build_dataset, count_patterns, count_regions_exact, extra
 from .data import (
     ENERGY_FEATURES,
     ENERGY_TARGET,
+    check_count,
     gen_energy_like,
     gen_xor,
     load_csv,
@@ -66,16 +68,39 @@ def _read_csv_for(expected, path, target):
     return data
 
 
+@contextlib.contextmanager
+def _flag_names(**flags):
+    """Checks of flag values fail naming the flag as typed: a ValueError whose
+    message starts with a field of ``flags`` (as the library's checks name
+    them) is raised again with that field replaced by its flag."""
+    try:
+        yield
+    except ValueError as e:
+        field, space, rest = str(e).partition(" ")
+        if field not in flags:
+            raise
+        raise ValueError(flags[field] + space + rest) from e
+
+
+def _check_at_most_rows(flag, value, data, path) -> None:
+    if value > len(data):
+        raise ValueError(f"{flag} must be at most the {len(data)} rows of {path}, got {value}")
+
+
 def cmd_synth(args) -> int:
-    data = gen_xor(args.n, args.noise_sd, args.seed)
+    with _flag_names(n="--n", noise_sd="--noise-sd", seed="--seed"):
+        data = gen_xor(args.n, args.noise_sd, args.seed)
     write_csv(data, args.out, "y")
     print(f"wrote {len(data)} rows to {args.out}")
     return 0
 
 
 def cmd_train_atm(args) -> int:
+    with _flag_names(
+        tree_count="--trees", max_depth="--depth", learning_rate="--lr", min_samples_leaf="--min-samples-leaf"
+    ):
+        config = GbtConfig(args.trees, args.depth, args.lr, args.min_samples_leaf, args.seed)
     data = load_csv(args.train, args.target)
-    config = GbtConfig(args.trees, args.depth, args.lr, args.min_samples_leaf, args.seed)
     ensemble = fit_gbt(data, config)
     _emit(serialize_ensemble(ensemble), args.out)
     return 0
@@ -102,10 +127,12 @@ def _fit_baseline(data, cart_config):
 
 
 def cmd_simplify(args) -> int:
-    check_tau(args.tau)
+    with _flag_names(tau="--tau", n_components="--k", restarts="--restarts", seed="--seed"):
+        check_tau(args.tau)
+        config = em.EmConfig(args.k, restarts=args.restarts, seed=args.seed)
     ensemble = _read_model(args.model)
     train = _read_csv_for(ensemble.feature_names or ensemble.feature_count, args.train, args.target)
-    config = em.EmConfig(args.k, restarts=args.restarts, seed=args.seed)
+    _check_at_most_rows("--k", args.k, train, args.train)
     dataset, model, fit_report, rules, warnings = _fit_rules(ensemble, train.xs, config, args.tau)
     report = {
         "counts": {"n_train": len(train), "split_rules": dataset.n_bits, "components": args.k},
@@ -119,9 +146,14 @@ def cmd_simplify(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    train = load_csv(args.train, args.target)
+    check_count("--min-depth", args.min_depth, 0)
+    if args.max_depth < args.min_depth:
+        raise ValueError(f"--max-depth must be >= --min-depth {args.min_depth}, got {args.max_depth}")
     depths = tuple(range(args.min_depth, args.max_depth + 1))
-    config = CartConfig(depths, args.folds, args.min_samples_leaf, args.seed)
+    with _flag_names(folds="--folds", min_samples_leaf="--min-samples-leaf", seed="--seed"):
+        config = CartConfig(depths, args.folds, args.min_samples_leaf, args.seed)
+    train = load_csv(args.train, args.target)
+    _check_at_most_rows("--folds", args.folds, train, args.train)
     test = _read_csv_for(train.feature_names, args.test, args.target) if args.test else None
     scores, tree = _fit_baseline(train, config)
     report = {"cv_mse_by_depth": {str(d): v for d, v in scores.items()}, "leaves": tree.n_leaves}
@@ -234,10 +266,11 @@ def energy_pipeline(seed, data_path=None, k=4, tau=0.05, restarts=10):
 
 
 def cmd_reproduce(args) -> int:
-    if args.task == "synthetic":
-        report, rules = synthetic_pipeline(args.seed, args.k, args.tau, args.restarts)
-    else:
-        report, rules = energy_pipeline(args.seed, args.data, args.k, args.tau, args.restarts)
+    with _flag_names(seed="--seed", tau="--tau", n_components="--k", restarts="--restarts"):
+        if args.task == "synthetic":
+            report, rules = synthetic_pipeline(args.seed, args.k, args.tau, args.restarts)
+        else:
+            report, rules = energy_pipeline(args.seed, args.data, args.k, args.tau, args.restarts)
     _emit_report(report, args.out, rules)
     return 0
 

@@ -67,6 +67,15 @@ class LabeledDataset:
         return self.xs.shape[1]
 
 
+def _add_noise(signal, noise_sd, rng):
+    """``signal`` plus Gaussian noise; a target beyond the float range fails
+    naming ``noise_sd``, the value that put it there."""
+    ys = signal + rng.normal(0.0, noise_sd, size=len(signal))
+    if not np.isfinite(ys).all():
+        raise ValueError(f"noise_sd {noise_sd!r} draws noise beyond the float range")
+    return ys
+
+
 def gen_xor(n: int, noise_sd: float = 0.1, seed: int = 0) -> LabeledDataset:
     """x uniform on [0,1]^2; y = 1 iff exactly one coordinate is < 0.5, plus
     Gaussian noise."""
@@ -76,8 +85,7 @@ def gen_xor(n: int, noise_sd: float = 0.1, seed: int = 0) -> LabeledDataset:
     rng = np.random.default_rng(seed)
     xs = rng.random((n, 2))
     signal = np.logical_xor(xs[:, 0] < 0.5, xs[:, 1] < 0.5).astype(np.float64)
-    ys = signal + rng.normal(0.0, noise_sd, size=n)
-    return LabeledDataset(xs, ys, ("x_1", "x_2"))
+    return LabeledDataset(xs, _add_noise(signal, noise_sd, rng), ("x_1", "x_2"))
 
 
 ENERGY_FEATURES = (
@@ -151,8 +159,7 @@ def gen_energy_like(seed: int = 0, noise_sd: float = 1.0) -> LabeledDataset:
         + 0.012 * (wall - 245.0)
         + 0.2 * (height - 3.5)
     )
-    ys = load + rng.normal(0.0, noise_sd, size=len(xs))
-    return LabeledDataset(xs, ys, ENERGY_FEATURES)
+    return LabeledDataset(xs, _add_noise(load, noise_sd, rng), ENERGY_FEATURES)
 
 
 def _csv_rows(path, fh):

@@ -47,7 +47,9 @@ def _best_split(ys_sorted, xs_sorted, total, total_sq, min_samples_leaf):
     (feature, threshold, gain) or None.  Candidate thresholds are midpoints of
     consecutive distinct sorted feature values ``a < b``, or ``b`` where the
     midpoint rounds down to ``a`` (adjacent doubles) or overflows, so both
-    children get rows; ties broken by (lower feature index, lower threshold).
+    children get rows.  Among gains equal as floats the lower feature index
+    wins, then the lower threshold; gains equal in exact arithmetic can round
+    apart, so a feature that cuts the same rows as a lower-index one may win.
     All features are scanned at once, and gains are computed only at value
     boundaries: a position between tied values cannot take a threshold.
     """
@@ -64,8 +66,8 @@ def _best_split(ys_sorted, xs_sorted, total, total_sq, min_samples_leaf):
     if len(k) == 0:
         return None
     sse_parent = total_sq - total * total / n
-    ls = np.cumsum(ys_sorted, axis=1).ravel()[k]
-    lq = np.cumsum(ys_sorted * ys_sorted, axis=1).ravel()[k]
+    ls = np.add.accumulate(ys_sorted, axis=1).ravel()[k]
+    lq = np.add.accumulate(ys_sorted * ys_sorted, axis=1).ravel()[k]
     pos = k % n + 1  # rows on the left
     sse_left = lq - ls * ls / pos
     rs = total - ls
@@ -87,12 +89,15 @@ def grow_tree(X, y, order, max_depth, min_samples_leaf) -> tuple[Tree, np.ndarra
     """Greedy least-squares regression tree (shared by boosting and CART),
     and the leaf each row of ``X`` reaches in it.
 
-    ``order`` is ``presort(X)``.  A node carries its rows in ascending order
-    and its sorted columns (row indices and values); a split divides both with
-    one mask, which keeps each side in the stable order of its own rows, so
-    every node scans what a stable sort of its rows would give.  The split
-    routes the rows by the comparison ``leaf_index_batch`` makes, so the
-    leaves are those ``leaf_index_batch(X)`` finds.
+    ``order`` is ``presort(X)``.  A node carries its rows in ascending order;
+    a node that can split (at a depth below ``max_depth``, with at least
+    ``2 * min_samples_leaf`` rows) also carries its sorted columns (row
+    indices and values).  A split divides them with one mask, and only
+    between the children that can split in turn; the mask keeps each side in
+    the stable order of its own rows, so every node scans what a stable sort
+    of its rows would give.  The split routes the rows by the comparison
+    ``leaf_index_batch`` makes, so the leaves are those ``leaf_index_batch(X)``
+    finds.
 
     Every node's ``value`` is the mean of its training rows, internal nodes
     included: a node's split depends only on its own rows, so the tree cut
@@ -101,27 +106,36 @@ def grow_tree(X, y, order, max_depth, min_samples_leaf) -> tuple[Tree, np.ndarra
     nodes = []  # [feature, threshold, left, right, value] per node, in preorder
     leaf = np.empty(len(y), dtype=np.int64)
 
+    def can_split(rows, depth):
+        return depth < max_depth and len(rows) >= 2 * min_samples_leaf
+
     def side(sorted_cols, m):
         return sorted_cols[m].reshape(len(sorted_cols), -1)
 
-    def build(rows, order, xs_sorted, depth):
+    def build(rows, depth, cols):
+        # cols: the node's sorted columns (order, xs_sorted), or None if it cannot split
         ysub = y[rows]
         total = ysub.sum()
         nodes.append([LEAF, np.nan, LEAF, LEAF, float(total / len(rows))])
         node = len(nodes) - 1
-        if depth < max_depth:
+        if cols is not None:
+            order, xs_sorted = cols
             split = _best_split(y[order], xs_sorted, total, (ysub * ysub).sum(), min_samples_leaf)
             if split is not None:
                 d, b, _ = split
-                go_left, m = X[rows, d] < b, X[order, d] < b
-                lo = build(rows[go_left], side(order, m), side(xs_sorted, m), depth + 1)
-                hi = build(rows[~go_left], side(order, ~m), side(xs_sorted, ~m), depth + 1)
+                go_left = X[rows, d] < b
+                lo_rows, hi_rows = rows[go_left], rows[~go_left]
+                lo_splits, hi_splits = can_split(lo_rows, depth + 1), can_split(hi_rows, depth + 1)
+                m = X[order, d] < b if lo_splits or hi_splits else None
+                lo = build(lo_rows, depth + 1, (side(order, m), side(xs_sorted, m)) if lo_splits else None)
+                hi = build(hi_rows, depth + 1, (side(order, ~m), side(xs_sorted, ~m)) if hi_splits else None)
                 nodes[node][:4] = d, b, lo, hi
                 return node
         leaf[rows] = node
         return node
 
-    build(np.arange(len(y)), order, X[order, np.arange(X.shape[1])[:, None]], 0)
+    rows = np.arange(len(y))
+    build(rows, 0, (order, X[order, np.arange(X.shape[1])[:, None]]) if can_split(rows, 0) else None)
     return Tree(*map(np.array, zip(*nodes))), leaf
 
 

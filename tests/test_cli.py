@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -302,7 +303,7 @@ def test_tau_checked_before_fit(monkeypatch, tmp_path, capsys, xor_csv, command)
     monkeypatch.setattr(rulemix.cli, "fit_gbt", no_fit)
     capsys.readouterr()
     assert run(argv + ["--tau", "0.7"]) == 1
-    assert capsys.readouterr().err == "error: tau must lie in (0, 0.5)\n"
+    assert capsys.readouterr().err == "error: --tau must lie in (0, 0.5)\n"
 
 
 @pytest.mark.parametrize("task, rows", [("synthetic", 1000), ("energy", 230)])
@@ -372,7 +373,7 @@ def test_non_finite_cell_exits_one(tmp_path, capsys):
 def test_negative_noise_level_named(tmp_path, capsys):
     out = tmp_path / "d.csv"
     assert run(["synth", "--noise-sd", "-1", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: noise_sd must be a finite number >= 0, got -1.0\n"
+    assert capsys.readouterr().err == "error: --noise-sd must be a finite number >= 0, got -1.0\n"
     assert not out.exists()
 
 
@@ -524,7 +525,7 @@ def test_negative_seed_named(monkeypatch, tmp_path, capsys, xor_csv, argv):
     paths = {"tmp": tmp_path, "model": model, "csv": xor_csv, "energy": energy}
     capsys.readouterr()
     assert run([a.format(**paths) for a in argv] + ["--seed", "-1"]) == 1
-    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
     assert not (tmp_path / "d.csv").exists()
 
 
@@ -723,3 +724,33 @@ def test_generated_flag_values_exit_cleanly(reader_files, case):
         lines = err.splitlines()
         assert [line for line in lines if "error: " in line] == [lines[-1]]
         assert lines[-1].startswith("error: " if code == 1 else f"rulemix {command}: error: ")
+    if code == 1:  # the files are valid, so a flag value failed: the line names its flag
+        typed = {f.partition("=")[0] for f in flags} & set(COMMAND_FLAGS[command])
+        assert any(re.search(rf"{flag}(?![\w-])", lines[-1]) for flag in typed), lines[-1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train-atm", "--train", "{data}", "--lr", "2"], "--lr must be in (0, 1]"),
+        (["train-atm", "--train", "{data}", "--trees", "0"], "--trees must be >= 1, got 0"),
+        (["train-atm", "--train", "{data}", "--depth", "0"], "--depth must be >= 1, got 0"),
+        (["baseline", "--train", "{data}", "--min-depth", "5", "--max-depth", "3"],
+         "--max-depth must be >= --min-depth 5, got 3"),
+        (["baseline", "--train", "{data}", "--min-depth", "-1"], "--min-depth must be >= 0, got -1"),
+        (["baseline", "--train", "{data}", "--folds", "13"], "--folds must be at most the 12 rows of {data}, got 13"),
+        (["simplify", "--model", "{model}", "--train", "{data}", "--k", "0"], "--k must be >= 1, got 0"),
+        (["simplify", "--model", "{model}", "--train", "{data}", "--k", "13"],
+         "--k must be at most the 12 rows of {data}, got 13"),
+        (["synth", "--n", "0", "--out", "{folder}/synth.csv"], "--n must be >= 1, got 0"),
+        (["reproduce", "synthetic", "--restarts", "0"], "--restarts must be >= 1, got 0"),
+    ],
+    ids=["lr", "trees", "depth", "depth-order", "min-depth", "folds-rows", "k", "k-rows", "n", "restarts"],
+)
+def test_flag_value_error_names_the_flag(reader_files, argv, message):
+    # the library's own checks name the config field (learning_rate,
+    # n_components, depth_grid); the command line names the flag as typed
+    paths = {"folder": reader_files, "data": reader_files / "data.csv", "model": reader_files / "model.json"}
+    assert READER_CSV_ROWS == 12
+    code, err = run_quietly([a.format(**paths) for a in argv])
+    assert (code, err) == (1, f"error: {message.format(**paths)}\n")

@@ -39,6 +39,13 @@ def test_generators_reject_bad_noise_level(generate, noise_sd):
     assert str(raised.value) == f"noise_sd must be a finite number >= 0, got {noise_sd!r}"
 
 
+@pytest.mark.parametrize("generate", [lambda sd: gen_xor(1000, sd), lambda sd: gen_energy_like(0, sd)])
+def test_generators_name_noise_level_that_overflows(generate):
+    # a finite noise level can still draw a target beyond the float range
+    with pytest.raises(ValueError, match=r"^noise_sd 1e\+308 draws noise beyond the float range$"):
+        generate(1e308)
+
+
 def test_gen_xor_marginals_near_half():
     data = gen_xor(10_000, seed=3)
     means = data.xs.mean(axis=0)

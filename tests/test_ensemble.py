@@ -71,6 +71,19 @@ def test_count_regions_exact_two_stumps():
     assert count_regions_exact(two_stump_ensemble()) == 4
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(1e20, 2e20), (0.9999999999999999, 1.0), (-1.7976931348623157e308, 0.0)],
+    ids=["beyond-2**53", "adjacent-doubles", "lowest-double"],
+)
+def test_count_regions_exact_probes_every_cell(lo, hi):
+    # two stumps on one feature cut it into three cells; a probe at lo - 1.0
+    # (== lo beyond 2**53) or at a midpoint that rounds up to hi lands in
+    # the wrong cell
+    ens = TreeEnsemble((stump(0, lo), stump(0, hi)), np.ones(2), 1)
+    assert count_regions_exact(ens) == 3
+
+
 def test_count_regions_sampled_lower_bounds_exact():
     ens = two_stump_ensemble()
     rng = np.random.default_rng(5)

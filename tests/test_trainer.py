@@ -15,7 +15,7 @@ from oracles import (
     per_node_sort_grow_tree,
 )
 from rulemix.data import LabeledDataset, gen_energy_like, gen_xor, split3
-from rulemix.ensemble import Tree, TreeEnsemble
+from rulemix.ensemble import LEAF, Tree, TreeEnsemble
 from rulemix.trainer import (
     GbtConfig,
     ParseError,
@@ -179,7 +179,8 @@ def assert_same_tree(a, b):
 @st.composite
 def grow_inputs(draw):
     """(X, y, max_depth, min_samples_leaf): real or small-integer (tied)
-    columns, some constant or repeated, and any leaf size up to n / 2."""
+    columns, some constant or repeated, and any leaf size up to n, so the
+    root itself may have too few rows to split."""
     n = draw(st.integers(2, 60))
     dims = draw(st.integers(1, 4))
     if draw(st.booleans()):
@@ -192,31 +193,95 @@ def grow_inputs(draw):
     if dims > 1 and draw(st.booleans()):
         xs[:, -1] = xs[:, 0]
     ys = draw(arrays(np.float64, n, elements=st.floats(-5.0, 5.0, allow_subnormal=False)))
-    return xs, ys, draw(st.integers(0, 6)), draw(st.integers(1, n // 2))
+    return xs, ys, draw(st.integers(0, 6)), draw(st.integers(1, n))
 
 
 @settings(max_examples=300, deadline=None)
 @given(grow_inputs())
 def test_presorted_grower_equals_per_node_sort_oracle(inputs):
-    xs, ys, depth, min_leaf = inputs
+    assert_grows_as_oracle(*inputs)
+
+
+def assert_grows_as_oracle(xs, ys, depth, min_leaf):
+    """``grow_tree`` equals the per-node-sort grower bit for bit, and its
+    leaves are those ``leaf_index_batch`` finds; returns the tree."""
     tree, leaf = grow_tree(xs, ys, presort(xs), depth, min_leaf)
     assert_same_tree(tree, per_node_sort_grow_tree(xs, ys, depth, min_leaf))
     assert np.array_equal(leaf, tree.leaf_index_batch(xs))
+    return tree
 
 
-def test_fit_gbt_on_energy_split_equals_per_node_sort_fit(monkeypatch):
+@pytest.mark.parametrize("left_rows, right_rows", [(5, 6), (6, 5)], ids=["left-2m-1", "right-2m-1"])
+def test_children_at_the_split_limit(left_rows, right_rows):
+    # m = 3: the root splits on feature 0 into 2m - 1 and 2m rows; only the
+    # 2m-row child can split again, once, into m and m rows on feature 1
+    n = left_rows + right_rows
+    xs = np.column_stack([np.arange(n) >= left_rows, np.arange(n) % 2]).astype(float)
+    ys = np.where(xs[:, 0] > 0, 100.0, 0.0) + xs[:, 1] + np.arange(n) * 1e-3
+    tree = assert_grows_as_oracle(xs, ys, 3, 3)
+    small, large = (tree.left[0], tree.right[0]) if left_rows < right_rows else (tree.right[0], tree.left[0])
+    assert tree.feature[0] == 0 and tree.feature[small] == LEAF and tree.feature[large] == 1
+    assert tree.n_leaves == 3
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("min_leaf", [1, 5])
+def test_shallow_trees_equal_oracle(depth, min_leaf):
+    data = gen_xor(80, seed=8)
+    tree = assert_grows_as_oracle(data.xs, data.ys, depth, min_leaf)
+    assert tree.n_leaves <= 2**depth
+
+
+@pytest.mark.parametrize("n, min_leaf", [(1, 1), (5, 3), (9, 5), (10, 5)])
+def test_root_at_the_split_limit(n, min_leaf):
+    # below 2 * min_leaf rows the root is the only node
+    data = gen_xor(n, seed=9)
+    tree = assert_grows_as_oracle(data.xs, data.ys, 4, min_leaf)
+    assert (tree.node_count == 1) == (n < 2 * min_leaf)
+
+
+def test_split_search_runs_only_where_a_split_is_possible(monkeypatch):
+    atm, _, _ = split3(gen_energy_like(seed=0), (0.4, 0.3, 0.3), 0)
+    calls = []
+
+    def counting(ys_sorted, *args):
+        calls.append(ys_sorted.shape[1])
+        return _best_split(ys_sorted, *args)
+
+    monkeypatch.setattr(rulemix.trainer, "_best_split", counting)
+    tree, _ = grow_tree(atm.xs, atm.ys, presort(atm.xs), 10, 5)
+    assert min(calls) >= 2 * 5
+    # one search per node shallower than depth 10 with at least 10 rows: the
+    # nodes the cuts at depths 0-9 reach with that many rows
+    searched = set()
+    for depth in range(10):
+        rows = np.bincount(tree.leaf_index_batch(atm.xs, depth))
+        searched |= set(np.flatnonzero(rows >= 2 * 5).tolist())
+    assert len(calls) == len(searched)
+
+
+def assert_fit_equals_per_node_sort_fit(monkeypatch, min_leaf):
     # the oracle side finds each row's leaf by walking the tree, so the
     # leaves the grower returns for the residual update are checked too
     atm, _, _ = split3(gen_energy_like(seed=0), (0.4, 0.3, 0.3), 0)
-    config = GbtConfig(min_samples_leaf=10)
+    config = GbtConfig(min_samples_leaf=min_leaf)
     text = serialize_ensemble(fit_gbt(atm, config))
 
-    def oracle(X, y, order, depth, min_leaf):
-        tree = per_node_sort_grow_tree(X, y, depth, min_leaf)
+    def oracle(X, y, order, depth, leaf_size):
+        tree = per_node_sort_grow_tree(X, y, depth, leaf_size)
         return tree, tree.leaf_index_batch(X)
 
     monkeypatch.setattr(rulemix.trainer, "grow_tree", oracle)
     assert text == serialize_ensemble(fit_gbt(atm, config))
+
+
+def test_fit_gbt_on_energy_split_equals_per_node_sort_fit(monkeypatch):
+    assert_fit_equals_per_node_sort_fit(monkeypatch, 10)
+
+
+def test_fit_gbt_on_energy_split_at_cli_leaf_size_equals_per_node_sort_fit(monkeypatch):
+    # 5 is the train-atm default
+    assert_fit_equals_per_node_sort_fit(monkeypatch, 5)
 
 
 @settings(max_examples=60, deadline=None)
