@@ -36,26 +36,50 @@ def cv_folds(n: int, folds: int, seed: int):
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 
+def _parents_and_levels(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's parent (the root's is itself) and its depth, read off the
+    node table in one walk from the root."""
+    feature, left, right = tree.feature.tolist(), tree.left.tolist(), tree.right.tolist()
+    parent, level = [0] * tree.node_count, [0] * tree.node_count
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if feature[i] >= 0:
+            for child in (left[i], right[i]):
+                parent[child], level[child] = i, level[i] + 1
+                stack.append(child)
+    return np.array(parent), np.array(level)
+
+
 def cv_mse_by_depth(data: LabeledDataset, config: CartConfig) -> dict[int, float]:
     """Mean held-out MSE of a tree grown to each depth of the grid.
 
-    Each fold grows one tree to the deepest depth in the grid and scores
-    every depth from it cut at that depth, which is the tree grown to that
-    depth (see ``grow_tree``).
+    Each fold grows one tree to the deepest depth in the grid and walks its
+    held-out rows down to their leaves once.  The tree grown to depth d is
+    that tree cut at d, with each node's value the mean of its training rows
+    (see ``grow_tree``), so the depths are scored deepest first: at each, a
+    row below it moves up to its parent until it sits at that depth, and
+    scores the value of the node it has reached.
     """
     if len(data) < config.folds:
         raise ValueError("need at least one sample per fold")
     folds = cv_folds(len(data), config.folds, config.seed)
     totals = dict.fromkeys(config.depth_grid, 0.0)
+    deepest = max(totals)
     for held_out in folds:
         train_mask = np.ones(len(data), dtype=bool)
         train_mask[held_out] = False
         xs = data.xs[train_mask]
         ys = data.ys[train_mask]
-        tree, _ = grow_tree(xs, ys, presort(xs), max(totals), config.min_samples_leaf)
-        for depth in totals:
-            preds = tree.predict_batch(data.xs[held_out], depth)
-            totals[depth] += mse(preds, data.ys[held_out])
+        tree, _ = grow_tree(xs, ys, presort(xs), deepest, config.min_samples_leaf)
+        parent, level = _parents_and_levels(tree)
+        node = tree.leaf_index_batch(data.xs[held_out])
+        targets = data.ys[held_out]
+        for depth in range(deepest, min(totals) - 1, -1):
+            below = level[node] > depth
+            node[below] = parent[node[below]]
+            if depth in totals:
+                totals[depth] += mse(tree.value[node], targets)
     return {depth: total / len(folds) for depth, total in totals.items()}
 
 

@@ -175,8 +175,10 @@ def cmd_evaluate(args) -> int:
 
 def _pipeline_report(task, source, d_atm, d_train, d_test, gbt_config, em_config, cart_config, tau):
     check_tau(tau)
-    if len(d_train) < em_config.n_components:
-        raise ValueError("need at least one row per component")
+    if em_config.n_components > len(d_train):
+        raise ValueError(
+            f"n_components must be at most the {len(d_train)} training rows, got {em_config.n_components}"
+        )
     start = time.perf_counter()
     ensemble = fit_gbt(d_atm, gbt_config)
     dataset, model, fit_report, rules, warnings = _fit_rules(ensemble, d_train.xs, em_config, tau)
@@ -344,9 +346,37 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _join_negative_values(argv) -> list:
+    """``argv`` with each negative number that follows a flag joined to it by
+    ``=``: argparse reads a separate argument such as ``-1e-05`` or ``-inf``
+    (a negative that ``float`` reads but argparse's own pattern does not) as
+    an option, but takes ``--lr=-1e-05`` as the flag's value.  ``--help``,
+    the one flag without a value, and arguments from a bare ``--`` on stay
+    as they are."""
+    out = []
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            return out + list(argv[i:])
+        flag = out[-1] if out else ""
+        takes_value = flag.startswith("--") and "=" not in flag and flag != "--help"
+        if takes_value and arg.startswith("-") and _reads_as_float(arg):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _reads_as_float(text) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def run(argv) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_join_negative_values(argv))
     except SystemExit as e:
         return int(e.code or 0)
     # Looked up on each call, so a wrapper later set on rulemix.cli.cmd_*

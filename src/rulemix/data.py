@@ -70,7 +70,8 @@ class LabeledDataset:
 def _add_noise(signal, noise_sd, rng):
     """``signal`` plus Gaussian noise; a target beyond the float range fails
     naming ``noise_sd``, the value that put it there."""
-    ys = signal + rng.normal(0.0, noise_sd, size=len(signal))
+    # abs: numpy rejects -0.0, which passes the >= 0 check, as a negative scale
+    ys = signal + rng.normal(0.0, abs(noise_sd), size=len(signal))
     if not np.isfinite(ys).all():
         raise ValueError(f"noise_sd {noise_sd!r} draws noise beyond the float range")
     return ys

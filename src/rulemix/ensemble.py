@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,10 +21,9 @@ _LEAF_FIELDS = frozenset({"value"})
 _SPLIT_FIELDS = frozenset({"feature", "threshold", "left", "right"})
 
 
-def _walk(nodes, X, roots, depth=None) -> np.ndarray:
-    """The (len(X), len(roots)) nodes where each row of the float64 matrix
-    ``X`` stops when it descends from each root: a leaf, or with ``depth`` the node reached after
-    at most ``depth`` splits.
+def _walk(nodes, X, roots) -> np.ndarray:
+    """The (len(X), len(roots)) leaves where each row of the float64 matrix
+    ``X`` stops when it descends from each root.
 
     ``nodes`` is a node table ``(feature, threshold, left, right)`` that may
     hold several trees, ``roots`` indexes their roots in it; a pair at an
@@ -35,11 +33,11 @@ def _walk(nodes, X, roots, depth=None) -> np.ndarray:
     feature, threshold, left, right = nodes
     rows, width = X.shape
     x = X.ravel()
-    node = np.tile(roots, rows)  # where each pair stops
-    live = np.arange(len(node))  # the pairs still descending,
-    cur = node.copy()  # their nodes
+    cur = np.tile(roots, rows)  # the nodes of the pairs still descending,
+    live = np.arange(len(cur))  # their indices,
     base = np.repeat(np.arange(rows) * width, len(roots))  # and their rows in x
-    for _ in itertools.count() if depth is None else range(depth):
+    node = np.empty_like(cur)  # where each pair stops
+    while True:
         feats = feature[cur]
         inner = feats >= 0
         if not inner.all():
@@ -49,7 +47,6 @@ def _walk(nodes, X, roots, depth=None) -> np.ndarray:
             break
         go_left = x[base + feats] < threshold[cur]
         cur = np.where(go_left, left[cur], right[cur])
-    node[live] = cur
     return node.reshape(rows, len(roots))
 
 
@@ -160,10 +157,8 @@ class Tree:
     def n_leaves(self) -> int:
         return int(np.sum(self.feature < 0))
 
-    def leaf_index_batch(self, X: np.ndarray, depth: int | None = None) -> np.ndarray:
-        """Index of the unique leaf reached by each row of ``X``; with
-        ``depth``, of the node where a row stops after at most ``depth``
-        splits (the leaf of the tree cut at that depth)."""
+    def leaf_index_batch(self, X: np.ndarray) -> np.ndarray:
+        """Index of the unique leaf reached by each row of ``X``."""
         X = np.asarray(X, dtype=np.float64)
         if X.shape[1] <= self.feature.max():
             raise ValueError(
@@ -171,18 +166,11 @@ class Tree:
                 f"{self.feature.max()}"
             )
         nodes = (self.feature, self.threshold, self.left, self.right)
-        return _walk(nodes, X, _ROOT, depth)[:, 0]
+        return _walk(nodes, X, _ROOT)[:, 0]
 
-    def predict_batch(self, X: np.ndarray, depth: int | None = None) -> np.ndarray:
-        """Value of the node ``leaf_index_batch(X, depth)`` reaches for each
-        row of ``X``; a cut that stops at an internal node without a value
-        (as in a parsed tree) raises ``ValueError``."""
-        idx = self.leaf_index_batch(X, depth)
-        out = self.value[idx]
-        if depth is not None and np.isnan(out).any():
-            node = int(idx[np.isnan(out)][0])
-            raise ValueError(f"node {node} has no value to predict at depth {depth}")
-        return out
+    def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        """Value of the leaf ``leaf_index_batch(X)`` reaches for each row of ``X``."""
+        return self.value[self.leaf_index_batch(X)]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,41 +30,71 @@ class GbtConfig:
             raise ValueError("learning_rate must be in (0, 1]")
 
 
-def presort(X):
-    """Each column's stable ascending row order: row d of the (D, n) result
-    lists X's rows by feature d, ties in row order.  A fit sorts once for all
-    its trees: the stable order of a subset of the rows is this order filtered
-    to the subset, so ``grow_tree`` filters it down the tree, never sorting."""
-    return np.argsort(X.T, axis=1, kind="stable")
+@dataclass(frozen=True)
+class Presorted:
+    """The columns of a matrix X sorted once for every tree grown on X.
+
+    Row d of ``order`` lists X's rows by feature d in stable ascending order,
+    ties in row order, and row d of ``values`` holds their feature-d values.
+    The stable order of a subset of the rows is this order filtered to the
+    subset, so ``grow_tree`` filters it down the tree, never sorting.
+    """
+
+    order: np.ndarray
+    values: np.ndarray
+    _by_leaf_size: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def boundaries(self, min_samples_leaf) -> np.ndarray:
+        """The root's split boundaries, ``_boundaries(values, min_samples_leaf)``:
+        they depend on ``values`` and the leaf size alone, so each leaf size's
+        are found once."""
+        if min_samples_leaf not in self._by_leaf_size:
+            self._by_leaf_size[min_samples_leaf] = _boundaries(self.values, min_samples_leaf)
+        return self._by_leaf_size[min_samples_leaf]
 
 
-def _best_split(ys_sorted, xs_sorted, total, total_sq, min_samples_leaf):
+def presort(X) -> Presorted:
+    """X's columns sorted for ``grow_tree``.  A fit sorts once for all its
+    trees: ``fit_gbt`` passes one ``presort(X)`` to every round, so the
+    root's sorted values and split boundaries are built once per fit."""
+    order = np.argsort(X.T, axis=1, kind="stable")
+    return Presorted(order, X[order, np.arange(X.shape[1])[:, None]])
+
+
+def _boundaries(xs_sorted, min_samples_leaf) -> np.ndarray:
+    """Where a node with the sorted columns ``xs_sorted`` (row d: its
+    feature-d values ascending) may split, as flat indices k into the (D, n)
+    columns, in (feature, position) order: k = d * n + q splits after
+    position q, left = [0, q] and right = [q + 1, n), where feature d's value
+    rises and both sides keep ``min_samples_leaf`` rows.  A position between
+    tied values cannot take a threshold.  Empty below ``2 * min_samples_leaf``
+    rows."""
+    n = xs_sorted.shape[1]
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
+    boundary = np.zeros(xs_sorted.shape, dtype=bool)
+    boundary[:, lo:hi] = xs_sorted[:, lo:hi] < xs_sorted[:, lo + 1 : hi + 1]
+    return np.flatnonzero(boundary)
+
+
+def _best_split(ys_sorted, xs_sorted, k, total, total_sq):
     """Best variance-reduction split for one node.
 
     Row d of ``xs_sorted`` and ``ys_sorted`` holds the node's feature-d values
-    and targets in the stable order of feature d (see ``presort``); ``total``
-    and ``total_sq`` sum the targets and their squares in row order.  Returns
+    and targets in the stable order of feature d (see ``presort``); ``k`` is
+    ``_boundaries(xs_sorted, min_samples_leaf)``, and ``total`` and
+    ``total_sq`` sum the targets and their squares in row order.  Returns
     (feature, threshold, gain) or None.  Candidate thresholds are midpoints of
     consecutive distinct sorted feature values ``a < b``, or ``b`` where the
     midpoint rounds down to ``a`` (adjacent doubles) or overflows, so both
     children get rows.  Among gains equal as floats the lower feature index
     wins, then the lower threshold; gains equal in exact arithmetic can round
     apart, so a feature that cuts the same rows as a lower-index one may win.
-    All features are scanned at once, and gains are computed only at value
-    boundaries: a position between tied values cannot take a threshold.
+    All features are scanned at once, and gains are computed only at the
+    boundaries ``k``.
     """
-    n = ys_sorted.shape[1]
-    if n < 2 * min_samples_leaf:
-        return None
-    # split after position q: left = [0, q], right = [q + 1, n), for q in
-    # [lo, hi); k lists the (feature, q) where the feature's value rises,
-    # as flat indices into the (D, n) columns, in (feature, position) order
-    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
-    boundary = np.zeros(xs_sorted.shape, dtype=bool)
-    boundary[:, lo:hi] = xs_sorted[:, lo:hi] < xs_sorted[:, lo + 1 : hi + 1]
-    k = np.flatnonzero(boundary)
     if len(k) == 0:
         return None
+    n = ys_sorted.shape[1]
     sse_parent = total_sq - total * total / n
     ls = np.add.accumulate(ys_sorted, axis=1).ravel()[k]
     lq = np.add.accumulate(ys_sorted * ys_sorted, axis=1).ravel()[k]
@@ -85,23 +115,26 @@ def _best_split(ys_sorted, xs_sorted, total, total_sq, min_samples_leaf):
     return (d, mid if a < mid <= b else b, float(gains[i]))
 
 
-def grow_tree(X, y, order, max_depth, min_samples_leaf) -> tuple[Tree, np.ndarray]:
+def grow_tree(X, y, presorted, max_depth, min_samples_leaf) -> tuple[Tree, np.ndarray]:
     """Greedy least-squares regression tree (shared by boosting and CART),
     and the leaf each row of ``X`` reaches in it.
 
-    ``order`` is ``presort(X)``.  A node carries its rows in ascending order;
-    a node that can split (at a depth below ``max_depth``, with at least
+    ``presorted`` is ``presort(X)``; the root scans its sorted values at
+    their boundaries for ``min_samples_leaf``, both built once however many
+    trees share them.  A node carries its rows in ascending order; a node
+    that can split (at a depth below ``max_depth``, with at least
     ``2 * min_samples_leaf`` rows) also carries its sorted columns (row
-    indices and values).  A split divides them with one mask, and only
-    between the children that can split in turn; the mask keeps each side in
-    the stable order of its own rows, so every node scans what a stable sort
-    of its rows would give.  The split routes the rows by the comparison
-    ``leaf_index_batch`` makes, so the leaves are those ``leaf_index_batch(X)``
-    finds.
+    indices and values) and their boundaries.  A split divides the columns
+    with one mask, and only between the children that can split in turn; the
+    mask keeps each side in the stable order of its own rows, so every node
+    scans what a stable sort of its rows would give.  The split routes the
+    rows by the comparison ``leaf_index_batch`` makes, so the leaves are
+    those ``leaf_index_batch(X)`` finds.
 
     Every node's ``value`` is the mean of its training rows, internal nodes
     included: a node's split depends only on its own rows, so the tree cut
-    at depth d (``leaf_index_batch(X, d)``) is the tree grown to depth d.
+    at depth d (each row stopped at its ancestor at depth d) is the tree
+    grown to depth d.
     """
     nodes = []  # [feature, threshold, left, right, value] per node, in preorder
     leaf = np.empty(len(y), dtype=np.int64)
@@ -109,33 +142,39 @@ def grow_tree(X, y, order, max_depth, min_samples_leaf) -> tuple[Tree, np.ndarra
     def can_split(rows, depth):
         return depth < max_depth and len(rows) >= 2 * min_samples_leaf
 
-    def side(sorted_cols, m):
-        return sorted_cols[m].reshape(len(sorted_cols), -1)
+    def side(order, xs_sorted, m):
+        order = order[m].reshape(len(order), -1)
+        xs_sorted = xs_sorted[m].reshape(len(xs_sorted), -1)
+        return order, xs_sorted, _boundaries(xs_sorted, min_samples_leaf)
 
     def build(rows, depth, cols):
-        # cols: the node's sorted columns (order, xs_sorted), or None if it cannot split
+        # cols: the node's sorted columns (order, xs_sorted) and their
+        # boundaries, or None if it cannot split
         ysub = y[rows]
         total = ysub.sum()
         nodes.append([LEAF, np.nan, LEAF, LEAF, float(total / len(rows))])
         node = len(nodes) - 1
         if cols is not None:
-            order, xs_sorted = cols
-            split = _best_split(y[order], xs_sorted, total, (ysub * ysub).sum(), min_samples_leaf)
+            order, xs_sorted, k = cols
+            split = _best_split(y[order], xs_sorted, k, total, (ysub * ysub).sum())
             if split is not None:
                 d, b, _ = split
                 go_left = X[rows, d] < b
                 lo_rows, hi_rows = rows[go_left], rows[~go_left]
                 lo_splits, hi_splits = can_split(lo_rows, depth + 1), can_split(hi_rows, depth + 1)
                 m = X[order, d] < b if lo_splits or hi_splits else None
-                lo = build(lo_rows, depth + 1, (side(order, m), side(xs_sorted, m)) if lo_splits else None)
-                hi = build(hi_rows, depth + 1, (side(order, ~m), side(xs_sorted, ~m)) if hi_splits else None)
+                lo = build(lo_rows, depth + 1, side(order, xs_sorted, m) if lo_splits else None)
+                hi = build(hi_rows, depth + 1, side(order, xs_sorted, ~m) if hi_splits else None)
                 nodes[node][:4] = d, b, lo, hi
                 return node
         leaf[rows] = node
         return node
 
     rows = np.arange(len(y))
-    build(rows, 0, (order, X[order, np.arange(X.shape[1])[:, None]]) if can_split(rows, 0) else None)
+    if can_split(rows, 0):
+        build(rows, 0, (presorted.order, presorted.values, presorted.boundaries(min_samples_leaf)))
+    else:
+        build(rows, 0, None)
     return Tree(*map(np.array, zip(*nodes))), leaf
 
 
@@ -152,9 +191,9 @@ def fit_gbt(data: LabeledDataset, config: GbtConfig) -> TreeEnsemble:
 
     trees = [Tree.from_nodes([{"value": float(y.mean())}])]
     current = np.full(len(y), y.mean())
-    order = presort(X)
+    presorted = presort(X)
     for _ in range(config.tree_count):
-        tree, leaf = grow_tree(X, y - current, order, config.max_depth, config.min_samples_leaf)
+        tree, leaf = grow_tree(X, y - current, presorted, config.max_depth, config.min_samples_leaf)
         trees.append(tree)
         current += config.learning_rate * tree.value[leaf]
     weights = np.array([1.0] + [config.learning_rate] * config.tree_count)

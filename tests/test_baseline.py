@@ -110,24 +110,30 @@ def test_config_validation():
     assert CartConfig(depth_grid=(0, np.int64(3))).depth_grid == (0, np.int64(3))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    grid=st.sampled_from([(2, 3, 4), (5, 1, 3), (4, 4, 2), (3,), (0,), (0, 1), (1, 0, 6, 2, 2)]),
+    grid=st.sampled_from(
+        [(2, 3, 4), (5, 1, 3), (4, 4, 2), (3,), (0,), (0, 1), (1, 0, 6, 2, 2), (10, 2, 7)]
+    ),
     folds=st.integers(2, 5),
-    min_leaf=st.integers(1, 6),
     n=st.integers(10, 90),
+    continuous=st.integers(0, 2),
+    data=st.data(),
 )
-def test_cv_scores_equal_per_depth_reference(seed, grid, folds, min_leaf, n):
-    # One tree per fold, cut at every depth, gives the very floats of a tree
-    # grown per (depth, fold), in the grid's key order.
+def test_cv_scores_equal_per_depth_reference(seed, grid, folds, n, continuous, data):
+    # One tree per fold, its held-out rows walked once and lifted to each
+    # depth, gives the very floats of a tree grown per (depth, fold), in the
+    # grid's key order.  Leaves of up to n // 2 rows stop trees short of the
+    # grid; continuous columns beside the 6-level ones give untied splits.
+    min_leaf = data.draw(st.integers(1, n // 2))
     rng = np.random.default_rng(seed)
-    xs = rng.integers(0, 6, size=(n, 3)) / 5.0
+    xs = np.column_stack([rng.integers(0, 6, size=(n, 3)) / 5.0, rng.normal(size=(n, continuous))])
     ys = np.sin(4 * xs[:, 0]) + xs[:, 1] + 0.3 * rng.normal(size=n)
-    data = LabeledDataset(xs, ys)
+    dataset = LabeledDataset(xs, ys)
     config = CartConfig(depth_grid=grid, folds=folds, min_samples_leaf=min_leaf, seed=seed)
-    scores = cv_mse_by_depth(data, config)
-    assert list(scores.items()) == list(cv_mse_per_depth(data, config).items())
+    scores = cv_mse_by_depth(dataset, config)
+    assert list(scores.items()) == list(cv_mse_per_depth(dataset, config).items())
 
 
 def test_fit_cart_refits_at_lowest_score_ties_to_earlier_depth():

@@ -78,6 +78,8 @@ def test_every_subcommand_help_exits_zero(capsys):
         assert run([name, "--help"]) == 0
         assert name in capsys.readouterr().out
     assert run(["--help"]) == 0
+    assert run(["synth", "--help", "-1e-3"]) == 0  # --help takes no value, negative or not
+    capsys.readouterr()
 
 
 def test_unknown_flag_and_subcommand_exit_two(capsys):
@@ -85,6 +87,9 @@ def test_unknown_flag_and_subcommand_exit_two(capsys):
     assert run(["frobnicate"]) == 2
     assert run(["reproduce", "synthetic", "--intercept", "on"]) == 2  # the gate always has one
     capsys.readouterr()
+    for argv in (["synth", "--out", "d.csv", "--noise-sd"], ["synth", "--noise-sd", "--out", "-1e-3"]):
+        assert run(argv) == 2  # a flag with no value, also when a negative follows the next flag
+        assert capsys.readouterr().err.endswith("error: argument --noise-sd: expected one argument\n")
 
 
 def test_readme_cli_commands_parse():
@@ -315,9 +320,13 @@ def test_k_checked_before_fit(monkeypatch, capsys, task, rows):
     capsys.readouterr()
     argv = ["reproduce", task, "--restarts", "1", "--k"]
     assert run(argv + [str(rows + 1)]) == 1
-    assert capsys.readouterr().err == "error: need at least one row per component\n"
+    assert capsys.readouterr().err == f"error: --k must be at most the {rows} training rows, got {rows + 1}\n"
     assert run(argv + [str(rows)]) == 1  # one row per component passes the check
     assert capsys.readouterr().err == "error: fit_gbt reached\n"
+    # library callers get the config field's name
+    pipeline = getattr(rulemix.cli, f"{task}_pipeline")
+    with pytest.raises(ValueError, match=rf"^n_components must be at most the {rows} training rows, got {rows + 1}$"):
+        pipeline(0, k=rows + 1, restarts=1)
 
 
 @pytest.mark.parametrize("command", ["train-atm", "simplify", "evaluate", "baseline"])
@@ -684,26 +693,28 @@ COMMAND_FLAGS = {
 
 @st.composite
 def flag_values(draw):
-    """(command, its flags with generated values), each flag present or not;
-    one value in ten is text that its flag's type does not parse.  A value
-    goes in the flag's argument or after ``=``: argparse reads a separate
-    "-1e-05" or "-inf" as another option."""
+    """(command, its flags with generated values, whether a value does not
+    parse), each flag present or not; one value in ten is text that its
+    flag's type does not parse.  A value goes in the flag's argument or after
+    ``=``, so negatives such as "-1e-05" and "-inf" also come on their own."""
     command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
-    flags = []
+    flags, any_unparsable = [], False
     for flag, values in COMMAND_FLAGS[command].items():
         if draw(st.booleans()):
             unparsable = draw(st.integers(0, 9)) == 0
+            any_unparsable |= unparsable
             value = str(draw(NOT_A_NUMBER_FLAG if unparsable else values))
             flags += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
-    return command, flags
+    return command, flags, any_unparsable
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=flag_values())
 def test_generated_flag_values_exit_cleanly(reader_files, case):
-    # argparse's own errors (exit 2) follow a usage line; run's (exit 1) are
-    # the only line; a RuntimeWarning would print lines of its own
-    command, flags = case
+    # argparse's own errors (exit 2) follow a usage line and come only from
+    # a value its type does not parse; run's (exit 1) are the only line; a
+    # RuntimeWarning would print lines of its own
+    command, flags, any_unparsable = case
     model, data = reader_files / "model.json", reader_files / "data.csv"
     files = {
         "synth": ["--out", str(reader_files / "synth.csv")],
@@ -720,7 +731,7 @@ def test_generated_flag_values_exit_cleanly(reader_files, case):
     if code == 0:
         assert err == ""
     else:
-        assert code in (1, 2)
+        assert code == 1 or (code == 2 and any_unparsable)
         lines = err.splitlines()
         assert [line for line in lines if "error: " in line] == [lines[-1]]
         assert lines[-1].startswith("error: " if code == 1 else f"rulemix {command}: error: ")
@@ -744,8 +755,16 @@ def test_generated_flag_values_exit_cleanly(reader_files, case):
          "--k must be at most the 12 rows of {data}, got 13"),
         (["synth", "--n", "0", "--out", "{folder}/synth.csv"], "--n must be >= 1, got 0"),
         (["reproduce", "synthetic", "--restarts", "0"], "--restarts must be >= 1, got 0"),
+        # negatives argparse's own pattern misses, each in its own argument
+        (["train-atm", "--train", "{data}", "--lr", "-1e-05"], "--lr must be in (0, 1]"),
+        (["simplify", "--model", "{model}", "--train", "{data}", "--tau", "-inf"], "--tau must lie in (0, 0.5)"),
+        (["synth", "--noise-sd", "-1e-3", "--out", "{folder}/synth.csv"],
+         "--noise-sd must be a finite number >= 0, got -0.001"),
     ],
-    ids=["lr", "trees", "depth", "depth-order", "min-depth", "folds-rows", "k", "k-rows", "n", "restarts"],
+    ids=[
+        "lr", "trees", "depth", "depth-order", "min-depth", "folds-rows", "k", "k-rows", "n", "restarts",
+        "lr-exponent", "tau-inf", "noise-sd-exponent",
+    ],
 )
 def test_flag_value_error_names_the_flag(reader_files, argv, message):
     # the library's own checks name the config field (learning_rate,

@@ -39,6 +39,12 @@ def test_generators_reject_bad_noise_level(generate, noise_sd):
     assert str(raised.value) == f"noise_sd must be a finite number >= 0, got {noise_sd!r}"
 
 
+@pytest.mark.parametrize("generate", [lambda sd: gen_xor(10, sd), lambda sd: gen_energy_like(0, sd)])
+def test_generators_take_negative_zero_noise_as_zero(generate):
+    negative, zero = generate(-0.0), generate(0.0)
+    assert np.array_equal(negative.xs, zero.xs) and np.array_equal(negative.ys, zero.ys)
+
+
 @pytest.mark.parametrize("generate", [lambda sd: gen_xor(1000, sd), lambda sd: gen_energy_like(0, sd)])
 def test_generators_name_noise_level_that_overflows(generate):
     # a finite noise level can still draw a target beyond the float range

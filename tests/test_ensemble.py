@@ -141,32 +141,29 @@ def tree_nodes(draw, dims):
         return i
 
     build(0)
-    return nodes, max_depth
+    return nodes
 
 
 @st.composite
 def walk_inputs(draw):
-    """(ensemble, tree depth bounds, X) with 0 or 1 rows, a block of rows
-    give or take one, or several blocks."""
+    """(ensemble, X) with 0 or 1 rows, a block of rows give or take one, or
+    several blocks."""
     dims = draw(st.integers(1, 3))
     specs = draw(st.lists(tree_nodes(dims), min_size=1, max_size=6))
     weights = draw(arrays(np.float64, len(specs), elements=st.floats(-2.0, 2.0)))
-    ens = TreeEnsemble(tuple(Tree.from_nodes(n) for n, _ in specs), weights, dims)
+    ens = TreeEnsemble(tuple(Tree.from_nodes(n) for n in specs), weights, dims)
     block = BLOCK_PAIRS // ens.tree_count
     n = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 3 * block + 2]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return ens, [depth for _, depth in specs], rng.integers(0, 5, size=(n, dims)) / 2.0
+    return ens, rng.integers(0, 5, size=(n, dims)) / 2.0
 
 
 @settings(max_examples=40, deadline=None)
 @given(walk_inputs())
 def test_ensemble_walk_equals_per_tree_walks(inputs):
-    ens, depths, X = inputs
-    for tree, depth in zip(ens.trees, depths):
-        for d in [None, *range(depth + 2)]:
-            assert np.array_equal(
-                tree.leaf_index_batch(X[:300], d), per_tree_leaf_index(tree, X[:300], d)
-            )
+    ens, X = inputs
+    for tree in ens.trees:
+        assert np.array_equal(tree.leaf_index_batch(X[:300]), per_tree_leaf_index(tree, X[:300]))
     per_tree = np.stack([t.leaf_index_batch(X) for t in ens.trees], axis=1)
     leaves = ens.leaf_vector_batch(X)
     assert leaves.dtype == np.int64 and np.array_equal(leaves, per_tree)
@@ -274,15 +271,6 @@ def test_tree_rejects_root_as_child():
                 {"value": 0.0},
             ]
         )
-
-
-def test_depth_cut_without_internal_values_names_node():
-    # from_nodes, which the model parser uses, stores leaf values only
-    tree = stump()
-    X = np.array([[0.2, 0.0], [0.7, 0.0]])
-    assert tree.predict_batch(X, depth=1).tolist() == [0.0, 1.0]
-    with pytest.raises(ValueError, match="node 0 has no value"):
-        tree.predict_batch(X, depth=0)
 
 
 def test_tree_rejects_input_narrower_than_its_features():

@@ -13,6 +13,7 @@ from oracles import (
     brute_force_best_split,
     per_feature_best_split,
     per_node_sort_grow_tree,
+    per_tree_leaf_index,
 )
 from rulemix.data import LabeledDataset, gen_energy_like, gen_xor, split3
 from rulemix.ensemble import LEAF, Tree, TreeEnsemble
@@ -20,6 +21,7 @@ from rulemix.trainer import (
     GbtConfig,
     ParseError,
     _best_split,
+    _boundaries,
     fit_gbt,
     grow_tree,
     parse_ensemble_json,
@@ -162,11 +164,12 @@ def test_best_split_equals_per_feature_reference(inputs):
     # scan that scores every position and masks ties.
     # The node's sorted columns are the whole presort filtered to its rows.
     xs, ys, rows, min_leaf = inputs
-    order = presort(xs)
+    order = presort(xs).order
     order = order[np.isin(order, rows)].reshape(xs.shape[1], -1)
     xs_sorted = xs[order, np.arange(xs.shape[1])[:, None]]
     ysub = ys[rows]
-    split = _best_split(ys[order], xs_sorted, ysub.sum(), (ysub * ysub).sum(), min_leaf)
+    k = _boundaries(xs_sorted, min_leaf)
+    split = _best_split(ys[order], xs_sorted, k, ysub.sum(), (ysub * ysub).sum())
     assert split == per_feature_best_split(*inputs)
     assert split == _per_node_sort_best_split(*inputs)
 
@@ -241,7 +244,7 @@ def test_root_at_the_split_limit(n, min_leaf):
 
 
 def test_split_search_runs_only_where_a_split_is_possible(monkeypatch):
-    atm, _, _ = split3(gen_energy_like(seed=0), (0.4, 0.3, 0.3), 0)
+    atm = energy_atm_split()
     calls = []
 
     def counting(ys_sorted, *args):
@@ -255,19 +258,22 @@ def test_split_search_runs_only_where_a_split_is_possible(monkeypatch):
     # nodes the cuts at depths 0-9 reach with that many rows
     searched = set()
     for depth in range(10):
-        rows = np.bincount(tree.leaf_index_batch(atm.xs, depth))
+        rows = np.bincount(per_tree_leaf_index(tree, atm.xs, depth))
         searched |= set(np.flatnonzero(rows >= 2 * 5).tolist())
     assert len(calls) == len(searched)
 
 
-def assert_fit_equals_per_node_sort_fit(monkeypatch, min_leaf):
+def energy_atm_split():
+    return split3(gen_energy_like(seed=0), (0.4, 0.3, 0.3), 0)[0]
+
+
+def assert_fit_equals_per_node_sort_fit(monkeypatch, config):
     # the oracle side finds each row's leaf by walking the tree, so the
     # leaves the grower returns for the residual update are checked too
-    atm, _, _ = split3(gen_energy_like(seed=0), (0.4, 0.3, 0.3), 0)
-    config = GbtConfig(min_samples_leaf=min_leaf)
+    atm = energy_atm_split()
     text = serialize_ensemble(fit_gbt(atm, config))
 
-    def oracle(X, y, order, depth, leaf_size):
+    def oracle(X, y, presorted, depth, leaf_size):
         tree = per_node_sort_grow_tree(X, y, depth, leaf_size)
         return tree, tree.leaf_index_batch(X)
 
@@ -276,12 +282,53 @@ def assert_fit_equals_per_node_sort_fit(monkeypatch, min_leaf):
 
 
 def test_fit_gbt_on_energy_split_equals_per_node_sort_fit(monkeypatch):
-    assert_fit_equals_per_node_sort_fit(monkeypatch, 10)
+    assert_fit_equals_per_node_sort_fit(monkeypatch, GbtConfig(min_samples_leaf=10))
 
 
 def test_fit_gbt_on_energy_split_at_cli_leaf_size_equals_per_node_sort_fit(monkeypatch):
     # 5 is the train-atm default
-    assert_fit_equals_per_node_sort_fit(monkeypatch, 5)
+    assert_fit_equals_per_node_sort_fit(monkeypatch, GbtConfig(min_samples_leaf=5))
+
+
+def test_fit_gbt_on_energy_split_with_stumps_equals_per_node_sort_fit(monkeypatch):
+    assert_fit_equals_per_node_sort_fit(monkeypatch, GbtConfig(max_depth=1, min_samples_leaf=10))
+
+
+def test_fit_gbt_whose_root_cannot_split_equals_per_node_sort_fit(monkeypatch):
+    # fewer than 2 * min_samples_leaf rows: every tree is one leaf
+    leaf_size = len(energy_atm_split()) // 2 + 1
+    assert_fit_equals_per_node_sort_fit(monkeypatch, GbtConfig(tree_count=5, min_samples_leaf=leaf_size))
+
+
+def test_fit_gbt_builds_its_root_once(monkeypatch):
+    # one fit sorts X once, gathers the root's sorted values once and finds
+    # their boundaries once; every tree's root search reads those arrays
+    atm = energy_atm_split()
+    sorted_once, root_boundaries, root_scans = [], [], []
+
+    def counting_presort(X):
+        sorted_once.append(presort(X))
+        return sorted_once[-1]
+
+    def counting_boundaries(xs_sorted, min_samples_leaf):
+        if xs_sorted.shape[1] == len(atm):
+            root_boundaries.append(xs_sorted)
+        return _boundaries(xs_sorted, min_samples_leaf)
+
+    def counting_split(ys_sorted, xs_sorted, k, *args):
+        if ys_sorted.shape[1] == len(atm):
+            root_scans.append((xs_sorted, k))
+        return _best_split(ys_sorted, xs_sorted, k, *args)
+
+    monkeypatch.setattr(rulemix.trainer, "presort", counting_presort)
+    monkeypatch.setattr(rulemix.trainer, "_boundaries", counting_boundaries)
+    monkeypatch.setattr(rulemix.trainer, "_best_split", counting_split)
+    fit_gbt(atm, GbtConfig(tree_count=20, min_samples_leaf=10))
+    [presorted] = sorted_once
+    assert len(root_boundaries) == 1 and root_boundaries[0] is presorted.values
+    assert len(root_scans) == 20
+    k = presorted.boundaries(10)
+    assert all(xs_sorted is presorted.values and seen is k for xs_sorted, seen in root_scans)
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,7 +347,7 @@ def test_tree_cut_at_depth_is_tree_grown_to_depth(seed, depth, min_leaf, dims, l
     tree, _ = grow_tree(xs, ys, order, depth, min_leaf)
     probes = np.concatenate([xs, rng.random((20, dims)) * levels / 4.0])
     for d in range(depth + 1):
-        cut = tree.value[tree.leaf_index_batch(probes, d)]
+        cut = tree.value[per_tree_leaf_index(tree, probes, d)]
         assert np.array_equal(cut, grow_tree(xs, ys, order, d, min_leaf)[0].predict_batch(probes))
 
 
