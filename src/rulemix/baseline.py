@@ -36,21 +36,6 @@ def cv_folds(n: int, folds: int, seed: int):
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 
-def _parents_and_levels(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
-    """Each node's parent (the root's is itself) and its depth, read off the
-    node table in one walk from the root."""
-    feature, left, right = tree.feature.tolist(), tree.left.tolist(), tree.right.tolist()
-    parent, level = [0] * tree.node_count, [0] * tree.node_count
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        if feature[i] >= 0:
-            for child in (left[i], right[i]):
-                parent[child], level[child] = i, level[i] + 1
-                stack.append(child)
-    return np.array(parent), np.array(level)
-
-
 def cv_mse_by_depth(data: LabeledDataset, config: CartConfig) -> dict[int, float]:
     """Mean held-out MSE of a tree grown to each depth of the grid.
 
@@ -72,7 +57,7 @@ def cv_mse_by_depth(data: LabeledDataset, config: CartConfig) -> dict[int, float
         xs = data.xs[train_mask]
         ys = data.ys[train_mask]
         tree, _ = grow_tree(xs, ys, presort(xs), deepest, config.min_samples_leaf)
-        parent, level = _parents_and_levels(tree)
+        parent, level = tree.routes.parent, tree.routes.level
         node = tree.leaf_index_batch(data.xs[held_out])
         targets = data.ys[held_out]
         for depth in range(deepest, min(totals) - 1, -1):

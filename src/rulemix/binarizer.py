@@ -43,15 +43,15 @@ class SplitSchema:
 
 
 def extract_splits(ensemble: TreeEnsemble) -> SplitSchema:
-    """Collect every internal-node (feature, threshold) pair once, sorted."""
-    pairs = set()
-    for t in ensemble.trees:
-        internal = t.feature >= 0
-        pairs.update(zip(t.feature[internal].tolist(), t.threshold[internal].tolist()))
-    ordered = sorted(pairs)
-    features = np.array([d for d, _ in ordered], dtype=np.int64)
-    thresholds = np.array([b for _, b in ordered])
-    return SplitSchema(features, thresholds, ensemble.feature_names)
+    """Collect every internal-node (feature, threshold) pair once, sorted: one
+    stable sort of the node table keeps the first of equal pairs (0.0, -0.0)."""
+    internal = ensemble.feature >= 0
+    features, thresholds = ensemble.feature[internal], ensemble.threshold[internal]
+    order = np.lexsort((thresholds, features))
+    features, thresholds = features[order], thresholds[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (features[1:] != features[:-1]) | (thresholds[1:] != thresholds[:-1])
+    return SplitSchema(features[first], thresholds[first], ensemble.feature_names)
 
 
 def count_regions_exact(ensemble: TreeEnsemble) -> int:

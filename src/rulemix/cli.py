@@ -20,6 +20,7 @@ from .data import (
     ENERGY_FEATURES,
     ENERGY_TARGET,
     check_count,
+    check_sum_of_squares,
     gen_energy_like,
     gen_xor,
     load_csv,
@@ -41,7 +42,7 @@ def _emit(text: str, out_path) -> None:
 
 
 def _emit_report(report: dict, out_path, rules=None) -> None:
-    _emit(json.dumps(report, indent=2), out_path)
+    _emit(json.dumps(report, indent=2, allow_nan=False), out_path)
     if rules is not None and sys.stderr.isatty():
         print(render_rules_text(rules), file=sys.stderr)
 
@@ -55,9 +56,13 @@ def _read_model(path):
 
 
 def _read_csv_for(expected, path, target):
-    """``load_csv``, requiring the feature columns to be ``expected``: their
-    names, in order, or, for a model without names, their count."""
+    """``load_csv``, refusing targets whose squares no fit can sum, and
+    requiring the feature columns to be ``expected``: their names, in order,
+    or, for a model without names, their count (any columns for None)."""
     data = load_csv(path, target)
+    check_sum_of_squares(f"{path}: column {target!r}: targets", data.ys)
+    if expected is None:
+        return data
     if isinstance(expected, int):
         if data.dimension != expected:
             raise ValueError(f"{path}: {data.dimension} feature columns, expected {expected}")
@@ -100,19 +105,25 @@ def cmd_train_atm(args) -> int:
         tree_count="--trees", max_depth="--depth", learning_rate="--lr", min_samples_leaf="--min-samples-leaf"
     ):
         config = GbtConfig(args.trees, args.depth, args.lr, args.min_samples_leaf, args.seed)
-    data = load_csv(args.train, args.target)
+    data = _read_csv_for(None, args.train, args.target)
     ensemble = fit_gbt(data, config)
     _emit(serialize_ensemble(ensemble), args.out)
     return 0
 
 
-def _fit_rules(ensemble, xs, em_config, tau):
+def _fit_rules(ensemble, xs, em_config, tau, source="the ensemble's predictions"):
     """Binarize ``xs`` on the ensemble's splits, fit the mixture by EM and read
-    off its rules; callers check ``tau`` first.  ``warnings`` names a degenerate
-    fit: fewer distinct bit patterns than components (an empty schema has one pattern)."""
+    off its rules; callers check ``tau`` first.  ``source`` names the
+    predictions in an error: too large to fit, or every restart failed.
+    ``warnings`` names a degenerate fit: fewer distinct bit patterns than
+    components (an empty schema has one pattern)."""
     schema = extract_splits(ensemble)
     dataset = build_dataset(ensemble, schema, xs)
-    model, fit_report = em.fit(dataset, em_config)
+    check_sum_of_squares(source, dataset.z, em.LAMBDA_BOUNDS[1])
+    try:
+        model, fit_report = em.fit(dataset, em_config)
+    except RuntimeError as e:  # every restart failed on these predictions
+        raise RuntimeError(f"{source}: {e}") from e
     rules = extract_rules(model, tau, dataset)
     k, patterns = em_config.n_components, count_patterns(dataset.bits)
     note = f"K={k} but {patterns} distinct bit pattern(s): spare components repeat a rule"
@@ -133,7 +144,8 @@ def cmd_simplify(args) -> int:
     ensemble = _read_model(args.model)
     train = _read_csv_for(ensemble.feature_names or ensemble.feature_count, args.train, args.target)
     _check_at_most_rows("--k", args.k, train, args.train)
-    dataset, model, fit_report, rules, warnings = _fit_rules(ensemble, train.xs, config, args.tau)
+    source = f"{args.model}: predictions on {args.train}"
+    dataset, model, fit_report, rules, warnings = _fit_rules(ensemble, train.xs, config, args.tau, source)
     report = {
         "counts": {"n_train": len(train), "split_rules": dataset.n_bits, "components": args.k},
         "rules": rules_to_json_dict(rules),
@@ -152,7 +164,7 @@ def cmd_baseline(args) -> int:
     depths = tuple(range(args.min_depth, args.max_depth + 1))
     with _flag_names(folds="--folds", min_samples_leaf="--min-samples-leaf", seed="--seed"):
         config = CartConfig(depths, args.folds, args.min_samples_leaf, args.seed)
-    train = load_csv(args.train, args.target)
+    train = _read_csv_for(None, args.train, args.target)
     _check_at_most_rows("--folds", args.folds, train, args.train)
     test = _read_csv_for(train.feature_names, args.test, args.target) if args.test else None
     scores, tree = _fit_baseline(train, config)
@@ -168,7 +180,9 @@ def cmd_baseline(args) -> int:
 def cmd_evaluate(args) -> int:
     ensemble = _read_model(args.model)
     test = _read_csv_for(ensemble.feature_names or ensemble.feature_count, args.test, args.target)
-    report = {"n_test": len(test), "test_mse": mse(ensemble.predict_batch(test.xs), test.ys)}
+    preds = ensemble.predict_batch(test.xs)
+    check_sum_of_squares(f"{args.model}: predictions on {args.test}", preds)
+    report = {"n_test": len(test), "test_mse": mse(preds, test.ys)}
     _emit_report(report, args.out)
     return 0
 

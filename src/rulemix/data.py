@@ -29,6 +29,16 @@ def check_real(name: str, value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def check_sum_of_squares(name: str, values: np.ndarray, scale: float = 1.0) -> None:
+    """Reject ``values`` unless ``4 * scale * len(values) * sum(values**2)`` is
+    finite: at ``scale`` 1 that bounds every sum of squares the tree grower
+    and ``mse`` form from them; EM passes its largest precision."""
+    with np.errstate(over="ignore"):
+        sum_sq = float(values @ values)
+    if not math.isfinite(4.0 * scale * len(values) * sum_sq):
+        raise ValueError(f"{name} too large: their sum of squares overflows")
+
+
 def check_count(name: str, value, minimum: int) -> None:
     """Reject a count field that is a bool, not an integer, or below ``minimum``."""
     if check_int(name, value) < minimum:

@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import check_int, check_real
+from .data import check_count, check_int, check_real
 
 LEAF = -1
 
 # (row, tree) pairs an ensemble routes at once: bounds the walk's transient
 # arrays at a few MB whatever the number of rows
 BLOCK_PAIRS = 1 << 13
+
+# levels the walk descends between drops of the pairs that reached a leaf
+SETTLE_LEVELS = 4
+
+# a node table's columns, in the order of Tree's fields
+COLUMNS = ("feature", "threshold", "left", "right", "value")
 
 _ROOT = np.zeros(1, dtype=np.int64)
 
@@ -21,38 +29,154 @@ _LEAF_FIELDS = frozenset({"value"})
 _SPLIT_FIELDS = frozenset({"feature", "threshold", "left", "right"})
 
 
-def _walk(nodes, X, roots) -> np.ndarray:
-    """The (len(X), len(roots)) leaves where each row of the float64 matrix
-    ``X`` stops when it descends from each root.
+class Routes(NamedTuple):
+    """A checked node table as the walk reads it: children index the table,
+    and both of a leaf's are the leaf itself (its feature 0); ``parent`` (a
+    root's is itself), ``level`` below the root, ``depth`` the deepest."""
 
-    ``nodes`` is a node table ``(feature, threshold, left, right)`` that may
-    hold several trees, ``roots`` indexes their roots in it; a pair at an
-    internal node goes to ``left`` when ``x[feature] < threshold``, else to
-    ``right``.  The pairs still at internal nodes descend one level per step.
-    """
-    feature, threshold, left, right = nodes
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    parent: np.ndarray
+    level: np.ndarray
+    depth: int
+
+
+def check_table(feature, threshold, left, right, value, roots, feature_count=None, name_trees=True) -> Routes:
+    """The ``Routes`` of a table of trees, tree t's nodes from ``roots[t]`` on,
+    children counted within the tree, checked whole in this order: children in
+    range; no node reached twice (two parents, or a root as a child); every
+    node reached from its root; finite thresholds and leaf values; features
+    below ``feature_count``.  The table's first failing node is named in a
+    ``ValueError``: ``tree {t}: node {i}: ...``, or ``node {i}: ...``.  Levels
+    come from pointer jumping, so a deep chain costs few passes."""
+    n = len(feature)
+    size = np.diff(roots, append=n)
+    first, end = np.repeat(roots, size), np.repeat(roots + size, size)  # each node's tree
+
+    def fail(i, what):
+        t = int(np.searchsorted(roots, i, side="right")) - 1
+        raise ValueError(f"{f'tree {t}: ' if name_trees else ''}node {i - roots[t]}: {what}")
+
+    internal = feature >= 0
+    inner = np.flatnonzero(internal)
+    kids = np.stack([left[inner], right[inner]]) + first[inner]  # table indices
+    out = (kids < first[inner]) | (kids >= end[inner])
+    if out.any():
+        j = int(np.argmax(out.any(axis=0)))
+        fail(int(inner[j]), f"{'left' if out[0, j] else 'right'} child index out of range")
+    parents = np.bincount(kids.ravel(), minlength=n)
+    parents[roots] += 1  # a root's tree counts as its parent
+    if (parents > 1).any():
+        fail(int(np.argmax(parents > 1)), "reached twice from the root")
+    index = np.arange(n)
+    parent = index.copy()
+    parent[kids] = inner
+    # after k rounds up[i] is i's (2**k)-th ancestor, or its chain's top, level[i] the steps to it
+    up, level = parent, (parent != index).astype(np.int64)
+    for _ in range(n.bit_length()):
+        higher = up[up]
+        if np.array_equal(higher, up):
+            break
+        up, level = higher, level + level[up]
+    reached = first[up] == up
+    if not reached.all():
+        fail(int(np.argmin(reached)), "not reachable from the root")
+    bad = ~np.isfinite(np.where(internal, threshold, value))
+    if bad.any():
+        i = int(np.argmax(bad))
+        fail(i, f"non-finite {'threshold' if internal[i] else 'leaf value'}")
+    if feature_count is not None and (feature >= feature_count).any():
+        i = int(np.argmax(feature >= feature_count))
+        fail(i, f"feature index {feature[i]} out of range (feature_count {feature_count})")
+    to_left, to_right = index.copy(), index.copy()
+    to_left[inner], to_right[inner] = kids
+    return Routes(np.maximum(feature, 0), threshold, to_left, to_right, parent, level, int(level.max()))
+
+
+def read_nodes(nodes, columns) -> None:
+    """Append one tree's ``nodes`` list of the interchange format to the table
+    ``columns`` (lists): each node an object with exactly the integers
+    ``feature``, ``left``, ``right`` and the number ``threshold``, or exactly
+    the number ``value``.  A field defect raises ``ValueError`` naming the node;
+    children are clamped to [-1, len(nodes)], left to ``check_table``."""
+    base, n = len(columns[0]), len(nodes)
+    for column, fill in zip(columns, (LEAF, np.nan, LEAF, LEAF, np.nan)):
+        column.extend([fill] * n)
+    feature, threshold, left, right, value = columns
+    # Each field's usual type (what json.loads gives) is tested inline;
+    # check_int/check_real, and the f-string naming the field, run only for
+    # a value of another type.
+    for i, node in enumerate(nodes):
+        if not isinstance(node, dict):
+            raise ValueError(f"node {i}: expected an object")
+        j = base + i
+        if node.keys() == _LEAF_FIELDS:
+            v = node["value"]
+            value[j] = v if type(v) is float else check_real(f"node {i}: value", v)
+        elif node.keys() == _SPLIT_FIELDS:
+            d, b, lo, hi = node["feature"], node["threshold"], node["left"], node["right"]
+            if type(d) is not int:
+                check_int(f"node {i}: feature", d)
+            # an index past int64 is out of range for any feature_count
+            if not 0 <= d < 2**63:
+                raise ValueError(f"node {i}: feature index {d} out of range")
+            feature[j] = d
+            threshold[j] = b if type(b) is float else check_real(f"node {i}: threshold", b)
+            if type(lo) is not int:
+                check_int(f"node {i}: left", lo)
+            if type(hi) is not int:
+                check_int(f"node {i}: right", hi)
+            left[j] = min(max(lo, LEAF), n)
+            right[j] = min(max(hi, LEAF), n)
+        else:
+            shape = _SPLIT_FIELDS if node.keys() & _SPLIT_FIELDS else _LEAF_FIELDS
+            unknown = node.keys() - shape
+            if unknown:
+                raise ValueError(f"node {i}: unknown field {min(unknown)!r}")
+            if shape == _SPLIT_FIELDS:
+                missing = _SPLIT_FIELDS - node.keys()
+                raise ValueError(f"node {i}: internal node missing {min(missing)!r}")
+            raise ValueError(f"node {i}: leaf missing value")
+
+
+def _arrays(columns) -> list:
+    """The node table ``columns`` as arrays: indices int64, numbers float64."""
+    return [np.asarray(c, dtype=np.float64 if name in ("threshold", "value") else np.int64)
+            for name, c in zip(COLUMNS, columns)]
+
+
+def _walk(routes, X, roots) -> np.ndarray:
+    """The (len(roots), len(X)) nodes where each row of ``X`` stops below each
+    root.  A pair goes ``left`` if ``x[feature] < threshold``, else ``right``
+    (NaN too), and stays at a leaf, so all descend ``routes.depth`` levels
+    untested; every ``SETTLE_LEVELS`` levels a deeper table drops its pairs at
+    leaves, so a level of a deep chain costs what its live pairs do."""
+    feature, threshold, left, right = routes[:4]
     rows, width = X.shape
     x = X.ravel()
-    cur = np.tile(roots, rows)  # the nodes of the pairs still descending,
-    live = np.arange(len(cur))  # their indices,
-    base = np.repeat(np.arange(rows) * width, len(roots))  # and their rows in x
-    node = np.empty_like(cur)  # where each pair stops
-    while True:
-        feats = feature[cur]
-        inner = feats >= 0
-        if not inner.all():
-            node[live[~inner]] = cur[~inner]
-            live, cur, feats, base = live[inner], cur[inner], feats[inner], base[inner]
-        if len(live) == 0:
-            break
-        go_left = x[base + feats] < threshold[cur]
-        cur = np.where(go_left, left[cur], right[cur])
-    return node.reshape(rows, len(roots))
+    at = np.repeat(roots, rows)  # where each live pair is, and its row's offset in x
+    base = np.tile(np.arange(0, rows * width, width), len(roots))
+    node = live = None  # where every pair is, and which are live, after a drop
+    for level in range(routes.depth):
+        if level and level % SETTLE_LEVELS == 0:
+            if live is None:
+                node, live = at, np.arange(len(at))
+            node[live] = at
+            moving = left[at] != at
+            live, at, base = live[moving], at[moving], base[moving]
+        at = np.where(x[base + feature[at]] < threshold[at], left[at], right[at])
+    if live is None:
+        return at.reshape(len(roots), rows)
+    node[live] = at
+    return node.reshape(len(roots), rows)
 
 
 @dataclass(frozen=True)
 class Tree:
-    """A binary regression tree stored as parallel node arrays.
+    """A binary regression tree stored as parallel node arrays: the node
+    table of one tree.
 
     Node ``i`` is internal when ``feature[i] >= 0`` (then ``threshold``,
     ``left`` and ``right`` are meaningful) and a leaf otherwise.  Node 0 is
@@ -63,6 +187,9 @@ class Tree:
     internal node's ``value`` is the mean of its training rows (what the
     tree cut at that node would predict); a parsed tree holds ``nan``
     there.  Only leaf values are serialized.
+
+    ``check_table`` checks it once, for the ``routes`` the walk reads: at
+    ``from_nodes``, or at a grown tree's first walk.
     """
 
     feature: np.ndarray
@@ -73,81 +200,24 @@ class Tree:
 
     def __post_init__(self):
         n = len(self.feature)
-        for name in ("threshold", "left", "right", "value"):
+        for name in COLUMNS[1:]:
             if len(getattr(self, name)) != n:
                 raise ValueError("node arrays must share one length")
         if n == 0:
             raise ValueError("tree must have at least one node")
-        # one walk from the root: every node is reached exactly once
-        internal = self.feature >= 0
-        is_internal, left, right = internal.tolist(), self.left.tolist(), self.right.tolist()
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            if is_internal[i]:
-                for side, child in (("left", left[i]), ("right", right[i])):
-                    if not 0 <= child < n:
-                        raise ValueError(f"node {i}: {side} child index out of range")
-                    if seen[child]:
-                        raise ValueError(f"node {child}: reached twice from the root")
-                    seen[child] = True
-                    stack.append(child)
-        if not all(seen):
-            raise ValueError(f"node {seen.index(False)}: not reachable from the root")
-        bad = np.flatnonzero(~np.isfinite(np.where(internal, self.threshold, self.value)))
-        if len(bad):
-            i = int(bad[0])
-            raise ValueError(f"node {i}: non-finite {'threshold' if internal[i] else 'leaf value'}")
+
+    @cached_property
+    def routes(self) -> Routes:
+        return check_table(*(getattr(self, name) for name in COLUMNS), _ROOT, name_trees=False)
 
     @classmethod
     def from_nodes(cls, nodes) -> "Tree":
-        """Build from the ``nodes`` list of the interchange format, node 0
-        the root: each node is an object with exactly the integer fields
-        ``feature``, ``left`` and ``right`` and the number ``threshold``, or
-        exactly the number ``value``.  A defect raises ``ValueError`` naming
-        the node."""
-        n = len(nodes)
-        feature, left, right = [LEAF] * n, [LEAF] * n, [LEAF] * n
-        threshold, value = [np.nan] * n, [np.nan] * n
-        # Each field's usual type (what json.loads gives) is tested inline;
-        # check_int/check_real, and the f-string naming the field, run only
-        # for a value of another type.
-        for i, node in enumerate(nodes):
-            if not isinstance(node, dict):
-                raise ValueError(f"node {i}: expected an object")
-            if node.keys() == _LEAF_FIELDS:
-                v = node["value"]
-                value[i] = v if type(v) is float else check_real(f"node {i}: value", v)
-            elif node.keys() == _SPLIT_FIELDS:
-                d, b, lo, hi = node["feature"], node["threshold"], node["left"], node["right"]
-                if type(d) is not int:
-                    check_int(f"node {i}: feature", d)
-                # an index past int64 is out of range for any feature_count
-                if not 0 <= d < 2**63:
-                    raise ValueError(f"node {i}: feature index {d} out of range")
-                feature[i] = d
-                threshold[i] = b if type(b) is float else check_real(f"node {i}: threshold", b)
-                if type(lo) is not int:
-                    check_int(f"node {i}: left", lo)
-                if type(hi) is not int:
-                    check_int(f"node {i}: right", hi)
-                # clamped: an index outside [0, n) stays outside it and fits int64
-                left[i] = min(max(lo, LEAF), n)
-                right[i] = min(max(hi, LEAF), n)
-            else:
-                shape = _SPLIT_FIELDS if node.keys() & _SPLIT_FIELDS else _LEAF_FIELDS
-                unknown = node.keys() - shape
-                if unknown:
-                    raise ValueError(f"node {i}: unknown field {min(unknown)!r}")
-                if shape == _SPLIT_FIELDS:
-                    missing = _SPLIT_FIELDS - node.keys()
-                    raise ValueError(f"node {i}: internal node missing {min(missing)!r}")
-                raise ValueError(f"node {i}: leaf missing value")
-        feature, left, right = (np.array(a, dtype=np.int64) for a in (feature, left, right))
-        threshold, value = (np.array(a, dtype=np.float64) for a in (threshold, value))
-        return cls(feature, threshold, left, right, value)
+        """Build from a ``nodes`` list (``read_nodes``), checked at once."""
+        columns = ([], [], [], [], [])
+        read_nodes(nodes, columns)
+        tree = cls(*_arrays(columns))
+        tree.routes  # checked now
+        return tree
 
     @property
     def node_count(self) -> int:
@@ -165,74 +235,68 @@ class Tree:
                 f"input matrix has {X.shape[1]} column(s); the tree splits on feature "
                 f"{self.feature.max()}"
             )
-        nodes = (self.feature, self.threshold, self.left, self.right)
-        return _walk(nodes, X, _ROOT)[:, 0]
+        return _walk(self.routes, X, _ROOT)[0]
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         """Value of the leaf ``leaf_index_batch(X)`` reaches for each row of ``X``."""
         return self.value[self.leaf_index_batch(X)]
 
 
-@dataclass(frozen=True)
 class TreeEnsemble:
-    """Weighted sum of regression trees over a D-dimensional input space.
+    """Weighted sum of regression trees over a D-dimensional input space, held
+    as one node table: a ``Tree``'s columns over every tree's nodes in turn,
+    tree t's from ``roots[t]``.  It is checked once, whole; its ``routes`` let
+    one walk route every (row, tree) pair at once.  ``trees`` are views."""
 
-    The trees' nodes are also kept as one table, tree after tree, with child
-    indices shifted to it and ``_roots`` giving each tree's root, so that one
-    walk routes every (row, tree) pair at once.
-    """
+    def __init__(self, trees, weights, feature_count, feature_names=None):
+        trees = tuple(trees)
+        columns = [np.concatenate([getattr(t, name) for t in trees] or [[]]) for name in COLUMNS]
+        self._hold(columns, [t.node_count for t in trees], weights, feature_count, feature_names)
 
-    trees: tuple
-    weights: np.ndarray
-    feature_count: int
-    feature_names: tuple | None = None
-    _nodes: tuple = field(init=False, repr=False, compare=False)
-    _value: np.ndarray = field(init=False, repr=False, compare=False)
-    _roots: np.ndarray = field(init=False, repr=False, compare=False)
+    @classmethod
+    def from_table(cls, columns, sizes, weights, feature_count, feature_names=None) -> "TreeEnsemble":
+        """The ensemble of table ``columns``, tree t's ``sizes[t]`` nodes in turn."""
+        ensemble = cls.__new__(cls)
+        ensemble._hold(columns, sizes, weights, feature_count, feature_names)
+        return ensemble
 
-    def __post_init__(self):
-        object.__setattr__(self, "trees", tuple(self.trees))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
-        if len(self.trees) < 1:
+    def _hold(self, columns, sizes, weights, feature_count, feature_names) -> None:
+        if len(sizes) < 1:
             raise ValueError("ensemble needs at least one tree")
-        if len(self.weights) != len(self.trees):
+        self.feature, self.threshold, self.left, self.right, self.value = columns = _arrays(columns)
+        self.roots = np.cumsum(sizes) - sizes
+        self.weights = np.asarray(weights, dtype=np.float64)
+        if len(self.weights) != len(sizes):
             raise ValueError("one weight per tree required")
+        check_count("feature_count", feature_count, 1)
         bad = np.flatnonzero(~np.isfinite(self.weights))
         if len(bad):
             raise ValueError(f"tree {bad[0]}: non-finite weight")
-        counts = [t.node_count for t in self.trees]
-        roots = np.cumsum([0] + counts[:-1])
-        shift = np.repeat(roots, counts)  # a leaf's children are never read
-        feature = np.concatenate([t.feature for t in self.trees])
-        bad = np.flatnonzero(feature >= self.feature_count)
-        if len(bad):
-            j = int(bad[0])
-            t = int(np.searchsorted(roots, j, side="right")) - 1
-            raise ValueError(
-                f"tree {t}: node {j - roots[t]}: feature index {feature[j]} out of range "
-                f"(feature_count {self.feature_count})"
-            )
-        nodes = (
-            feature,
-            np.concatenate([t.threshold for t in self.trees]),
-            np.concatenate([t.left for t in self.trees]) + shift,
-            np.concatenate([t.right for t in self.trees]) + shift,
-        )
-        object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_value", np.concatenate([t.value for t in self.trees]))
-        object.__setattr__(self, "_roots", roots)
-        if self.feature_names is not None:
-            names = tuple(self.feature_names)
-            if len(names) != self.feature_count:
+        self.routes = check_table(*columns, self.roots, feature_count)
+        self.feature_count = feature_count
+        if feature_names is not None:
+            feature_names = tuple(feature_names)
+            if len(feature_names) != feature_count:
                 raise ValueError("feature_names length must equal feature_count")
-            for i, name in enumerate(names):
-                if name in names[:i]:
+            for i, name in enumerate(feature_names):
+                if name in feature_names[:i]:
                     raise ValueError(f"feature name {name!r} appears twice")
-            object.__setattr__(self, "feature_names", names)
+        self.feature_names = feature_names
 
     @property
     def tree_count(self) -> int:
-        return len(self.trees)
+        return len(self.roots)
+
+    @cached_property
+    def trees(self) -> tuple:
+        """Each tree as a ``Tree`` viewing its rows of the table and ``routes``."""
+        trees, r = [], self.routes
+        for lo, hi in zip(self.roots.tolist(), [*self.roots[1:].tolist(), len(self.feature)]):
+            tree = Tree(*(getattr(self, name)[lo:hi] for name in COLUMNS))
+            local = (r.left[lo:hi] - lo, r.right[lo:hi] - lo, r.parent[lo:hi] - lo, r.level[lo:hi])
+            tree.__dict__["routes"] = Routes(r.feature[lo:hi], r.threshold[lo:hi], *local, int(local[3].max()))
+            trees.append(tree)
+        return tuple(trees)
 
     def predict(self, x) -> float:
         """``predict_batch`` of the single row ``x``."""
@@ -241,13 +305,16 @@ class TreeEnsemble:
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         """Weighted sum over trees of the leaf value reached by each row of
-        ``X``, added tree by tree in tree order."""
+        ``X``, added tree by tree in tree order; past float range, ±inf or NaN."""
         X = self._check_batch(X)
-        out = np.zeros(len(X))
+        out = np.empty(len(X))
         for lo, nodes in self._leaf_blocks(X):
-            acc = out[lo : lo + len(nodes)]
-            for terms in (self._value[nodes] * self.weights).T:
-                acc += terms
+            terms = self.value[nodes]
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms *= self.weights[:, None]
+                # in tree order, as a reduce may not; + 0.0 below turns -0.0 to 0.0
+                np.add.accumulate(terms, axis=0, out=terms)
+            np.add(terms[-1], 0.0, out=out[lo : lo + nodes.shape[1]])
         return out
 
     def leaf_vector_batch(self, X: np.ndarray) -> np.ndarray:
@@ -255,14 +322,14 @@ class TreeEnsemble:
         X = self._check_batch(X)
         out = np.empty((len(X), self.tree_count), dtype=np.int64)
         for lo, nodes in self._leaf_blocks(X):
-            np.subtract(nodes, self._roots, out=out[lo : lo + len(nodes)])
+            np.subtract(nodes.T, self.roots, out=out[lo : lo + nodes.shape[1]])
         return out
 
     def _leaf_blocks(self, X):
-        """(first row, leaf table nodes) for each block of rows of ``X``."""
+        """(first row, (tree_count, rows) table nodes) for each block of rows of ``X``."""
         step = max(1, BLOCK_PAIRS // self.tree_count)
         for lo in range(0, len(X), step):
-            yield lo, _walk(self._nodes, X[lo : lo + step], self._roots)
+            yield lo, _walk(self.routes, X[lo : lo + step], self.roots)
 
     def _check_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -290,5 +357,5 @@ def count_regions(ensemble: TreeEnsemble, probes) -> int:
     if probes.ndim != 2 or len(probes) == 0:
         raise ValueError("probes must be a nonempty (n, D) matrix")
     vectors = ensemble.leaf_vector_batch(probes)
-    narrow = np.min_scalar_type(max(t.node_count for t in ensemble.trees))
+    narrow = np.min_scalar_type(int(np.diff(ensemble.roots, append=len(ensemble.feature)).max()))
     return count_distinct_rows(vectors.astype(narrow))

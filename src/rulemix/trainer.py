@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset, check_count, check_real
-from .ensemble import LEAF, Tree, TreeEnsemble
+from .ensemble import LEAF, Tree, TreeEnsemble, read_nodes
 
 
 class ParseError(ValueError):
@@ -189,7 +189,7 @@ def fit_gbt(data: LabeledDataset, config: GbtConfig) -> TreeEnsemble:
     if len(y) < 2:
         raise ValueError("need at least 2 samples with one target each")
 
-    trees = [Tree.from_nodes([{"value": float(y.mean())}])]
+    trees = [Tree(*(np.array([a]) for a in (LEAF, np.nan, LEAF, LEAF, y.mean())))]
     current = np.full(len(y), y.mean())
     presorted = presort(X)
     for _ in range(config.tree_count):
@@ -213,8 +213,9 @@ def _unique_keys(pairs) -> dict:
 
 def parse_ensemble_json(text: str) -> TreeEnsemble:
     """Parse the ensemble interchange format (strict: unknown fields and
-    repeated keys rejected).  ``Tree.from_nodes`` reads each tree's nodes,
-    and a defect in tree t fails naming it: ``tree {t}: ...``."""
+    repeated keys rejected).  Every tree's nodes go into one node table
+    (``read_nodes``), checked once, whole; a defect in tree t fails naming
+    it: ``tree {t}: ...``."""
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deeply
@@ -234,7 +235,7 @@ def parse_ensemble_json(text: str) -> TreeEnsemble:
     if not isinstance(obj["trees"], list) or len(obj["trees"]) == 0:
         raise ParseError("'trees' must be a nonempty list")
 
-    trees, weights = [], []
+    columns, sizes, weights = ([], [], [], [], []), [], []
     for ti, tree_obj in enumerate(obj["trees"]):
         try:
             if not isinstance(tree_obj, dict):
@@ -248,12 +249,12 @@ def parse_ensemble_json(text: str) -> TreeEnsemble:
             nodes = tree_obj["nodes"]
             if not isinstance(nodes, list) or len(nodes) == 0:
                 raise ValueError("'nodes' must be a nonempty list")
-            trees.append(Tree.from_nodes(nodes))
+            read_nodes(nodes, columns)
+            sizes.append(len(nodes))
         except ValueError as e:
             raise ParseError(f"tree {ti}: {e}") from e
     try:
-        check_count("feature_count", obj["feature_count"], 1)
-        return TreeEnsemble(tuple(trees), np.array(weights), obj["feature_count"], names)
+        return TreeEnsemble.from_table(columns, sizes, weights, obj["feature_count"], names)
     except ValueError as e:
         raise ParseError(str(e)) from e
 
@@ -271,19 +272,22 @@ def serialize_ensemble(ensemble: TreeEnsemble) -> str:
 
     Writes the bytes of ``json.dumps(obj, indent=2)`` of the model object
     directly: with ``indent`` set, ``json`` runs its pure-Python encoder.
-    Every number is a Python int or a finite float, whose ``repr`` is its
-    JSON text; each feature name goes through ``json.dumps``."""
-    trees = []
-    for w, t in zip(ensemble.weights.tolist(), ensemble.trees):
-        columns = (t.feature, t.threshold, t.left, t.right, t.value)
-        nodes = [
-            f'        {{\n          "feature": {d!r},\n          "threshold": {b!r},\n'
-            f'          "left": {lo!r},\n          "right": {hi!r}\n        }}'
-            if d >= 0
-            else f'        {{\n          "value": {v!r}\n        }}'
-            for d, b, lo, hi, v in zip(*(c.tolist() for c in columns))
-        ]
-        trees.append(f'    {{\n      "weight": {w!r},\n      "nodes": {_json_list(nodes, "      ")}\n    }}')
+    Each node table column is read once.  Every number is a Python int or a
+    finite float, whose ``repr`` is its JSON text; each feature name goes
+    through ``json.dumps``."""
+    columns = (ensemble.feature, ensemble.threshold, ensemble.left, ensemble.right, ensemble.value)
+    nodes = [
+        f'        {{\n          "feature": {d!r},\n          "threshold": {b!r},\n'
+        f'          "left": {lo!r},\n          "right": {hi!r}\n        }}'
+        if d >= 0
+        else f'        {{\n          "value": {v!r}\n        }}'
+        for d, b, lo, hi, v in zip(*(c.tolist() for c in columns))
+    ]
+    starts = ensemble.roots.tolist()
+    trees = [
+        f'    {{\n      "weight": {w!r},\n      "nodes": {_json_list(nodes[lo:hi], "      ")}\n    }}'
+        for w, lo, hi in zip(ensemble.weights.tolist(), starts, starts[1:] + [len(nodes)])
+    ]
     fields = [
         f'  "feature_count": {json.dumps(ensemble.feature_count)}',
         f'  "trees": {_json_list(trees, "  ")}',

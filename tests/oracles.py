@@ -2,10 +2,10 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, direct probability arithmetic, generic numerical optimizers) and
-shares no code paths with the package internals it checks.  The five
+shares no code paths with the package internals it checks.  The six
 exact references (``per_feature_best_split``, ``per_node_sort_grow_tree``,
-``cv_mse_per_depth``, ``unfused_m_step_gate`` and ``per_tree_leaf_index``)
-are the package's earlier loops, kept so that the faster forms can be
+``cv_mse_per_depth``, ``unfused_m_step_gate``, ``per_tree_leaf_index`` and
+``per_tree_check``) are the package's earlier loops, kept so that the faster forms can be
 required to return the very same floats or nodes; ``per_node_sort_grow_tree`` builds the package's ``Tree``,
 because what it checks is only the grower, not the tree type;
 ``cv_mse_per_depth`` calls the package's ``grow_tree``, ``presort``,
@@ -157,6 +157,35 @@ def _per_node_sort_best_split(X, y, rows, min_samples_leaf):
         return None
     p = pos[at[d]]
     return (d, (xs_sorted[d, p - 1] + xs_sorted[d, p]) / 2.0, float(best[d]))
+
+
+def per_tree_check(tree):
+    """The structure check each ``Tree`` ran on itself before an ensemble's
+    node table was checked whole: one walk from the root reaches every node
+    exactly once, then every threshold and leaf value is finite.  Raises
+    ``ValueError`` naming the first defect the walk meets."""
+    n = len(tree.feature)
+    internal = tree.feature >= 0
+    is_internal, left, right = internal.tolist(), tree.left.tolist(), tree.right.tolist()
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if is_internal[i]:
+            for side, child in (("left", left[i]), ("right", right[i])):
+                if not 0 <= child < n:
+                    raise ValueError(f"node {i}: {side} child index out of range")
+                if seen[child]:
+                    raise ValueError(f"node {child}: reached twice from the root")
+                seen[child] = True
+                stack.append(child)
+    if not all(seen):
+        raise ValueError(f"node {seen.index(False)}: not reachable from the root")
+    bad = np.flatnonzero(~np.isfinite(np.where(internal, tree.threshold, tree.value)))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(f"node {i}: non-finite {'threshold' if internal[i] else 'leaf value'}")
 
 
 def per_node_sort_grow_tree(X, y, max_depth, min_samples_leaf):

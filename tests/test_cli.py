@@ -773,3 +773,136 @@ def test_flag_value_error_names_the_flag(reader_files, argv, message):
     assert READER_CSV_ROWS == 12
     code, err = run_quietly([a.format(**paths) for a in argv])
     assert (code, err) == (1, f"error: {message.format(**paths)}\n")
+
+
+@pytest.fixture(scope="module")
+def overflow_files(tmp_path_factory):
+    """CSVs ``x,y`` of 40 rows: ``ok`` with 0/1 targets, ``train`` alternating
+    0 and 1e200, ``test`` alternating +-1.5e200 (every square overflows), and
+    a model trained on ``ok``."""
+    folder = tmp_path_factory.mktemp("overflow")
+    targets = {"ok": [float(i % 2) for i in range(40)], "train": [(i % 2) * 1e200 for i in range(40)],
+               "test": [1.5e200 * (-1) ** i for i in range(40)]}
+    for name, ys in targets.items():
+        rows = "".join(f"{i / 40!r},{y!r}\n" for i, y in enumerate(ys))
+        (folder / f"{name}.csv").write_text("x,y\n" + rows)
+    assert run_quietly(["train-atm", "--train", str(folder / "ok.csv"), "--trees", "5",
+                        "--out", str(folder / "model.json")]) == (0, "")
+    return folder
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["train-atm", "--train", "{train}", "--trees", "5"], "train"),
+        (["evaluate", "--model", "{model}", "--test", "{test}"], "test"),
+        (["baseline", "--train", "{train}", "--test", "{test}"], "train"),
+        (["baseline", "--train", "{ok}", "--test", "{test}"], "test"),
+        (["simplify", "--model", "{model}", "--train", "{train}", "--restarts", "1"], "train"),
+    ],
+    ids=["train-atm", "evaluate", "baseline-train", "baseline-test", "simplify"],
+)
+def test_targets_whose_squares_overflow_are_one_error_line(overflow_files, argv, named):
+    paths = {name: overflow_files / f"{name}.csv" for name in ("ok", "train", "test")}
+    paths["model"] = overflow_files / "model.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_quietly([a.format(**paths) for a in argv])
+    assert [str(w.message) for w in caught] == []
+    assert (code, err) == (1, f"error: {paths[named]}: column 'y': targets too large: their sum of squares overflows\n")
+
+
+# evaluate's mse takes leaf values of 1e150 on 40 rows; EM, whose precisions
+# go up to 1e6, does not
+@pytest.mark.parametrize("command, leaf", [("evaluate", 1e160), ("simplify", 1e150)])
+def test_predictions_whose_squares_overflow_name_the_model(overflow_files, tmp_path, command, leaf):
+    model = tmp_path / "huge.json"
+    huge = TreeEnsemble((stump(0, 0.5, leaf, -leaf),), np.ones(1), 1, ("x",))
+    model.write_text(serialize_ensemble(huge))
+    data = overflow_files / "ok.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_quietly(reader_argv(command, model, data))
+    assert [str(w.message) for w in caught] == []
+    assert (code, err) == (1, f"error: {model}: predictions on {data} too large: their sum of squares overflows\n")
+
+
+def test_report_with_a_non_finite_number_is_refused(tmp_path):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        rulemix.cli._emit_report({"test_mse": float("inf")}, tmp_path / "report.json")
+    assert not (tmp_path / "report.json").exists()
+
+
+# any JSON value, for a field set to something of the wrong kind
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=3,
+)
+MODEL_NUMBERS = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-3, 3)
+
+
+@st.composite
+def generated_models(draw):
+    """Model JSON over the reader CSV's two columns: generated trees of 0-3
+    levels, weights and names, then in half the examples one defect: a field
+    of a node, a tree or the top level set to any JSON value, a key dropped
+    or added, a child index moved, or a node dropped or repeated."""
+    trees = []
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = []
+
+        def grow(depth):
+            at = len(nodes)
+            nodes.append({"value": draw(MODEL_NUMBERS)})
+            if depth and draw(st.booleans()):
+                nodes[at] = {"feature": draw(st.integers(0, 1)), "threshold": draw(MODEL_NUMBERS)}
+                nodes[at]["left"] = grow(depth - 1)
+                nodes[at]["right"] = grow(depth - 1)
+            return at
+
+        grow(draw(st.integers(0, 3)))
+        trees.append({"weight": draw(MODEL_NUMBERS), "nodes": nodes})
+    model = {"feature_count": 2, "trees": trees}
+    if draw(st.booleans()):
+        model["feature_names"] = ["x_1", "x_2"]
+    if draw(st.booleans()):
+        return model
+    tree = draw(st.sampled_from(trees))
+    nodes = tree["nodes"]
+    i = draw(st.integers(0, len(nodes) - 1))
+    target = draw(st.sampled_from([nodes[i], tree, model]))
+    how = draw(st.sampled_from(["set", "drop key", "add key", "move child", "drop node", "repeat node"]))
+    if how == "set":
+        target[draw(st.sampled_from(sorted(target)))] = draw(JSON_VALUES)
+    elif how == "drop key":
+        del target[draw(st.sampled_from(sorted(target)))]
+    elif how == "add key":
+        target[draw(st.text(max_size=8).filter(lambda k: k not in target))] = draw(JSON_VALUES)
+    elif how == "move child" and "left" in nodes[i]:
+        nodes[i][draw(st.sampled_from(["left", "right"]))] = draw(st.integers(-2, len(nodes) + 1))
+    elif how == "drop node":
+        nodes.pop(i)
+    elif how == "repeat node":
+        nodes.append(json.loads(json.dumps(nodes[i])))
+    return model
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simplify"])
+@settings(max_examples=150, deadline=None)
+@given(model=generated_models())
+def test_generated_model_json_exits_cleanly(reader_files, command, model):
+    path = reader_files / "generated.json"
+    path.write_text(json.dumps(model))
+    data = reader_files / "data.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_quietly(reader_argv(command, path, data))
+    event(f"exit {code}")
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1 and err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith((f"error: {path}: ", f"error: {data}: ")), err

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,11 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import constant_tree, stump, two_stump_ensemble
-from oracles import per_tree_leaf_index, predict_by_path
+from oracles import per_tree_check, per_tree_leaf_index, predict_by_path
 from rulemix.binarizer import count_regions_exact, extract_splits
 from rulemix.data import gen_energy_like, gen_xor, split3
-from rulemix.ensemble import BLOCK_PAIRS, Tree, TreeEnsemble, count_regions
-from rulemix.trainer import GbtConfig, fit_gbt, grow_tree, presort
+from rulemix.ensemble import BLOCK_PAIRS, LEAF, Tree, TreeEnsemble, _walk, check_table, count_regions
+from rulemix.trainer import GbtConfig, ParseError, fit_gbt, grow_tree, parse_ensemble_json, presort
 
 
 def test_predict_single_weighted_stump():
@@ -292,3 +293,226 @@ def test_from_nodes_takes_numpy_scalars():
     tree = stump(np.int64(1), np.float64(0.25), np.float32(-1.0), np.int64(2))
     assert tree.feature.tolist() == [1, -1, -1]
     assert tree.predict_batch(np.array([[0.0, 0.2], [0.0, 0.3]])).tolist() == [-1.0, 2.0]
+
+
+def relabel(columns, perm):
+    """The tree ``columns`` with node i renamed ``perm[i]`` (``perm[0]`` is 0),
+    children in range renamed with it and the others left as they are."""
+    n = len(perm)
+    out = [[None] * n for _ in columns]
+    feature, threshold, left, right, value = columns
+    for i in range(n):
+        j = perm[i]
+        out[0][j], out[1][j], out[4][j] = feature[i], threshold[i], value[i]
+        out[2][j] = perm[left[i]] if 0 <= left[i] < n else left[i]
+        out[3][j] = perm[right[i]] if 0 <= right[i] < n else right[i]
+    return out
+
+
+STRUCTURAL_DEFECTS = ("none", "child out of range", "shared child", "orphan", "cut subtree", "detached cycle",
+                      "non-finite")
+
+
+@st.composite
+def tree_table(draw, defect):
+    """Columns (lists) of a random tree, its nodes numbered in random order
+    with the root first, carrying ``defect``.  A shared child is a node
+    outside the subtree its new parent lets go of, so both its parents are
+    reached from the root."""
+    kids, leaves = {}, [0]
+    for _ in range(draw(st.integers(0 if defect in ("none", "orphan", "detached cycle", "non-finite") else 1, 6))):
+        at = leaves.pop(draw(st.integers(0, len(leaves) - 1)))
+        n = 1 + 2 * len(kids)
+        kids[at] = [n, n + 1]
+        leaves += [n, n + 1]
+    n = 1 + 2 * len(kids)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    feature = [draw(st.integers(0, 2)) if i in kids else LEAF for i in range(n)]
+    threshold = [draw(finite) if i in kids else np.nan for i in range(n)]
+    value = [np.nan if i in kids else draw(finite) for i in range(n)]
+    left = [kids[i][0] if i in kids else LEAF for i in range(n)]
+    right = [kids[i][1] if i in kids else LEAF for i in range(n)]
+    columns = [feature, threshold, left, right, value]
+
+    def below(i):
+        return [i] + [j for k in kids.get(i, ()) for j in below(k)]
+
+    if defect in ("child out of range", "shared child"):
+        i = draw(st.sampled_from(sorted(kids)))
+        side = draw(st.sampled_from([2, 3]))
+        if defect == "child out of range":
+            columns[side][i] = draw(st.sampled_from([-(2**40), -2, LEAF, n, n + 3, 2**40]))
+        else:
+            columns[side][i] = draw(st.sampled_from([c for c in range(n) if c not in below(columns[side][i])]))
+    elif defect == "cut subtree":
+        i = draw(st.sampled_from(sorted(kids)))
+        feature[i], threshold[i], value[i] = LEAF, np.nan, draw(finite)
+    elif defect == "orphan":
+        columns = [c + [a] for c, a in zip(columns, (LEAF, np.nan, LEAF, LEAF, draw(finite)))]
+    elif defect == "detached cycle":
+        k = draw(st.integers(1, 3))  # k split nodes n .. n+k-1, each with a leaf n+k ..
+        for j in range(k):
+            for c, a in zip(columns, (draw(st.integers(0, 2)), draw(finite), n + (j + 1) % k, n + k + j, np.nan)):
+                c.append(a)
+        for j in range(k):
+            for c, a in zip(columns, (LEAF, np.nan, LEAF, LEAF, draw(finite))):
+                c.append(a)
+    elif defect == "non-finite":
+        i = draw(st.integers(0, n - 1))
+        columns[1 if i in kids else 4][i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    size = len(columns[0])
+    return relabel(columns, [0] + draw(st.permutations(range(1, size))))
+
+
+@st.composite
+def node_tables(draw):
+    """(tree columns of 1-3 trees, one of which carries a drawn defect or none)."""
+    count = draw(st.integers(1, 3))
+    bad, defect = draw(st.integers(0, count - 1)), draw(st.sampled_from(STRUCTURAL_DEFECTS))
+    return [draw(tree_table(defect if t == bad else "none")) for t in range(count)]
+
+
+def table_arrays(trees):
+    """The columns of ``trees`` stacked into one table, and each tree's root in it."""
+    columns = [np.concatenate([np.array(tree[c], dtype=dtype) for tree in trees])
+               for c, dtype in zip(range(5), (np.int64, np.float64, np.int64, np.int64, np.float64))]
+    sizes = [len(tree[0]) for tree in trees]
+    return columns, np.cumsum([0] + sizes[:-1])
+
+
+def oracle_levels(tree):
+    """Each node's depth below the root of a valid tree, found by walking it."""
+    feature, _, left, right, _ = tree
+    level, stack = {0: 0}, [0]
+    while stack:
+        i = stack.pop()
+        if feature[i] >= 0:
+            for child in (left[i], right[i]):
+                level[child] = level[i] + 1
+                stack.append(child)
+    return [level[i] for i in range(len(feature))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_tables())
+def test_table_check_names_what_the_per_tree_walk_names(trees):
+    expected = None
+    for t, tree in enumerate(trees):
+        try:
+            per_tree_check(Tree(*table_arrays([tree])[0]))
+        except ValueError as e:
+            expected = f"tree {t}: {e}"
+            break
+    columns, roots = table_arrays(trees)
+    if expected is not None:
+        with pytest.raises(ValueError) as caught:
+            check_table(*columns, roots)
+        assert str(caught.value) == expected
+        t = int(expected.split()[1][:-1])
+        with pytest.raises(ValueError) as alone:
+            Tree(*table_arrays([trees[t]])[0]).routes
+        assert f"tree {t}: {alone.value}" == expected
+        return
+    routes = check_table(*columns, roots)
+    levels = [lv for tree in trees for lv in oracle_levels(tree)]
+    assert routes.level.tolist() == levels and routes.depth == max(levels)
+    internal = np.flatnonzero(columns[0] >= 0)
+    assert np.array_equal(routes.parent[routes.left[internal]], internal)
+    assert np.array_equal(routes.parent[routes.right[internal]], internal)
+    assert np.array_equal(routes.parent[roots], roots)
+
+
+@st.composite
+def mixed_depth_ensembles(draw):
+    """(ensemble, X): 1-4 trees, each with a spine of 0-12 splits and small
+    side subtrees, thresholds on the half-integer grid the rows take, rows
+    also holding NaN and infinities."""
+    dims = draw(st.integers(1, 3))
+    trees = []
+    for _ in range(draw(st.integers(1, 4))):
+        depth, nodes = draw(st.integers(0, 12)), []
+
+        def build(level, spine):
+            i = len(nodes)
+            nodes.append(None)
+            if level < depth and (spine or draw(st.integers(0, 3)) == 0):
+                side = draw(st.booleans())
+                nodes[i] = {"feature": draw(st.integers(0, dims - 1)), "threshold": draw(st.integers(0, 4)) / 2.0}
+                nodes[i]["left"] = build(level + 1, spine and side)
+                nodes[i]["right"] = build(level + 1, spine and not side)
+            else:
+                nodes[i] = {"value": draw(st.floats(-100.0, 100.0, allow_subnormal=False))}
+            return i
+
+        build(0, True)
+        trees.append(Tree.from_nodes(nodes))
+    weights = draw(arrays(np.float64, len(trees), elements=st.floats(-2.0, 2.0)))
+    rows = draw(st.sampled_from([0, 1, 7, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0, np.nan, np.inf, -np.inf])
+    return TreeEnsemble(tuple(trees), weights, dims), rng.choice(grid, size=(rows, dims))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_depth_ensembles())
+def test_walk_equals_per_tree_oracle_at_any_depth(case):
+    ens, X = case
+    oracle = np.stack([per_tree_leaf_index(t, X) for t in ens.trees], axis=1).reshape(len(X), ens.tree_count)
+    assert np.array_equal(_walk(ens.routes, X, ens.roots).T - ens.roots, oracle)
+    assert np.array_equal(ens.leaf_vector_batch(X), oracle)
+    for tree, leaves in zip(ens.trees, oracle.T):
+        assert np.array_equal(tree.leaf_index_batch(X), leaves)
+    expected = np.zeros(len(X))
+    for w, t, leaves in zip(ens.weights, ens.trees, oracle.T):
+        expected += w * t.value[leaves]
+    assert ens.predict_batch(X).tobytes() == expected.tobytes()
+
+
+CHAIN_DEPTH = 20_000
+
+
+def chain_model(depth=CHAIN_DEPTH):
+    """A model of a chain of ``depth`` splits on feature 0 (split k sends
+    x < k / depth to leaf value k and the rest down the chain, whose bottom
+    leaf is node 2 * depth) and a stump on feature 1."""
+    nodes = []
+    for k in range(depth):
+        nodes += [{"feature": 0, "threshold": k / depth, "left": 2 * k + 1, "right": 2 * k + 2}, {"value": float(k)}]
+    nodes.append({"value": -1.0})
+    stump_nodes = [{"feature": 1, "threshold": 0.5, "left": 1, "right": 2}, {"value": 0.25}, {"value": 4.0}]
+    return {"feature_count": 2, "trees": [{"weight": 0.5, "nodes": nodes}, {"weight": 1.0, "nodes": stump_nodes}]}
+
+
+def test_deep_chain_model_predicts_per_tree_oracle_floats():
+    ens = parse_ensemble_json(json.dumps(chain_model()))
+    assert ens.routes.depth == CHAIN_DEPTH
+    X = np.random.default_rng(0).random((1000, 2))
+    X[::7, 0], X[::11, 0], X[::13, 0], X[::17, 1] = np.nan, np.inf, -np.inf, np.nan
+    expected = np.zeros(len(X))
+    for w, t in zip(ens.weights, ens.trees):
+        expected += w * t.value[per_tree_leaf_index(t, X)]
+    assert ens.predict_batch(X).tobytes() == expected.tobytes()
+
+
+def _set_bottom(model, key, value):
+    model["trees"][0]["nodes"][2 * CHAIN_DEPTH - 2 if key == "right" else 2 * CHAIN_DEPTH][key] = value
+
+
+@pytest.mark.parametrize(
+    "break_it, message",
+    [
+        (lambda m: _set_bottom(m, "value", float("nan")), f"tree 0: node {2 * CHAIN_DEPTH}: non-finite leaf value"),
+        (lambda m: _set_bottom(m, "right", 2 * CHAIN_DEPTH + 1),
+         f"tree 0: node {2 * CHAIN_DEPTH - 2}: right child index out of range"),
+        (lambda m: _set_bottom(m, "right", 2 * CHAIN_DEPTH - 3),
+         f"tree 0: node {2 * CHAIN_DEPTH - 3}: reached twice from the root"),
+        (lambda m: m["trees"][0]["nodes"].append({"value": 0.0}),
+         f"tree 0: node {2 * CHAIN_DEPTH + 1}: not reachable from the root"),
+    ],
+    ids=["nan-bottom-leaf", "bottom-child-out-of-range", "bottom-child-shared", "orphan-below-bottom"],
+)
+def test_deep_chain_model_defect_at_its_bottom_is_named(break_it, message):
+    model = chain_model()
+    break_it(model)
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_ensemble_json(json.dumps(model))
