@@ -10,7 +10,7 @@ from .baseline import CartConfig, cv_mse_by_depth, fit_cart, tree_to_ruleset
 from .binarizer import BinaryDataset, SplitSchema, build_dataset, count_regions_exact, extract_splits
 from .data import LabeledDataset, gen_energy_like, gen_xor, load_csv, mse, split3
 from .em import DegenerateComponentError, EmConfig, FitReport, e_step, fit, lower_bound, m_step_closed_form, m_step_gate
-from .ensemble import Tree, TreeEnsemble, count_regions
+from .ensemble import TreeEnsemble, count_regions
 from .mixture import (
     MixtureModel,
     RuleSet,
@@ -33,7 +33,6 @@ __all__ = [
     "ParseError",
     "RuleSet",
     "SplitSchema",
-    "Tree",
     "TreeEnsemble",
     "build_dataset",
     "count_regions",

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, check_count, mse
-from .ensemble import Tree
+from .ensemble import TreeEnsemble
 from .mixture import RuleComponent, RuleSet, tightest_intervals
 from .trainer import grow_tree, presort
 
@@ -36,6 +36,12 @@ def cv_folds(n: int, folds: int, seed: int):
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 
+def _grow(xs, ys, depth, min_samples_leaf) -> TreeEnsemble:
+    """``grow_tree``'s tree on (xs, ys) as a one-tree ensemble of weight 1."""
+    columns, _ = grow_tree(xs, ys, presort(xs), depth, min_samples_leaf)
+    return TreeEnsemble(columns, [len(columns[0])], [1.0], xs.shape[1])
+
+
 def cv_mse_by_depth(data: LabeledDataset, config: CartConfig) -> dict[int, float]:
     """Mean held-out MSE of a tree grown to each depth of the grid.
 
@@ -56,9 +62,9 @@ def cv_mse_by_depth(data: LabeledDataset, config: CartConfig) -> dict[int, float
         train_mask[held_out] = False
         xs = data.xs[train_mask]
         ys = data.ys[train_mask]
-        tree, _ = grow_tree(xs, ys, presort(xs), deepest, config.min_samples_leaf)
+        tree = _grow(xs, ys, deepest, config.min_samples_leaf)
         parent, level = tree.routes.parent, tree.routes.level
-        node = tree.leaf_index_batch(data.xs[held_out])
+        node = tree.leaf_vector_batch(data.xs[held_out])[:, 0]
         targets = data.ys[held_out]
         for depth in range(deepest, min(totals) - 1, -1):
             below = level[node] > depth
@@ -68,19 +74,22 @@ def cv_mse_by_depth(data: LabeledDataset, config: CartConfig) -> dict[int, float
     return {depth: total / len(folds) for depth, total in totals.items()}
 
 
-def fit_cart(data: LabeledDataset, config: CartConfig, scores: dict[int, float]) -> Tree:
+def fit_cart(data: LabeledDataset, config: CartConfig, scores: dict[int, float]) -> TreeEnsemble:
     """Refit on all data at the depth of lowest CV error in ``scores`` (from
-    ``cv_mse_by_depth``); ties go to the earlier depth in the grid."""
+    ``cv_mse_by_depth``), ties to the earlier depth in the grid; the tree is
+    a one-tree ensemble of weight 1."""
     best_depth = min(config.depth_grid, key=scores.__getitem__)
-    return grow_tree(data.xs, data.ys, presort(data.xs), best_depth, config.min_samples_leaf)[0]
+    return _grow(data.xs, data.ys, best_depth, config.min_samples_leaf)
 
 
-def tree_to_ruleset(tree: Tree, data: LabeledDataset) -> RuleSet:
-    """Render a tree through the rule machinery: one component per leaf, with
-    the root-to-leaf split conditions as its intervals and the leaf's share
-    of the rows of ``data``; feature names come from ``data``."""
-    reached = tree.leaf_index_batch(data.xs)
-    shares = np.bincount(reached, minlength=tree.node_count) / len(data)
+def tree_to_ruleset(tree: TreeEnsemble, data: LabeledDataset) -> RuleSet:
+    """Render a one-tree ensemble through the rule machinery: one component
+    per leaf, with the root-to-leaf split conditions as its intervals and the
+    leaf's share of the rows of ``data``; feature names come from ``data``."""
+    if tree.tree_count != 1:
+        raise ValueError(f"tree_to_ruleset takes one tree, got {tree.tree_count}")
+    reached = tree.leaf_vector_batch(data.xs)[:, 0]
+    shares = np.bincount(reached, minlength=len(tree.feature)) / len(data)
     components = []
 
     def walk(node, lowers, uppers):

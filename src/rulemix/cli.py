@@ -119,9 +119,10 @@ def _fit_rules(ensemble, xs, em_config, tau, source="the ensemble's predictions"
     components (an empty schema has one pattern)."""
     schema = extract_splits(ensemble)
     dataset = build_dataset(ensemble, schema, xs)
-    check_sum_of_squares(source, dataset.z, em.LAMBDA_BOUNDS[1])
     try:
         model, fit_report = em.fit(dataset, em_config)
+    except ValueError as e:  # predictions too large to fit
+        raise ValueError(f"{source}: {e}") from e
     except RuntimeError as e:  # every restart failed on these predictions
         raise RuntimeError(f"{source}: {e}") from e
     rules = extract_rules(model, tau, dataset)

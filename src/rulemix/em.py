@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binarizer import BinaryDataset
-from .data import check_count
+from .data import check_count, check_sum_of_squares
 from .mixture import MixtureModel, log_joint_matrix, softmax_columns
 
 DEGENERATE_MASS_FACTOR = 1e-10
@@ -276,10 +276,13 @@ def fit(data: BinaryDataset, config: EmConfig):
     M-steps of all live restarts run as one stacked ``m_step_gate`` call, and
     a restart leaves when it converges or fails.  Each restart draws from its
     own generator and makes the calls it would make alone, in that order.
+    Targets whose squares, times the largest precision, overflow are refused
+    before any restart.
     """
     n, k = len(data), config.n_components
     if n < k:
         raise ValueError("need at least one row per component")
+    check_sum_of_squares("targets", data.z, LAMBDA_BOUNDS[1])
     restarts = range(config.restarts)
     rngs = [np.random.default_rng([config.seed, r]) for r in restarts]
     betas = [rng.dirichlet(np.ones(k), size=n) for rng in rngs]

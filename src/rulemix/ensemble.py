@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import check_count, check_int, check_real
+from .data import check_count
 
 LEAF = -1
 
@@ -19,14 +17,8 @@ BLOCK_PAIRS = 1 << 13
 # levels the walk descends between drops of the pairs that reached a leaf
 SETTLE_LEVELS = 4
 
-# a node table's columns, in the order of Tree's fields
+# a node table's columns, in the order the constructor takes them
 COLUMNS = ("feature", "threshold", "left", "right", "value")
-
-_ROOT = np.zeros(1, dtype=np.int64)
-
-# the fields of a leaf and of an internal node in the interchange format
-_LEAF_FIELDS = frozenset({"value"})
-_SPLIT_FIELDS = frozenset({"feature", "threshold", "left", "right"})
 
 
 class Routes(NamedTuple):
@@ -43,21 +35,21 @@ class Routes(NamedTuple):
     depth: int
 
 
-def check_table(feature, threshold, left, right, value, roots, feature_count=None, name_trees=True) -> Routes:
+def check_table(feature, threshold, left, right, value, roots, feature_count=None) -> Routes:
     """The ``Routes`` of a table of trees, tree t's nodes from ``roots[t]`` on,
     children counted within the tree, checked whole in this order: children in
     range; no node reached twice (two parents, or a root as a child); every
     node reached from its root; finite thresholds and leaf values; features
     below ``feature_count``.  The table's first failing node is named in a
-    ``ValueError``: ``tree {t}: node {i}: ...``, or ``node {i}: ...``.  Levels
-    come from pointer jumping, so a deep chain costs few passes."""
+    ``ValueError``: ``tree {t}: node {i}: ...``.  Levels come from pointer
+    jumping, so a deep chain costs few passes."""
     n = len(feature)
     size = np.diff(roots, append=n)
     first, end = np.repeat(roots, size), np.repeat(roots + size, size)  # each node's tree
 
     def fail(i, what):
         t = int(np.searchsorted(roots, i, side="right")) - 1
-        raise ValueError(f"{f'tree {t}: ' if name_trees else ''}node {i - roots[t]}: {what}")
+        raise ValueError(f"tree {t}: node {i - roots[t]}: {what}")
 
     internal = feature >= 0
     inner = np.flatnonzero(internal)
@@ -95,58 +87,6 @@ def check_table(feature, threshold, left, right, value, roots, feature_count=Non
     return Routes(np.maximum(feature, 0), threshold, to_left, to_right, parent, level, int(level.max()))
 
 
-def read_nodes(nodes, columns) -> None:
-    """Append one tree's ``nodes`` list of the interchange format to the table
-    ``columns`` (lists): each node an object with exactly the integers
-    ``feature``, ``left``, ``right`` and the number ``threshold``, or exactly
-    the number ``value``.  A field defect raises ``ValueError`` naming the node;
-    children are clamped to [-1, len(nodes)], left to ``check_table``."""
-    base, n = len(columns[0]), len(nodes)
-    for column, fill in zip(columns, (LEAF, np.nan, LEAF, LEAF, np.nan)):
-        column.extend([fill] * n)
-    feature, threshold, left, right, value = columns
-    # Each field's usual type (what json.loads gives) is tested inline;
-    # check_int/check_real, and the f-string naming the field, run only for
-    # a value of another type.
-    for i, node in enumerate(nodes):
-        if not isinstance(node, dict):
-            raise ValueError(f"node {i}: expected an object")
-        j = base + i
-        if node.keys() == _LEAF_FIELDS:
-            v = node["value"]
-            value[j] = v if type(v) is float else check_real(f"node {i}: value", v)
-        elif node.keys() == _SPLIT_FIELDS:
-            d, b, lo, hi = node["feature"], node["threshold"], node["left"], node["right"]
-            if type(d) is not int:
-                check_int(f"node {i}: feature", d)
-            # an index past int64 is out of range for any feature_count
-            if not 0 <= d < 2**63:
-                raise ValueError(f"node {i}: feature index {d} out of range")
-            feature[j] = d
-            threshold[j] = b if type(b) is float else check_real(f"node {i}: threshold", b)
-            if type(lo) is not int:
-                check_int(f"node {i}: left", lo)
-            if type(hi) is not int:
-                check_int(f"node {i}: right", hi)
-            left[j] = min(max(lo, LEAF), n)
-            right[j] = min(max(hi, LEAF), n)
-        else:
-            shape = _SPLIT_FIELDS if node.keys() & _SPLIT_FIELDS else _LEAF_FIELDS
-            unknown = node.keys() - shape
-            if unknown:
-                raise ValueError(f"node {i}: unknown field {min(unknown)!r}")
-            if shape == _SPLIT_FIELDS:
-                missing = _SPLIT_FIELDS - node.keys()
-                raise ValueError(f"node {i}: internal node missing {min(missing)!r}")
-            raise ValueError(f"node {i}: leaf missing value")
-
-
-def _arrays(columns) -> list:
-    """The node table ``columns`` as arrays: indices int64, numbers float64."""
-    return [np.asarray(c, dtype=np.float64 if name in ("threshold", "value") else np.int64)
-            for name, c in zip(COLUMNS, columns)]
-
-
 def _walk(routes, X, roots) -> np.ndarray:
     """The (len(roots), len(X)) nodes where each row of ``X`` stops below each
     root.  A pair goes ``left`` if ``x[feature] < threshold``, else ``right``
@@ -173,97 +113,33 @@ def _walk(routes, X, roots) -> np.ndarray:
     return node.reshape(len(roots), rows)
 
 
-@dataclass(frozen=True)
-class Tree:
-    """A binary regression tree stored as parallel node arrays: the node
-    table of one tree.
-
-    Node ``i`` is internal when ``feature[i] >= 0`` (then ``threshold``,
-    ``left`` and ``right`` are meaningful) and a leaf otherwise.  Node 0 is
-    the root.  Routing convention: ``x[feature] < threshold`` goes left,
-    ``x[feature] >= threshold`` goes right.
-
-    ``value`` holds each leaf's prediction.  In a tree from ``grow_tree`` an
-    internal node's ``value`` is the mean of its training rows (what the
-    tree cut at that node would predict); a parsed tree holds ``nan``
-    there.  Only leaf values are serialized.
-
-    ``check_table`` checks it once, for the ``routes`` the walk reads: at
-    ``from_nodes``, or at a grown tree's first walk.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.feature)
-        for name in COLUMNS[1:]:
-            if len(getattr(self, name)) != n:
-                raise ValueError("node arrays must share one length")
-        if n == 0:
-            raise ValueError("tree must have at least one node")
-
-    @cached_property
-    def routes(self) -> Routes:
-        return check_table(*(getattr(self, name) for name in COLUMNS), _ROOT, name_trees=False)
-
-    @classmethod
-    def from_nodes(cls, nodes) -> "Tree":
-        """Build from a ``nodes`` list (``read_nodes``), checked at once."""
-        columns = ([], [], [], [], [])
-        read_nodes(nodes, columns)
-        tree = cls(*_arrays(columns))
-        tree.routes  # checked now
-        return tree
-
-    @property
-    def node_count(self) -> int:
-        return len(self.feature)
-
-    @property
-    def n_leaves(self) -> int:
-        return int(np.sum(self.feature < 0))
-
-    def leaf_index_batch(self, X: np.ndarray) -> np.ndarray:
-        """Index of the unique leaf reached by each row of ``X``."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[1] <= self.feature.max():
-            raise ValueError(
-                f"input matrix has {X.shape[1]} column(s); the tree splits on feature "
-                f"{self.feature.max()}"
-            )
-        return _walk(self.routes, X, _ROOT)[0]
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Value of the leaf ``leaf_index_batch(X)`` reaches for each row of ``X``."""
-        return self.value[self.leaf_index_batch(X)]
-
-
 class TreeEnsemble:
     """Weighted sum of regression trees over a D-dimensional input space, held
-    as one node table: a ``Tree``'s columns over every tree's nodes in turn,
-    tree t's from ``roots[t]``.  It is checked once, whole; its ``routes`` let
-    one walk route every (row, tree) pair at once.  ``trees`` are views."""
+    as one node table: the ``COLUMNS`` over every tree's nodes in turn, tree
+    t's ``sizes[t]`` nodes from ``roots[t]``, children counted within the tree.
 
-    def __init__(self, trees, weights, feature_count, feature_names=None):
-        trees = tuple(trees)
-        columns = [np.concatenate([getattr(t, name) for t in trees] or [[]]) for name in COLUMNS]
-        self._hold(columns, [t.node_count for t in trees], weights, feature_count, feature_names)
+    Node i is internal when ``feature[i] >= 0`` (then ``threshold``, ``left``
+    and ``right`` are meaningful) and a leaf otherwise; a tree's first node is
+    its root.  ``x[feature] < threshold`` goes left, anything else (NaN too)
+    right.  ``value`` holds each leaf's prediction; a grown internal node
+    holds the mean of its training rows, a parsed one ``nan``, and only leaf
+    values are written.  A regression tree is the ensemble of one tree of
+    weight 1.  The table is checked once, whole (``check_table``); its
+    ``routes`` let one walk route every (row, tree) pair at once.
+    """
 
-    @classmethod
-    def from_table(cls, columns, sizes, weights, feature_count, feature_names=None) -> "TreeEnsemble":
-        """The ensemble of table ``columns``, tree t's ``sizes[t]`` nodes in turn."""
-        ensemble = cls.__new__(cls)
-        ensemble._hold(columns, sizes, weights, feature_count, feature_names)
-        return ensemble
-
-    def _hold(self, columns, sizes, weights, feature_count, feature_names) -> None:
+    def __init__(self, columns, sizes, weights, feature_count, feature_names=None):
+        self.feature, self.threshold, self.left, self.right, self.value = columns = [
+            np.asarray(c, dtype=np.float64 if name in ("threshold", "value") else np.int64)
+            for name, c in zip(COLUMNS, columns)
+        ]
+        sizes = np.asarray(sizes, dtype=np.int64)
         if len(sizes) < 1:
             raise ValueError("ensemble needs at least one tree")
-        self.feature, self.threshold, self.left, self.right, self.value = columns = _arrays(columns)
+        if (sizes < 1).any():
+            raise ValueError(f"tree {np.argmax(sizes < 1)}: must have at least one node")
+        if {len(c) for c in columns} != {sizes.sum()}:
+            raise ValueError(f"node columns must each hold sum(sizes) = {sizes.sum()} nodes")
         self.roots = np.cumsum(sizes) - sizes
         self.weights = np.asarray(weights, dtype=np.float64)
         if len(self.weights) != len(sizes):
@@ -287,16 +163,9 @@ class TreeEnsemble:
     def tree_count(self) -> int:
         return len(self.roots)
 
-    @cached_property
-    def trees(self) -> tuple:
-        """Each tree as a ``Tree`` viewing its rows of the table and ``routes``."""
-        trees, r = [], self.routes
-        for lo, hi in zip(self.roots.tolist(), [*self.roots[1:].tolist(), len(self.feature)]):
-            tree = Tree(*(getattr(self, name)[lo:hi] for name in COLUMNS))
-            local = (r.left[lo:hi] - lo, r.right[lo:hi] - lo, r.parent[lo:hi] - lo, r.level[lo:hi])
-            tree.__dict__["routes"] = Routes(r.feature[lo:hi], r.threshold[lo:hi], *local, int(local[3].max()))
-            trees.append(tree)
-        return tuple(trees)
+    @property
+    def n_leaves(self) -> int:
+        return int(np.sum(self.feature < 0))
 
     def predict(self, x) -> float:
         """``predict_batch`` of the single row ``x``."""

@@ -7,8 +7,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset, check_count, check_real
-from .ensemble import LEAF, Tree, TreeEnsemble, read_nodes
+from .data import LabeledDataset, check_count, check_int, check_real
+from .ensemble import LEAF, TreeEnsemble
+
+# the fields of a leaf and of an internal node in the interchange format
+_LEAF_FIELDS = frozenset({"value"})
+_SPLIT_FIELDS = frozenset({"feature", "threshold", "left", "right"})
 
 
 class ParseError(ValueError):
@@ -115,9 +119,10 @@ def _best_split(ys_sorted, xs_sorted, k, total, total_sq):
     return (d, mid if a < mid <= b else b, float(gains[i]))
 
 
-def grow_tree(X, y, presorted, max_depth, min_samples_leaf) -> tuple[Tree, np.ndarray]:
-    """Greedy least-squares regression tree (shared by boosting and CART),
-    and the leaf each row of ``X`` reaches in it.
+def grow_tree(X, y, presorted, max_depth, min_samples_leaf) -> tuple[tuple, np.ndarray]:
+    """Greedy least-squares regression tree (shared by boosting and CART) as
+    its node table's ``COLUMNS`` (nodes in preorder, the root first), and the
+    node each row of ``X`` ends at.
 
     ``presorted`` is ``presort(X)``; the root scans its sorted values at
     their boundaries for ``min_samples_leaf``, both built once however many
@@ -128,8 +133,8 @@ def grow_tree(X, y, presorted, max_depth, min_samples_leaf) -> tuple[Tree, np.nd
     with one mask, and only between the children that can split in turn; the
     mask keeps each side in the stable order of its own rows, so every node
     scans what a stable sort of its rows would give.  The split routes the
-    rows by the comparison ``leaf_index_batch`` makes, so the leaves are
-    those ``leaf_index_batch(X)`` finds.
+    rows by the comparison the ensemble walk makes, so the leaves are those
+    it finds.
 
     Every node's ``value`` is the mean of its training rows, internal nodes
     included: a node's split depends only on its own rows, so the tree cut
@@ -175,7 +180,7 @@ def grow_tree(X, y, presorted, max_depth, min_samples_leaf) -> tuple[Tree, np.nd
         build(rows, 0, (presorted.order, presorted.values, presorted.boundaries(min_samples_leaf)))
     else:
         build(rows, 0, None)
-    return Tree(*map(np.array, zip(*nodes))), leaf
+    return tuple(map(np.array, zip(*nodes))), leaf
 
 
 def fit_gbt(data: LabeledDataset, config: GbtConfig) -> TreeEnsemble:
@@ -189,15 +194,62 @@ def fit_gbt(data: LabeledDataset, config: GbtConfig) -> TreeEnsemble:
     if len(y) < 2:
         raise ValueError("need at least 2 samples with one target each")
 
-    trees = [Tree(*(np.array([a]) for a in (LEAF, np.nan, LEAF, LEAF, y.mean())))]
+    trees = [[np.array([a]) for a in (LEAF, np.nan, LEAF, LEAF, y.mean())]]
     current = np.full(len(y), y.mean())
     presorted = presort(X)
     for _ in range(config.tree_count):
-        tree, leaf = grow_tree(X, y - current, presorted, config.max_depth, config.min_samples_leaf)
-        trees.append(tree)
-        current += config.learning_rate * tree.value[leaf]
+        columns, leaf = grow_tree(X, y - current, presorted, config.max_depth, config.min_samples_leaf)
+        trees.append(columns)
+        current += config.learning_rate * columns[-1][leaf]
+    table = [np.concatenate(column) for column in zip(*trees)]
     weights = np.array([1.0] + [config.learning_rate] * config.tree_count)
-    return TreeEnsemble(tuple(trees), weights, X.shape[1], data.feature_names)
+    return TreeEnsemble(table, [len(t[0]) for t in trees], weights, X.shape[1], data.feature_names)
+
+
+def read_nodes(nodes, columns) -> None:
+    """Append one tree's ``nodes`` list of the interchange format to the table
+    ``columns`` (lists): each node an object with exactly the integers
+    ``feature``, ``left``, ``right`` and the number ``threshold``, or exactly
+    the number ``value``.  A field defect raises ``ValueError`` naming the node;
+    children are clamped to [-1, len(nodes)], left to ``check_table``."""
+    base, n = len(columns[0]), len(nodes)
+    for column, fill in zip(columns, (LEAF, np.nan, LEAF, LEAF, np.nan)):
+        column.extend([fill] * n)
+    feature, threshold, left, right, value = columns
+    # Each field's usual type (what json.loads gives) is tested inline;
+    # check_int/check_real, and the f-string naming the field, run only for
+    # a value of another type.
+    for i, node in enumerate(nodes):
+        if not isinstance(node, dict):
+            raise ValueError(f"node {i}: expected an object")
+        j = base + i
+        if node.keys() == _LEAF_FIELDS:
+            v = node["value"]
+            value[j] = v if type(v) is float else check_real(f"node {i}: value", v)
+        elif node.keys() == _SPLIT_FIELDS:
+            d, b, lo, hi = node["feature"], node["threshold"], node["left"], node["right"]
+            if type(d) is not int:
+                check_int(f"node {i}: feature", d)
+            # an index past int64 is out of range for any feature_count
+            if not 0 <= d < 2**63:
+                raise ValueError(f"node {i}: feature index {d} out of range")
+            feature[j] = d
+            threshold[j] = b if type(b) is float else check_real(f"node {i}: threshold", b)
+            if type(lo) is not int:
+                check_int(f"node {i}: left", lo)
+            if type(hi) is not int:
+                check_int(f"node {i}: right", hi)
+            left[j] = min(max(lo, LEAF), n)
+            right[j] = min(max(hi, LEAF), n)
+        else:
+            shape = _SPLIT_FIELDS if node.keys() & _SPLIT_FIELDS else _LEAF_FIELDS
+            unknown = node.keys() - shape
+            if unknown:
+                raise ValueError(f"node {i}: unknown field {min(unknown)!r}")
+            if shape == _SPLIT_FIELDS:
+                missing = _SPLIT_FIELDS - node.keys()
+                raise ValueError(f"node {i}: internal node missing {min(missing)!r}")
+            raise ValueError(f"node {i}: leaf missing value")
 
 
 def _unique_keys(pairs) -> dict:
@@ -254,7 +306,7 @@ def parse_ensemble_json(text: str) -> TreeEnsemble:
         except ValueError as e:
             raise ParseError(f"tree {ti}: {e}") from e
     try:
-        return TreeEnsemble.from_table(columns, sizes, weights, obj["feature_count"], names)
+        return TreeEnsemble(columns, sizes, weights, obj["feature_count"], names)
     except ValueError as e:
         raise ParseError(str(e)) from e
 

@@ -9,26 +9,39 @@ import pytest
 import rulemix
 import rulemix.em
 from rulemix.binarizer import BinaryDataset, SplitSchema
-from rulemix.ensemble import Tree, TreeEnsemble
+from rulemix.ensemble import TreeEnsemble
 from rulemix.mixture import MixtureModel, gate_design
+from rulemix.trainer import read_nodes
 
 
-def stump(feature=0, threshold=0.5, left_value=0.0, right_value=1.0) -> Tree:
-    return Tree.from_nodes(
-        [
-            {"feature": feature, "threshold": threshold, "left": 1, "right": 2},
-            {"value": left_value},
-            {"value": right_value},
-        ]
-    )
+def stump(feature=0, threshold=0.5, left_value=0.0, right_value=1.0) -> list:
+    return [
+        {"feature": feature, "threshold": threshold, "left": 1, "right": 2},
+        {"value": left_value},
+        {"value": right_value},
+    ]
 
 
-def constant_tree(value=0.0) -> Tree:
-    return Tree.from_nodes([{"value": value}])
+def constant_tree(value=0.0) -> list:
+    return [{"value": value}]
+
+
+def ensemble_of(trees, weights, feature_count, feature_names=None) -> TreeEnsemble:
+    """The ensemble of ``trees``, each a ``nodes`` list of the interchange
+    format (``read_nodes``)."""
+    columns = ([], [], [], [], [])
+    for nodes in trees:
+        read_nodes(nodes, columns)
+    return TreeEnsemble(columns, [len(nodes) for nodes in trees], weights, feature_count, feature_names)
+
+
+def one_tree(columns, X) -> TreeEnsemble:
+    """``grow_tree``'s ``columns`` as a one-tree ensemble over X's features."""
+    return TreeEnsemble(columns, [len(columns[0])], [1.0], X.shape[1])
 
 
 def two_stump_ensemble(weights=(1.0, 1.0)) -> TreeEnsemble:
-    return TreeEnsemble((stump(0), stump(1)), np.array(weights), 2)
+    return ensemble_of((stump(0), stump(1)), np.array(weights), 2)
 
 
 def schema_of_length(l, dims=2) -> SplitSchema:

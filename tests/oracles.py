@@ -6,8 +6,10 @@ shares no code paths with the package internals it checks.  The six
 exact references (``per_feature_best_split``, ``per_node_sort_grow_tree``,
 ``cv_mse_per_depth``, ``unfused_m_step_gate``, ``per_tree_leaf_index`` and
 ``per_tree_check``) are the package's earlier loops, kept so that the faster forms can be
-required to return the very same floats or nodes; ``per_node_sort_grow_tree`` builds the package's ``Tree``,
-because what it checks is only the grower, not the tree type;
+required to return the very same floats or nodes.  Trees are node columns
+in the package's order (``feature``, ``threshold``, ``left``, ``right``,
+``value``; children counted within a tree), walked from each tree's root;
+``per_node_sort_grow_tree`` returns them as ``grow_tree`` does.
 ``cv_mse_per_depth`` calls the package's ``grow_tree``, ``presort``,
 ``cv_folds`` and ``mse``, because what it checks is only the
 one-tree-per-fold cut, not the grower, and ``unfused_m_step_gate`` calls
@@ -23,40 +25,47 @@ from scipy.optimize import minimize
 
 from rulemix.baseline import cv_folds
 from rulemix.data import mse
-from rulemix.ensemble import LEAF, Tree
+from rulemix.ensemble import LEAF
 from rulemix.mixture import gate_design, softmax_columns
 from rulemix.trainer import grow_tree, presort
 
 
 def predict_by_path(ensemble, x):
-    """Walk every tree from the root by direct comparisons and sum leaf values."""
+    """Walk every tree of the ensemble's node table from its root by direct
+    comparisons and sum the weighted leaf values."""
+    e = ensemble
     total = 0.0
-    for w, t in zip(ensemble.weights, ensemble.trees):
-        i = 0
-        while t.feature[i] >= 0:
-            if x[t.feature[i]] < t.threshold[i]:
-                i = int(t.left[i])
+    for w, root in zip(e.weights, e.roots):
+        i = int(root)
+        while e.feature[i] >= 0:
+            if x[e.feature[i]] < e.threshold[i]:
+                i = int(root + e.left[i])
             else:
-                i = int(t.right[i])
-        total += float(w) * float(t.value[i])
+                i = int(root + e.right[i])
+        total += float(w) * float(e.value[i])
     return total
 
 
-def per_tree_leaf_index(tree, X, depth=None):
-    """The node where each row of ``X`` stops in one tree, as found before
-    the ensemble walked all its trees at once: every row at an internal node
-    descends one level per step, for at most ``depth`` steps."""
-    idx = np.zeros(len(X), dtype=np.int64)
-    for _ in itertools.count() if depth is None else range(depth):
-        feats = tree.feature[idx]
-        active = feats >= 0
-        if not active.any():
-            break
-        rows = np.nonzero(active)[0]
-        sub = idx[rows]
-        go_left = X[rows, feats[rows]] < tree.threshold[sub]
-        idx[rows] = np.where(go_left, tree.left[sub], tree.right[sub])
-    return idx
+def per_tree_leaf_index(columns, roots, X, depth=None):
+    """The node where each row of ``X`` stops in each tree of the node table
+    ``columns`` (tree t's nodes from ``roots[t]`` on), counted within its
+    tree, as found before the ensemble walked all its trees at once: tree by
+    tree, every row at an internal node descends one level per step, for at
+    most ``depth`` steps.  Returns a (len(X), len(roots)) array."""
+    feature, threshold, left, right = columns[:4]
+    out = np.zeros((len(X), len(roots)), dtype=np.int64)
+    for t, root in enumerate(roots):
+        idx = out[:, t]
+        for _ in itertools.count() if depth is None else range(depth):
+            feats = feature[root + idx]
+            active = feats >= 0
+            if not active.any():
+                break
+            rows = np.nonzero(active)[0]
+            at = root + idx[rows]
+            go_left = X[rows, feats[rows]] < threshold[at]
+            idx[rows] = np.where(go_left, left[at], right[at])
+    return out
 
 
 def brute_force_best_split(X, y, min_samples_leaf):
@@ -159,14 +168,16 @@ def _per_node_sort_best_split(X, y, rows, min_samples_leaf):
     return (d, (xs_sorted[d, p - 1] + xs_sorted[d, p]) / 2.0, float(best[d]))
 
 
-def per_tree_check(tree):
-    """The structure check each ``Tree`` ran on itself before an ensemble's
-    node table was checked whole: one walk from the root reaches every node
-    exactly once, then every threshold and leaf value is finite.  Raises
-    ``ValueError`` naming the first defect the walk meets."""
-    n = len(tree.feature)
-    internal = tree.feature >= 0
-    is_internal, left, right = internal.tolist(), tree.left.tolist(), tree.right.tolist()
+def per_tree_check(columns):
+    """The structure check each tree ran on itself before an ensemble's node
+    table was checked whole, on one tree's node ``columns``: one walk from
+    the root reaches every node exactly once, then every threshold and leaf
+    value is finite.  Raises ``ValueError`` naming the first defect the walk
+    meets."""
+    feature, threshold, left, right, value = columns
+    n = len(feature)
+    internal = feature >= 0
+    is_internal, left, right = internal.tolist(), left.tolist(), right.tolist()
     seen = [False] * n
     seen[0] = True
     stack = [0]
@@ -182,7 +193,7 @@ def per_tree_check(tree):
                 stack.append(child)
     if not all(seen):
         raise ValueError(f"node {seen.index(False)}: not reachable from the root")
-    bad = np.flatnonzero(~np.isfinite(np.where(internal, tree.threshold, tree.value)))
+    bad = np.flatnonzero(~np.isfinite(np.where(internal, threshold, value)))
     if len(bad):
         i = int(bad[0])
         raise ValueError(f"node {i}: non-finite {'threshold' if internal[i] else 'leaf value'}")
@@ -191,7 +202,7 @@ def per_tree_check(tree):
 def per_node_sort_grow_tree(X, y, max_depth, min_samples_leaf):
     """The greedy least-squares tree as grown before the columns were sorted
     once per fit: every node sorts its own rows again, and its value is
-    ``y[rows].mean()``."""
+    ``y[rows].mean()``.  Returns the node columns, nodes in preorder."""
     feature, threshold, left, right, value = [], [], [], [], []
 
     def new_node():
@@ -219,7 +230,7 @@ def per_node_sort_grow_tree(X, y, max_depth, min_samples_leaf):
         build(rows[~go_left], depth + 1, right[node])
 
     build(np.arange(len(y)), 0, new_node())
-    return Tree(
+    return (
         np.array(feature, dtype=np.int64),
         np.array(threshold),
         np.array(left, dtype=np.int64),
@@ -240,8 +251,9 @@ def cv_mse_per_depth(data, config):
             train_mask[held_out] = False
             xs = data.xs[train_mask]
             ys = data.ys[train_mask]
-            tree, _ = grow_tree(xs, ys, presort(xs), depth, config.min_samples_leaf)
-            total += mse(tree.predict_batch(data.xs[held_out]), data.ys[held_out])
+            columns, _ = grow_tree(xs, ys, presort(xs), depth, config.min_samples_leaf)
+            leaves = per_tree_leaf_index(columns, [0], data.xs[held_out])[:, 0]
+            total += mse(columns[4][leaves], data.ys[held_out])
         scores[depth] = total / len(folds)
     return scores
 

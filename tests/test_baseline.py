@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_tree, two_stump_ensemble
 from oracles import cv_mse_per_depth
 from rulemix.baseline import CartConfig, cv_folds, cv_mse_by_depth, fit_cart, tree_to_ruleset
 from rulemix.data import LabeledDataset, gen_xor
@@ -49,7 +50,7 @@ def test_perfect_depth_two_tree_has_four_leaves():
     rng = np.random.default_rng(3)
     xs = rng.random((200, 2))
     ys = 2.0 * (xs[:, 0] >= 0.5) + (xs[:, 1] >= 0.5)
-    tree, _ = grow_tree(xs, ys, presort(xs), max_depth=2, min_samples_leaf=5)
+    tree = one_tree(grow_tree(xs, ys, presort(xs), max_depth=2, min_samples_leaf=5)[0], xs)
     assert tree.n_leaves == 2**2
 
 
@@ -66,7 +67,7 @@ def test_deeper_trees_never_raise_training_mse():
     data = gen_xor(300, seed=5)
     prev = np.inf
     for depth in range(1, 8):
-        tree, _ = grow_tree(data.xs, data.ys, presort(data.xs), depth, min_samples_leaf=5)
+        tree = one_tree(grow_tree(data.xs, data.ys, presort(data.xs), depth, min_samples_leaf=5)[0], data.xs)
         cur = float(np.mean((tree.predict_batch(data.xs) - data.ys) ** 2))
         assert cur <= prev + 1e-12
         prev = cur
@@ -146,15 +147,21 @@ def test_fit_cart_refits_at_lowest_score_ties_to_earlier_depth():
 
 def test_single_leaf_count():
     data = LabeledDataset(np.random.default_rng(8).random((20, 1)), np.zeros(20))
-    tree, _ = grow_tree(data.xs, data.ys, presort(data.xs), max_depth=3, min_samples_leaf=5)
+    tree = one_tree(grow_tree(data.xs, data.ys, presort(data.xs), max_depth=3, min_samples_leaf=5)[0], data.xs)
     assert tree.n_leaves == 1
+
+
+def test_tree_to_ruleset_takes_one_tree():
+    data = LabeledDataset(np.zeros((4, 2)), np.zeros(4))
+    with pytest.raises(ValueError, match="^tree_to_ruleset takes one tree, got 2$"):
+        tree_to_ruleset(two_stump_ensemble(), data)
 
 
 def test_tree_renders_as_path_conjunctions():
     rng = np.random.default_rng(9)
     xs = rng.random((200, 2))
     ys = 2.0 * (xs[:, 0] >= 0.5) + (xs[:, 1] >= 0.5)
-    tree, _ = grow_tree(xs, ys, presort(xs), max_depth=2, min_samples_leaf=5)
+    tree = one_tree(grow_tree(xs, ys, presort(xs), max_depth=2, min_samples_leaf=5)[0], xs)
     rules = tree_to_ruleset(tree, LabeledDataset(xs, ys, ("alpha", "beta")))
     assert len(rules.components) == 4
     assert sum(c.share for c in rules.components) == pytest.approx(1.0)
@@ -176,8 +183,8 @@ def test_tree_rules_partition_rows_by_leaf(seed, depth, dims, min_leaf):
     # threshold, where a row must go right (x >= b) and match one rule only.
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, 6, size=(60, dims)) / 5.0
-    tree, _ = grow_tree(xs, rng.normal(size=60), presort(xs), depth, min_leaf)
-    on_split = xs[rng.integers(0, 60, size=tree.node_count)]
+    tree = one_tree(grow_tree(xs, rng.normal(size=60), presort(xs), depth, min_leaf)[0], xs)
+    on_split = xs[rng.integers(0, 60, size=len(tree.feature))]
     internal = np.nonzero(tree.feature >= 0)[0]
     on_split[internal, tree.feature[internal]] = tree.threshold[internal]
     probes = np.concatenate([xs, on_split[internal]])
@@ -189,7 +196,7 @@ def test_tree_rules_partition_rows_by_leaf(seed, depth, dims, min_leaf):
             inside[:, j] &= (probes[:, iv.feature] >= iv.lower) & (probes[:, iv.feature] < iv.upper)
     assert (inside.sum(axis=1) == 1).all()
     rule_of_row = inside.argmax(axis=1)
-    leaf_of_row = tree.leaf_index_batch(probes)
+    leaf_of_row = tree.leaf_vector_batch(probes)[:, 0]
 
     assert len(rules.components) == tree.n_leaves
     rule_of_leaf = {}

@@ -4,27 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import schema_of_length, stump, two_stump_ensemble
+from conftest import ensemble_of, schema_of_length, stump, two_stump_ensemble
 from rulemix.binarizer import BinaryDataset, SplitSchema, build_dataset, count_patterns, extract_splits
 from rulemix.data import gen_xor
-from rulemix.ensemble import TreeEnsemble
 from rulemix.trainer import GbtConfig, fit_gbt, parse_ensemble_json, serialize_ensemble
 
 
 def test_extract_single_stump():
-    ens = TreeEnsemble((stump(0, 0.5),), np.array([1.0]), 1)
+    ens = ensemble_of((stump(0, 0.5),), np.array([1.0]), 1)
     schema = extract_splits(ens)
     assert schema.rules == [(0, 0.5)]
 
 
 def test_extract_deduplicates_across_trees():
-    ens = TreeEnsemble((stump(0, 0.5), stump(0, 0.5)), np.array([1.0, 1.0]), 1)
+    ens = ensemble_of((stump(0, 0.5), stump(0, 0.5)), np.array([1.0, 1.0]), 1)
     assert extract_splits(ens).rules == [(0, 0.5)]
 
 
 def test_extract_sorts_by_feature_then_threshold():
     trees = (stump(1, 0.3), stump(0, 0.5), stump(0, 0.2))
-    ens = TreeEnsemble(trees, np.ones(3), 2)
+    ens = ensemble_of(trees, np.ones(3), 2)
     assert extract_splits(ens).rules == [(0, 0.2), (0, 0.5), (1, 0.3)]
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import constant_tree, src_env, stump
+from conftest import constant_tree, ensemble_of, src_env, stump
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +30,6 @@ from rulemix.data import (
     load_csv,
     write_csv,
 )
-from rulemix.ensemble import TreeEnsemble
 from rulemix.trainer import serialize_ensemble
 
 
@@ -171,7 +170,7 @@ def test_simplify_warns_on_degenerate_fit(tmp_path, capsys, xor_csv, tree, k, pa
     # Fewer distinct bit patterns than components (a constant tree has an
     # empty schema, hence one pattern): the spare components repeat a rule.
     model_path = tmp_path / "model.json"
-    model_path.write_text(serialize_ensemble(TreeEnsemble((tree,), np.ones(1), 2)))
+    model_path.write_text(serialize_ensemble(ensemble_of((tree,), np.ones(1), 2)))
     args = ["simplify", "--model", str(model_path), "--train", str(xor_csv), "--k", str(k)]
     assert run(args + ["--restarts", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -270,7 +269,7 @@ def test_feature_columns_must_match_model(monkeypatch, tmp_path, capsys, xor_csv
 @pytest.mark.parametrize("command", ["simplify", "evaluate"])
 def test_feature_count_must_match_model_without_names(tmp_path, capsys, command):
     model = tmp_path / "model.json"
-    model.write_text(serialize_ensemble(TreeEnsemble((constant_tree(0.5),), np.ones(1), 2)))
+    model.write_text(serialize_ensemble(ensemble_of((constant_tree(0.5),), np.ones(1), 2)))
     data = tmp_path / "three.csv"
     write_csv(LabeledDataset(np.zeros((2, 3)), np.zeros(2)), data, "y")
     code, err = run_quietly(reader_argv(command, model, data))
@@ -404,7 +403,7 @@ def test_model_read_errors_name_the_file(tmp_path, capsys, xor_csv, command):
 # breaks exactly one of them in one place.
 READER_MODEL = json.loads(
     serialize_ensemble(
-        TreeEnsemble(
+        ensemble_of(
             (stump(0), stump(1, 0.25, -1.0, 2.0), constant_tree(0.5)),
             np.array([1.0, 0.1, 0.1]),
             2,
@@ -813,18 +812,19 @@ def test_targets_whose_squares_overflow_are_one_error_line(overflow_files, argv,
 
 
 # evaluate's mse takes leaf values of 1e150 on 40 rows; EM, whose precisions
-# go up to 1e6, does not
+# go up to 1e6, does not, and names them its targets
 @pytest.mark.parametrize("command, leaf", [("evaluate", 1e160), ("simplify", 1e150)])
 def test_predictions_whose_squares_overflow_name_the_model(overflow_files, tmp_path, command, leaf):
+    what = ": targets too large" if command == "simplify" else " too large"
     model = tmp_path / "huge.json"
-    huge = TreeEnsemble((stump(0, 0.5, leaf, -leaf),), np.ones(1), 1, ("x",))
+    huge = ensemble_of((stump(0, 0.5, leaf, -leaf),), np.ones(1), 1, ("x",))
     model.write_text(serialize_ensemble(huge))
     data = overflow_files / "ok.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, err = run_quietly(reader_argv(command, model, data))
     assert [str(w.message) for w in caught] == []
-    assert (code, err) == (1, f"error: {model}: predictions on {data} too large: their sum of squares overflows\n")
+    assert (code, err) == (1, f"error: {model}: predictions on {data}{what}: their sum of squares overflows\n")
 
 
 def test_report_with_a_non_finite_number_is_refused(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections import Counter
 from dataclasses import asdict, replace
 
@@ -591,6 +592,20 @@ def test_fit_requires_enough_rows():
     ds = random_dataset(42, n=3, l=2)
     with pytest.raises(ValueError):
         fit(ds, EmConfig(n_components=4))
+
+
+def test_fit_refuses_targets_whose_squares_overflow_at_the_largest_precision(monkeypatch):
+    # the sum of squares of 40 rows alternating 0 and 4e152 is finite, but
+    # not times EM's largest precision, so 0.5 * lam * resid**2 would overflow
+    ds = random_dataset(48, n=40, l=2)
+    huge = BinaryDataset(ds.bits, np.tile([0.0, 4e152], 20), ds.schema)
+    steps = []
+    monkeypatch.setattr(rulemix.em, "m_step_closed_form", lambda *args: steps.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^targets too large: their sum of squares overflows$"):
+            fit(huge, EmConfig(n_components=2, restarts=3, seed=0))
+    assert steps == []  # refused before any restart
 
 
 def test_fit_relabeling_keeps_likelihood():

@@ -7,21 +7,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import constant_tree, stump, two_stump_ensemble
+from conftest import constant_tree, ensemble_of, one_tree, stump, two_stump_ensemble
 from oracles import per_tree_check, per_tree_leaf_index, predict_by_path
+from rulemix.baseline import CartConfig, fit_cart
 from rulemix.binarizer import count_regions_exact, extract_splits
-from rulemix.data import gen_energy_like, gen_xor, split3
-from rulemix.ensemble import BLOCK_PAIRS, LEAF, Tree, TreeEnsemble, _walk, check_table, count_regions
-from rulemix.trainer import GbtConfig, ParseError, fit_gbt, grow_tree, parse_ensemble_json, presort
+from rulemix.data import LabeledDataset, gen_energy_like, gen_xor, split3
+from rulemix.ensemble import BLOCK_PAIRS, LEAF, SETTLE_LEVELS, TreeEnsemble, _walk, check_table, count_regions
+from rulemix.trainer import (
+    GbtConfig,
+    ParseError,
+    fit_gbt,
+    grow_tree,
+    parse_ensemble_json,
+    presort,
+    serialize_ensemble,
+)
+
+
+def per_tree_oracle(ens, X):
+    """``per_tree_leaf_index`` of every tree of ``ens``, and the weighted sum
+    of the leaf values it finds, added tree by tree."""
+    leaves = per_tree_leaf_index((ens.feature, ens.threshold, ens.left, ens.right), ens.roots, X)
+    total = np.zeros(len(X))
+    for w, root, tree_leaves in zip(ens.weights, ens.roots, leaves.T):
+        total += w * ens.value[root + tree_leaves]
+    return leaves, total
 
 
 def test_predict_single_weighted_stump():
-    ens = TreeEnsemble((stump(),), np.array([2.0]), 1)
+    ens = ensemble_of((stump(),), np.array([2.0]), 1)
     assert ens.predict([0.7]) == 2.0
 
 
 def test_predict_boundary_routes_right():
-    ens = TreeEnsemble((stump(),), np.array([2.0]), 1)
+    ens = ensemble_of((stump(),), np.array([2.0]), 1)
     assert ens.predict([0.5]) == 2.0
 
 
@@ -40,12 +59,12 @@ def test_predict_dimension_mismatch():
 
 
 def test_leaf_vector_constant_tree():
-    ens = TreeEnsemble((constant_tree(3.0),), np.array([1.0]), 1)
+    ens = ensemble_of((constant_tree(3.0),), np.array([1.0]), 1)
     assert ens.leaf_vector_batch([[0.42], [-3.0]]).tolist() == [[0], [0]]
 
 
 def test_leaf_vector_stump_sides():
-    ens = TreeEnsemble((stump(),), np.array([1.0]), 1)
+    ens = ensemble_of((stump(),), np.array([1.0]), 1)
     assert ens.leaf_vector_batch([[0.2], [0.9], [0.5]]).tolist() == [[1], [2], [2]]
 
 
@@ -55,17 +74,15 @@ def test_leaf_vector_two_stumps():
 
 
 def test_count_regions_exact_single_tree_equals_leaves():
-    deep = Tree.from_nodes(
-        [
-            {"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
-            {"value": 0.0},
-            {"feature": 0, "threshold": 0.75, "left": 3, "right": 4},
-            {"value": 1.0},
-            {"value": 2.0},
-        ]
-    )
-    ens = TreeEnsemble((deep,), np.array([1.0]), 1)
-    assert count_regions_exact(ens) == 3 == deep.n_leaves
+    deep = [
+        {"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
+        {"value": 0.0},
+        {"feature": 0, "threshold": 0.75, "left": 3, "right": 4},
+        {"value": 1.0},
+        {"value": 2.0},
+    ]
+    ens = ensemble_of((deep,), np.array([1.0]), 1)
+    assert count_regions_exact(ens) == 3 == ens.n_leaves
 
 
 def test_count_regions_exact_two_stumps():
@@ -81,7 +98,7 @@ def test_count_regions_exact_probes_every_cell(lo, hi):
     # two stumps on one feature cut it into three cells; a probe at lo - 1.0
     # (== lo beyond 2**53) or at a midpoint that rounds up to hi lands in
     # the wrong cell
-    ens = TreeEnsemble((stump(0, lo), stump(0, hi)), np.ones(2), 1)
+    ens = ensemble_of((stump(0, lo), stump(0, hi)), np.ones(2), 1)
     assert count_regions_exact(ens) == 3
 
 
@@ -102,7 +119,7 @@ def test_count_regions_rejects_empty_probes():
 
 def test_count_regions_exact_rejects_high_dimension():
     trees = (stump(0), stump(1), stump(2))
-    ens = TreeEnsemble(trees, np.ones(3), 3)
+    ens = ensemble_of(trees, np.ones(3), 3)
     with pytest.raises(ValueError):
         count_regions_exact(ens)
 
@@ -123,7 +140,7 @@ def test_predict_matches_path_following_oracle():
 @st.composite
 def tree_nodes(draw, dims):
     """Node dicts of a random tree in preorder, as the model parser passes
-    them to ``Tree.from_nodes`` (internal nodes hold no value): a single
+    them to ``read_nodes`` (internal nodes hold no value): a single
     leaf, or subtrees of unequal depths up to 5, thresholds on the grid of
     half-integers the probes take, so that rows also land on a threshold."""
     max_depth = draw(st.integers(0, 5))
@@ -152,7 +169,7 @@ def walk_inputs(draw):
     dims = draw(st.integers(1, 3))
     specs = draw(st.lists(tree_nodes(dims), min_size=1, max_size=6))
     weights = draw(arrays(np.float64, len(specs), elements=st.floats(-2.0, 2.0)))
-    ens = TreeEnsemble(tuple(Tree.from_nodes(n) for n in specs), weights, dims)
+    ens = ensemble_of(specs, weights, dims)
     block = BLOCK_PAIRS // ens.tree_count
     n = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 3 * block + 2]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -163,14 +180,9 @@ def walk_inputs(draw):
 @given(walk_inputs())
 def test_ensemble_walk_equals_per_tree_walks(inputs):
     ens, X = inputs
-    for tree in ens.trees:
-        assert np.array_equal(tree.leaf_index_batch(X[:300]), per_tree_leaf_index(tree, X[:300]))
-    per_tree = np.stack([t.leaf_index_batch(X) for t in ens.trees], axis=1)
+    per_tree, expected = per_tree_oracle(ens, X)
     leaves = ens.leaf_vector_batch(X)
     assert leaves.dtype == np.int64 and np.array_equal(leaves, per_tree)
-    expected = np.zeros(len(X))
-    for w, t in zip(ens.weights, ens.trees):
-        expected += w * t.predict_batch(X)
     assert ens.predict_batch(X).tobytes() == expected.tobytes()
     if len(X):
         assert count_regions(ens, X) == len(np.unique(leaves, axis=0))
@@ -181,15 +193,14 @@ def test_count_regions_with_leaf_indices_past_one_byte():
     # in one byte, leaves 256 apart would share a region
     rng = np.random.default_rng(3)
     xs = rng.random((600, 2))
-    big, _ = grow_tree(xs, rng.normal(size=600), presort(xs), 10, 1)
-    assert big.node_count > 256
+    columns, _ = grow_tree(xs, rng.normal(size=600), presort(xs), 10, 1)
+    alone = one_tree(columns, xs)
+    big = json.loads(serialize_ensemble(alone))["trees"][0]["nodes"]
+    assert len(big) > 256
     probes = np.vstack([xs, rng.random((1000, 2))])  # every leaf is hit
-    for ens in (
-        TreeEnsemble((big,), np.array([1.0]), 2),
-        TreeEnsemble((stump(0), big, stump(1)), np.ones(3), 2),
-    ):
+    for ens in (alone, ensemble_of((stump(0), big, stump(1)), np.ones(3), 2)):
         expected = len(np.unique(ens.leaf_vector_batch(probes), axis=0))
-        assert count_regions(ens, probes) == expected >= big.n_leaves
+        assert count_regions(ens, probes) == expected >= alone.n_leaves
 
 
 def test_predict_batch_memory_is_bounded_by_the_block():
@@ -243,56 +254,86 @@ def test_leaf_vector_identifies_region():
 
 
 def test_tree_rejects_multi_parent():
-    with pytest.raises(ValueError, match="node 1: reached twice"):
-        Tree.from_nodes(
-            [
-                {"feature": 0, "threshold": 0.5, "left": 1, "right": 1},
-                {"value": 0.0},
-            ]
+    with pytest.raises(ValueError, match="^tree 0: node 1: reached twice from the root$"):
+        ensemble_of(
+            (
+                [
+                    {"feature": 0, "threshold": 0.5, "left": 1, "right": 1},
+                    {"value": 0.0},
+                ],
+            ),
+            [1.0],
+            1,
         )
 
 
 def test_tree_rejects_orphan_node():
-    with pytest.raises(ValueError, match="node 3: not reachable"):
-        Tree.from_nodes(
-            [
-                {"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
-                {"value": 0.0},
-                {"value": 1.0},
-                {"value": 2.0},
-            ]
+    with pytest.raises(ValueError, match="^tree 0: node 3: not reachable from the root$"):
+        ensemble_of(
+            (
+                [
+                    {"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
+                    {"value": 0.0},
+                    {"value": 1.0},
+                    {"value": 2.0},
+                ],
+            ),
+            [1.0],
+            1,
         )
 
 
 def test_tree_rejects_root_as_child():
-    with pytest.raises(ValueError, match="node 0: reached twice"):
-        Tree.from_nodes(
-            [
-                {"feature": 0, "threshold": 0.5, "left": 1, "right": 0},
-                {"value": 0.0},
-            ]
+    with pytest.raises(ValueError, match="^tree 0: node 0: reached twice from the root$"):
+        ensemble_of(
+            (
+                [
+                    {"feature": 0, "threshold": 0.5, "left": 1, "right": 0},
+                    {"value": 0.0},
+                ],
+            ),
+            [1.0],
+            1,
         )
 
 
-def test_tree_rejects_input_narrower_than_its_features():
-    with pytest.raises(ValueError, match=r"has 1 column\(s\); the tree splits on feature 1$"):
-        stump(1).leaf_index_batch(np.zeros((3, 1)))
+@pytest.mark.parametrize("width", [1, 3], ids=["narrower", "wider"])
+def test_ensemble_width_check_names_the_shape(width):
+    ens = two_stump_ensemble()
+    for walk in (ens.predict_batch, ens.leaf_vector_batch):
+        with pytest.raises(ValueError, match=rf"^input matrix has shape \(4, {width}\), expected \(n, 2\)$"):
+            walk(np.zeros((4, width)))
 
 
 def test_tree_rejects_non_finite_leaf():
-    with pytest.raises(ValueError, match="^node 0: non-finite leaf value$"):
-        constant_tree(float("nan"))
+    with pytest.raises(ValueError, match="^tree 0: node 0: non-finite leaf value$"):
+        ensemble_of((constant_tree(float("nan")),), [1.0], 1)
+
+
+@pytest.mark.parametrize(
+    "columns, sizes, message",
+    [
+        ([[LEAF]] * 4 + [[0.0, 1.0]], [1], r"node columns must each hold sum\(sizes\) = 1 nodes"),
+        ([[LEAF, LEAF]] * 5, [1], r"node columns must each hold sum\(sizes\) = 1 nodes"),
+        ([[LEAF]] * 5, [1, 0], "tree 1: must have at least one node"),
+        ([[]] * 5, [], "ensemble needs at least one tree"),
+    ],
+    ids=["ragged", "longer-than-sizes", "empty-tree", "no-tree"],
+)
+def test_ensemble_rejects_a_table_its_sizes_do_not_cover(columns, sizes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TreeEnsemble(columns, sizes, [1.0] * len(sizes), 1)
 
 
 def test_ensemble_rejects_feature_out_of_range():
     with pytest.raises(ValueError, match=r"^tree 0: node 0: feature index 3 out of range \(feature_count 2\)$"):
-        TreeEnsemble((stump(3),), np.array([1.0]), 2)
+        ensemble_of((stump(3),), np.array([1.0]), 2)
 
 
-def test_from_nodes_takes_numpy_scalars():
-    tree = stump(np.int64(1), np.float64(0.25), np.float32(-1.0), np.int64(2))
-    assert tree.feature.tolist() == [1, -1, -1]
-    assert tree.predict_batch(np.array([[0.0, 0.2], [0.0, 0.3]])).tolist() == [-1.0, 2.0]
+def test_read_nodes_takes_numpy_scalars():
+    ens = ensemble_of((stump(np.int64(1), np.float64(0.25), np.float32(-1.0), np.int64(2)),), [1.0], 2)
+    assert ens.feature.tolist() == [1, -1, -1]
+    assert ens.predict_batch(np.array([[0.0, 0.2], [0.0, 0.3]])).tolist() == [-1.0, 2.0]
 
 
 def relabel(columns, perm):
@@ -396,23 +437,18 @@ def oracle_levels(tree):
 @settings(max_examples=300, deadline=None)
 @given(node_tables())
 def test_table_check_names_what_the_per_tree_walk_names(trees):
-    expected = None
+    columns, roots = table_arrays(trees)
     for t, tree in enumerate(trees):
         try:
-            per_tree_check(Tree(*table_arrays([tree])[0]))
+            per_tree_check(table_arrays([tree])[0])
         except ValueError as e:
-            expected = f"tree {t}: {e}"
-            break
-    columns, roots = table_arrays(trees)
-    if expected is not None:
-        with pytest.raises(ValueError) as caught:
-            check_table(*columns, roots)
-        assert str(caught.value) == expected
-        t = int(expected.split()[1][:-1])
-        with pytest.raises(ValueError) as alone:
-            Tree(*table_arrays([trees[t]])[0]).routes
-        assert f"tree {t}: {alone.value}" == expected
-        return
+            with pytest.raises(ValueError) as caught:
+                check_table(*columns, roots)
+            assert str(caught.value) == f"tree {t}: {e}"
+            with pytest.raises(ValueError) as alone:
+                check_table(*table_arrays([tree])[0], [0])
+            assert str(alone.value) == f"tree 0: {e}"
+            return
     routes = check_table(*columns, roots)
     levels = [lv for tree in trees for lv in oracle_levels(tree)]
     assert routes.level.tolist() == levels and routes.depth == max(levels)
@@ -445,27 +481,42 @@ def mixed_depth_ensembles(draw):
             return i
 
         build(0, True)
-        trees.append(Tree.from_nodes(nodes))
+        trees.append(nodes)
     weights = draw(arrays(np.float64, len(trees), elements=st.floats(-2.0, 2.0)))
     rows = draw(st.sampled_from([0, 1, 7, 300]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0, np.nan, np.inf, -np.inf])
-    return TreeEnsemble(tuple(trees), weights, dims), rng.choice(grid, size=(rows, dims))
+    return ensemble_of(trees, weights, dims), rng.choice(WALK_GRID, size=(rows, dims))
 
 
-@settings(max_examples=60, deadline=None)
-@given(mixed_depth_ensembles())
+WALK_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def cart_trees(draw):
+    """(fit_cart's one-tree ensemble, X): grown on 200 random rows to a depth
+    past ``SETTLE_LEVELS``, so the walk drops the pairs that settled; half
+    the entries of X are training values, half are on the grid, NaN and
+    infinities included."""
+    dims, depth = draw(st.integers(1, 3)), draw(st.integers(SETTLE_LEVELS + 1, SETTLE_LEVELS + 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = LabeledDataset(rng.random((200, dims)) * 2.0, rng.normal(size=200))
+    tree = fit_cart(data, CartConfig(depth_grid=(depth,), min_samples_leaf=1), {depth: 0.0})
+    assert tree.routes.depth > SETTLE_LEVELS
+    on_grid = rng.random((300, dims)) < 0.5
+    X = np.where(on_grid, rng.choice(WALK_GRID, size=(300, dims)), data.xs[rng.integers(0, 200, 300)])
+    return tree, X
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(mixed_depth_ensembles(), cart_trees()))
 def test_walk_equals_per_tree_oracle_at_any_depth(case):
     ens, X = case
-    oracle = np.stack([per_tree_leaf_index(t, X) for t in ens.trees], axis=1).reshape(len(X), ens.tree_count)
+    oracle, expected = per_tree_oracle(ens, X)
     assert np.array_equal(_walk(ens.routes, X, ens.roots).T - ens.roots, oracle)
     assert np.array_equal(ens.leaf_vector_batch(X), oracle)
-    for tree, leaves in zip(ens.trees, oracle.T):
-        assert np.array_equal(tree.leaf_index_batch(X), leaves)
-    expected = np.zeros(len(X))
-    for w, t, leaves in zip(ens.weights, ens.trees, oracle.T):
-        expected += w * t.value[leaves]
     assert ens.predict_batch(X).tobytes() == expected.tobytes()
+    if ens.tree_count == 1 and ens.weights[0] == 1.0:  # a CART tree predicts its leaf values
+        assert np.array_equal(ens.predict_batch(X), ens.value[oracle[:, 0]])
 
 
 CHAIN_DEPTH = 20_000
@@ -488,10 +539,7 @@ def test_deep_chain_model_predicts_per_tree_oracle_floats():
     assert ens.routes.depth == CHAIN_DEPTH
     X = np.random.default_rng(0).random((1000, 2))
     X[::7, 0], X[::11, 0], X[::13, 0], X[::17, 1] = np.nan, np.inf, -np.inf, np.nan
-    expected = np.zeros(len(X))
-    for w, t in zip(ens.weights, ens.trees):
-        expected += w * t.value[per_tree_leaf_index(t, X)]
-    assert ens.predict_batch(X).tobytes() == expected.tobytes()
+    assert ens.predict_batch(X).tobytes() == per_tree_oracle(ens, X)[1].tobytes()
 
 
 def _set_bottom(model, key, value):

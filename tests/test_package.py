@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -54,6 +56,25 @@ def test_pipeline_stages_hit_their_trace_points():
     ):
         assert spans[name] >= 1, name
     assert spans["baseline.cv_mse_by_depth"] == 1
+
+
+def test_op_metrics_read_every_layer_off_a_traced_pipeline():
+    # op_metrics reads n_leaves off fit_cart's result, .bits off
+    # build_dataset's and the restarts off em.fit's FitReport: a result that
+    # loses one of them fails here, not only in a traced benchmark run.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.op = 0
+    with tracer, tracer.span("cli.op") as root:
+        report, _ = energy_pipeline(0, restarts=1)
+    m = tracing.op_metrics(tracer.spans, root)
+    spec = json.loads((TRACING.parents[1] / "BENCHMARK.json").read_text())
+    per_layer = {e["name"] for e in spec["per_layer"] if e["name"].split(".")[0] in tracing.LAYERS}
+    assert per_layer - set(m) == set()
+    assert all(math.isfinite(m[name]) for name in per_layer)
+    assert m["baseline.leaves"] == report["counts"]["baseline_leaves"]
+    assert m["binarizer.bits"] == report["counts"]["split_rules"]
+    assert m["em.restarts"] == 1 and m["baseline.cv_passes"] == 1
 
 
 def cli_steps(folder):

@@ -15,8 +15,9 @@ from oracles import (
     per_node_sort_grow_tree,
     per_tree_leaf_index,
 )
+from conftest import ensemble_of, one_tree
 from rulemix.data import LabeledDataset, gen_energy_like, gen_xor, split3
-from rulemix.ensemble import LEAF, Tree, TreeEnsemble
+from rulemix.ensemble import COLUMNS, LEAF, TreeEnsemble
 from rulemix.trainer import (
     GbtConfig,
     ParseError,
@@ -69,11 +70,11 @@ def test_single_stump_threshold_lands_in_margin():
     ys = np.where(xs[:, 0] < 0.5, 0.0, 10.0)
     config = GbtConfig(tree_count=1, max_depth=1, learning_rate=1.0, min_samples_leaf=1)
     ens = fit_gbt(LabeledDataset(xs, ys), config)
-    t = ens.trees[1]
-    assert t.feature[0] == 0
+    root = ens.roots[1]
+    assert ens.feature[root] == 0
     left_max = xs[xs[:, 0] < 0.5, 0].max()
     right_min = xs[xs[:, 0] >= 0.5, 0].min()
-    assert left_max <= t.threshold[0] < right_min
+    assert left_max <= ens.threshold[root] < right_min
 
 
 @pytest.mark.parametrize(
@@ -85,10 +86,11 @@ def test_split_without_a_midpoint_keeps_both_children(lo, hi):
     # the midpoint rounds down to lo or overflows, so the threshold is hi
     xs = np.array([[lo], [hi], [lo], [hi]])
     ys = np.array([0.0, 1.0, 0.0, 1.0])
-    tree, leaf = grow_tree(xs, ys, presort(xs), 1, 1)
+    columns, leaf = grow_tree(xs, ys, presort(xs), 1, 1)
+    tree = one_tree(columns, xs)
     assert tree.threshold[0] == hi
     assert np.array_equal(tree.value[leaf], ys)
-    assert np.array_equal(leaf, tree.leaf_index_batch(xs))
+    assert np.array_equal(leaf, tree.leaf_vector_batch(xs)[:, 0])
 
 
 def test_training_mse_nonincreasing_in_tree_count():
@@ -96,8 +98,11 @@ def test_training_mse_nonincreasing_in_tree_count():
     config = GbtConfig(tree_count=40, max_depth=3, min_samples_leaf=5)
     ens = fit_gbt(data, config)
     prev = np.inf
+    sizes = np.diff(ens.roots, append=len(ens.feature))
     for m in range(1, ens.tree_count + 1):
-        partial = TreeEnsemble(ens.trees[:m], ens.weights[:m], 2)
+        end = sizes[:m].sum()
+        columns = [getattr(ens, name)[:end] for name in COLUMNS]
+        partial = TreeEnsemble(columns, sizes[:m], ens.weights[:m], 2)
         cur = float(np.mean((partial.predict_batch(data.xs) - data.ys) ** 2))
         assert cur <= prev + 1e-12
         prev = cur
@@ -109,8 +114,8 @@ def test_fit_is_deterministic():
     a = fit_gbt(data, config)
     b = fit_gbt(data, config)
     assert serialize_ensemble(a) == serialize_ensemble(b)
-    for ta, tb in zip(a.trees, b.trees):
-        assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
+    assert np.array_equal(a.roots, b.roots)
+    assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
 
 
 def test_greedy_split_matches_brute_force_oracle():
@@ -120,7 +125,7 @@ def test_greedy_split_matches_brute_force_oracle():
         d = int(rng.integers(1, 4))
         xs = rng.random((n, d))
         ys = rng.normal(size=n)
-        tree, _ = grow_tree(xs, ys, presort(xs), max_depth=1, min_samples_leaf=2)
+        tree = one_tree(grow_tree(xs, ys, presort(xs), max_depth=1, min_samples_leaf=2)[0], xs)
         expected = brute_force_best_split(xs, ys, min_samples_leaf=2)
         if expected is None:
             assert tree.n_leaves == 1
@@ -175,8 +180,9 @@ def test_best_split_equals_per_feature_reference(inputs):
 
 
 def assert_same_tree(a, b):
-    for field in ("feature", "threshold", "left", "right", "value"):
-        assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True), field
+    assert len(a) == len(b) == len(COLUMNS)
+    for name, x, y in zip(COLUMNS, a, b):
+        assert np.array_equal(x, y, equal_nan=True), name
 
 
 @st.composite
@@ -207,10 +213,11 @@ def test_presorted_grower_equals_per_node_sort_oracle(inputs):
 
 def assert_grows_as_oracle(xs, ys, depth, min_leaf):
     """``grow_tree`` equals the per-node-sort grower bit for bit, and its
-    leaves are those ``leaf_index_batch`` finds; returns the tree."""
-    tree, leaf = grow_tree(xs, ys, presort(xs), depth, min_leaf)
-    assert_same_tree(tree, per_node_sort_grow_tree(xs, ys, depth, min_leaf))
-    assert np.array_equal(leaf, tree.leaf_index_batch(xs))
+    leaves are those the ensemble walk finds; returns the one-tree ensemble."""
+    columns, leaf = grow_tree(xs, ys, presort(xs), depth, min_leaf)
+    assert_same_tree(columns, per_node_sort_grow_tree(xs, ys, depth, min_leaf))
+    tree = one_tree(columns, xs)
+    assert np.array_equal(leaf, tree.leaf_vector_batch(xs)[:, 0])
     return tree
 
 
@@ -240,7 +247,7 @@ def test_root_at_the_split_limit(n, min_leaf):
     # below 2 * min_leaf rows the root is the only node
     data = gen_xor(n, seed=9)
     tree = assert_grows_as_oracle(data.xs, data.ys, 4, min_leaf)
-    assert (tree.node_count == 1) == (n < 2 * min_leaf)
+    assert (len(tree.feature) == 1) == (n < 2 * min_leaf)
 
 
 def test_split_search_runs_only_where_a_split_is_possible(monkeypatch):
@@ -252,13 +259,13 @@ def test_split_search_runs_only_where_a_split_is_possible(monkeypatch):
         return _best_split(ys_sorted, *args)
 
     monkeypatch.setattr(rulemix.trainer, "_best_split", counting)
-    tree, _ = grow_tree(atm.xs, atm.ys, presort(atm.xs), 10, 5)
+    columns, _ = grow_tree(atm.xs, atm.ys, presort(atm.xs), 10, 5)
     assert min(calls) >= 2 * 5
     # one search per node shallower than depth 10 with at least 10 rows: the
     # nodes the cuts at depths 0-9 reach with that many rows
     searched = set()
     for depth in range(10):
-        rows = np.bincount(per_tree_leaf_index(tree, atm.xs, depth))
+        rows = np.bincount(per_tree_leaf_index(columns, [0], atm.xs, depth)[:, 0])
         searched |= set(np.flatnonzero(rows >= 2 * 5).tolist())
     assert len(calls) == len(searched)
 
@@ -274,8 +281,8 @@ def assert_fit_equals_per_node_sort_fit(monkeypatch, config):
     text = serialize_ensemble(fit_gbt(atm, config))
 
     def oracle(X, y, presorted, depth, leaf_size):
-        tree = per_node_sort_grow_tree(X, y, depth, leaf_size)
-        return tree, tree.leaf_index_batch(X)
+        columns = per_node_sort_grow_tree(X, y, depth, leaf_size)
+        return columns, per_tree_leaf_index(columns, [0], X)[:, 0]
 
     monkeypatch.setattr(rulemix.trainer, "grow_tree", oracle)
     assert text == serialize_ensemble(fit_gbt(atm, config))
@@ -344,11 +351,11 @@ def test_tree_cut_at_depth_is_tree_grown_to_depth(seed, depth, min_leaf, dims, l
     xs = rng.integers(0, levels, size=(80, dims)) / 4.0
     ys = rng.normal(size=80)
     order = presort(xs)
-    tree, _ = grow_tree(xs, ys, order, depth, min_leaf)
+    columns, _ = grow_tree(xs, ys, order, depth, min_leaf)
     probes = np.concatenate([xs, rng.random((20, dims)) * levels / 4.0])
     for d in range(depth + 1):
-        cut = tree.value[per_tree_leaf_index(tree, probes, d)]
-        assert np.array_equal(cut, grow_tree(xs, ys, order, d, min_leaf)[0].predict_batch(probes))
+        cut = columns[4][per_tree_leaf_index(columns, [0], probes, d)[:, 0]]
+        assert np.array_equal(cut, one_tree(grow_tree(xs, ys, order, d, min_leaf)[0], xs).predict_batch(probes))
 
 
 @pytest.mark.parametrize("field", ["tree_count", "max_depth", "min_samples_leaf"])
@@ -492,14 +499,13 @@ def test_committed_model_round_trips_to_its_bytes():
 def json_dumps_model(ensemble):
     """The model writer as it was: the model object through ``json.dumps``
     with ``indent=2``.  ``serialize_ensemble`` must write its very bytes."""
-    trees = []
-    for w, t in zip(ensemble.weights.tolist(), ensemble.trees):
-        columns = (t.feature, t.threshold, t.left, t.right, t.value)
-        nodes = [
-            {"feature": d, "threshold": b, "left": lo, "right": hi} if d >= 0 else {"value": v}
-            for d, b, lo, hi, v in zip(*(c.tolist() for c in columns))
-        ]
-        trees.append({"weight": w, "nodes": nodes})
+    columns = [getattr(ensemble, name).tolist() for name in COLUMNS]
+    nodes = [
+        {"feature": d, "threshold": b, "left": lo, "right": hi} if d >= 0 else {"value": v}
+        for d, b, lo, hi, v in zip(*columns)
+    ]
+    bounds = [*ensemble.roots.tolist(), len(nodes)]
+    trees = [{"weight": w, "nodes": nodes[lo:hi]} for w, lo, hi in zip(ensemble.weights.tolist(), bounds, bounds[1:])]
     obj = {"feature_count": ensemble.feature_count, "trees": trees}
     if ensemble.feature_names is not None:
         obj["feature_names"] = list(ensemble.feature_names)
@@ -535,21 +541,19 @@ def model_ensembles(draw):
     for _ in range(draw(st.integers(1, 4))):
         nodes = []
         grow(nodes, draw(st.integers(0, 3)))
-        trees.append(Tree.from_nodes(nodes))
+        trees.append(nodes)
     weights = draw(st.lists(model_floats, min_size=len(trees), max_size=len(trees)))
     names = draw(st.none() | st.lists(st.text(), min_size=feature_count, max_size=feature_count, unique=True))
-    return TreeEnsemble(tuple(trees), np.array(weights), feature_count, names)
+    return ensemble_of(trees, np.array(weights), feature_count, names)
 
 
 @settings(max_examples=200, deadline=None)
 @given(model_ensembles())
 @example(
-    TreeEnsemble(
+    ensemble_of(
         (
-            Tree.from_nodes(
-                [{"feature": 1, "threshold": -0.0, "left": 1, "right": 2}, {"value": 5e-324}, {"value": 1e308}]
-            ),
-            Tree.from_nodes([{"value": -1e308}]),
+            [{"feature": 1, "threshold": -0.0, "left": 1, "right": 2}, {"value": 5e-324}, {"value": 1e308}],
+            [{"value": -1e308}],
         ),
         np.array([-0.0, 5e-324]),
         3,
