@@ -11,14 +11,7 @@ from .binarizer import BinaryDataset, SplitSchema, build_dataset, count_regions_
 from .data import LabeledDataset, gen_energy_like, gen_xor, load_csv, mse, split3
 from .em import DegenerateComponentError, EmConfig, FitReport, e_step, fit, lower_bound, m_step_closed_form, m_step_gate
 from .ensemble import TreeEnsemble, count_regions
-from .mixture import (
-    MixtureModel,
-    RuleSet,
-    extract_rules,
-    joint_log_likelihood,
-    render_rules_text,
-    rules_to_json_dict,
-)
+from .mixture import MixtureModel, RuleSet, extract_rules, render_rules_text, rules_to_json_dict
 from .trainer import GbtConfig, ParseError, fit_gbt, grow_tree, parse_ensemble_json, presort, serialize_ensemble
 
 __all__ = [
@@ -47,7 +40,6 @@ __all__ = [
     "gen_energy_like",
     "gen_xor",
     "grow_tree",
-    "joint_log_likelihood",
     "load_csv",
     "lower_bound",
     "m_step_closed_form",

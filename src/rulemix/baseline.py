@@ -38,7 +38,7 @@ def cv_folds(n: int, folds: int, seed: int):
 
 def _grow(xs, ys, depth, min_samples_leaf) -> TreeEnsemble:
     """``grow_tree``'s tree on (xs, ys) as a one-tree ensemble of weight 1."""
-    columns, _ = grow_tree(xs, ys, presort(xs), depth, min_samples_leaf)
+    columns, _ = grow_tree(xs, ys, presort(xs, min_samples_leaf), depth, min_samples_leaf)
     return TreeEnsemble(columns, [len(columns[0])], [1.0], xs.shape[1])
 
 

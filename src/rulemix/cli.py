@@ -67,9 +67,13 @@ def _read_csv_for(expected, path, target):
         if data.dimension != expected:
             raise ValueError(f"{path}: {data.dimension} feature columns, expected {expected}")
         return data
-    for i, (got, want) in enumerate(itertools.zip_longest(data.feature_names, expected)):
+    for i, (got, want) in enumerate(itertools.zip_longest(data.feature_names, expected), start=1):
+        if want is None:
+            raise ValueError(f"{path}: feature column {i} {got!r} is extra, expected {len(expected)} feature columns")
+        if got is None:
+            raise ValueError(f"{path}: feature column {i} is missing, expected {want!r}")
         if got != want:
-            raise ValueError(f"{path}: feature column {i + 1} is {got!r}, expected {want!r}")
+            raise ValueError(f"{path}: feature column {i} is {got!r}, expected {want!r}")
     return data
 
 
@@ -106,7 +110,10 @@ def cmd_train_atm(args) -> int:
     ):
         config = GbtConfig(args.trees, args.depth, args.lr, args.min_samples_leaf, args.seed)
     data = _read_csv_for(None, args.train, args.target)
-    ensemble = fit_gbt(data, config)
+    try:
+        ensemble = fit_gbt(data, config)
+    except ValueError as e:  # fewer than 2 rows
+        raise ValueError(f"{args.train}: {e}") from e
     _emit(serialize_ensemble(ensemble), args.out)
     return 0
 

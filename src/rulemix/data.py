@@ -174,13 +174,16 @@ def gen_energy_like(seed: int = 0, noise_sd: float = 1.0) -> LabeledDataset:
 
 
 def _csv_rows(path, fh):
-    """The rows of the CSV file ``fh``, open in binary mode, header first.  A
+    """The rows of the CSV file ``fh``, open in binary mode, header first; one
+    leading byte-order mark (as Excel's "CSV UTF-8" writes) is dropped.  A
     byte that is not UTF-8 raises ``ValueError`` naming ``path`` and, as the
-    file is decoded in one pass, the byte's offset in the file; a cell longer
-    than ``csv.field_size_limit()`` raises one naming ``path`` and its row."""
+    whole file is decoded in one pass, the byte's offset in the file; a cell
+    longer than ``csv.field_size_limit()`` raises one naming ``path`` and its
+    row."""
     read = 0
     try:
-        for row in csv.reader(io.StringIO(fh.read().decode("utf-8"), newline="")):
+        text = fh.read().decode("utf-8").removeprefix("\ufeff")
+        for row in csv.reader(io.StringIO(text, newline="")):
             yield row
             read += 1
     except UnicodeDecodeError as e:

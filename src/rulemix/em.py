@@ -224,7 +224,8 @@ def m_step_gate(
 def lower_bound(model: MixtureModel, beta: np.ndarray, data: BinaryDataset) -> float:
     """Jensen bound on the data log-likelihood at responsibilities ``beta``.
 
-    Equals ``joint_log_likelihood`` when ``beta`` is the exact posterior.
+    Equals the data log-likelihood, ``e_step(model, data)[1].sum()``, when
+    ``beta`` is the exact posterior.
     """
     beta = np.asarray(beta, dtype=np.float64)
     lj = log_joint_matrix(model, data).T

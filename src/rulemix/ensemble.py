@@ -14,9 +14,6 @@ LEAF = -1
 # arrays at a few MB whatever the number of rows
 BLOCK_PAIRS = 1 << 13
 
-# levels the walk descends between drops of the pairs that reached a leaf
-SETTLE_LEVELS = 4
-
 # a node table's columns, in the order the constructor takes them
 COLUMNS = ("feature", "threshold", "left", "right", "value")
 
@@ -90,27 +87,16 @@ def check_table(feature, threshold, left, right, value, roots, feature_count=Non
 def _walk(routes, X, roots) -> np.ndarray:
     """The (len(roots), len(X)) nodes where each row of ``X`` stops below each
     root.  A pair goes ``left`` if ``x[feature] < threshold``, else ``right``
-    (NaN too), and stays at a leaf, so all descend ``routes.depth`` levels
-    untested; every ``SETTLE_LEVELS`` levels a deeper table drops its pairs at
-    leaves, so a level of a deep chain costs what its live pairs do."""
+    (NaN too), and a leaf's children are itself, so every pair descends
+    ``routes.depth`` levels untested and those at leaves stay put."""
     feature, threshold, left, right = routes[:4]
     rows, width = X.shape
     x = X.ravel()
-    at = np.repeat(roots, rows)  # where each live pair is, and its row's offset in x
+    at = np.repeat(roots, rows)  # where each pair is, and its row's offset in x
     base = np.tile(np.arange(0, rows * width, width), len(roots))
-    node = live = None  # where every pair is, and which are live, after a drop
-    for level in range(routes.depth):
-        if level and level % SETTLE_LEVELS == 0:
-            if live is None:
-                node, live = at, np.arange(len(at))
-            node[live] = at
-            moving = left[at] != at
-            live, at, base = live[moving], at[moving], base[moving]
+    for _ in range(routes.depth):
         at = np.where(x[base + feature[at]] < threshold[at], left[at], right[at])
-    if live is None:
-        return at.reshape(len(roots), rows)
-    node[live] = at
-    return node.reshape(len(roots), rows)
+    return at.reshape(len(roots), rows)
 
 
 class TreeEnsemble:

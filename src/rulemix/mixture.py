@@ -113,11 +113,6 @@ def log_joint_matrix(model: MixtureModel, data: BinaryDataset) -> np.ndarray:
     return joint
 
 
-def joint_log_likelihood(model: MixtureModel, data: BinaryDataset) -> float:
-    """Sum over rows of log sum_k gate_k(s) density_k(s, z), via log-sum-exp."""
-    return float(softmax_columns(log_joint_matrix(model, data)).sum())
-
-
 @dataclass
 class RuleInterval:
     feature: int

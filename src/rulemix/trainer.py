@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,35 +34,16 @@ class GbtConfig:
             raise ValueError("learning_rate must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class Presorted:
-    """The columns of a matrix X sorted once for every tree grown on X.
-
-    Row d of ``order`` lists X's rows by feature d in stable ascending order,
-    ties in row order, and row d of ``values`` holds their feature-d values.
-    The stable order of a subset of the rows is this order filtered to the
-    subset, so ``grow_tree`` filters it down the tree, never sorting.
-    """
-
-    order: np.ndarray
-    values: np.ndarray
-    _by_leaf_size: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def boundaries(self, min_samples_leaf) -> np.ndarray:
-        """The root's split boundaries, ``_boundaries(values, min_samples_leaf)``:
-        they depend on ``values`` and the leaf size alone, so each leaf size's
-        are found once."""
-        if min_samples_leaf not in self._by_leaf_size:
-            self._by_leaf_size[min_samples_leaf] = _boundaries(self.values, min_samples_leaf)
-        return self._by_leaf_size[min_samples_leaf]
-
-
-def presort(X) -> Presorted:
-    """X's columns sorted for ``grow_tree``.  A fit sorts once for all its
-    trees: ``fit_gbt`` passes one ``presort(X)`` to every round, so the
-    root's sorted values and split boundaries are built once per fit."""
+def presort(X, min_samples_leaf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The root's ``(order, values, boundaries)`` for ``grow_tree``, the
+    triple every node that can split carries: row d of ``order`` lists X's
+    rows by feature d in stable ascending order, ties in row order, row d of
+    ``values`` their feature-d values, and ``boundaries`` is
+    ``_boundaries(values, min_samples_leaf)``.  A subset's stable order is
+    this order filtered to it, so ``grow_tree`` never sorts again."""
     order = np.argsort(X.T, axis=1, kind="stable")
-    return Presorted(order, X[order, np.arange(X.shape[1])[:, None]])
+    values = X[order, np.arange(X.shape[1])[:, None]]
+    return order, values, _boundaries(values, min_samples_leaf)
 
 
 def _boundaries(xs_sorted, min_samples_leaf) -> np.ndarray:
@@ -119,17 +100,16 @@ def _best_split(ys_sorted, xs_sorted, k, total, total_sq):
     return (d, mid if a < mid <= b else b, float(gains[i]))
 
 
-def grow_tree(X, y, presorted, max_depth, min_samples_leaf) -> tuple[tuple, np.ndarray]:
+def grow_tree(X, y, root, max_depth, min_samples_leaf) -> tuple[tuple, np.ndarray]:
     """Greedy least-squares regression tree (shared by boosting and CART) as
     its node table's ``COLUMNS`` (nodes in preorder, the root first), and the
     node each row of ``X`` ends at.
 
-    ``presorted`` is ``presort(X)``; the root scans its sorted values at
-    their boundaries for ``min_samples_leaf``, both built once however many
-    trees share them.  A node carries its rows in ascending order; a node
-    that can split (at a depth below ``max_depth``, with at least
-    ``2 * min_samples_leaf`` rows) also carries its sorted columns (row
-    indices and values) and their boundaries.  A split divides the columns
+    A node carries its rows in ascending order; a node that can split (at a
+    depth below ``max_depth``, with at least ``2 * min_samples_leaf`` rows)
+    also carries its sorted columns (row indices and values) and their
+    boundaries.  The root's are ``root``, ``presort(X, min_samples_leaf)``,
+    built once however many trees share it.  A split divides the columns
     with one mask, and only between the children that can split in turn; the
     mask keeps each side in the stable order of its own rows, so every node
     scans what a stable sort of its rows would give.  The split routes the
@@ -176,10 +156,7 @@ def grow_tree(X, y, presorted, max_depth, min_samples_leaf) -> tuple[tuple, np.n
         return node
 
     rows = np.arange(len(y))
-    if can_split(rows, 0):
-        build(rows, 0, (presorted.order, presorted.values, presorted.boundaries(min_samples_leaf)))
-    else:
-        build(rows, 0, None)
+    build(rows, 0, root if can_split(rows, 0) else None)
     return tuple(map(np.array, zip(*nodes))), leaf
 
 
@@ -196,9 +173,9 @@ def fit_gbt(data: LabeledDataset, config: GbtConfig) -> TreeEnsemble:
 
     trees = [[np.array([a]) for a in (LEAF, np.nan, LEAF, LEAF, y.mean())]]
     current = np.full(len(y), y.mean())
-    presorted = presort(X)
+    root = presort(X, config.min_samples_leaf)
     for _ in range(config.tree_count):
-        columns, leaf = grow_tree(X, y - current, presorted, config.max_depth, config.min_samples_leaf)
+        columns, leaf = grow_tree(X, y - current, root, config.max_depth, config.min_samples_leaf)
         trees.append(columns)
         current += config.learning_rate * columns[-1][leaf]
     table = [np.concatenate(column) for column in zip(*trees)]

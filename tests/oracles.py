@@ -251,7 +251,7 @@ def cv_mse_per_depth(data, config):
             train_mask[held_out] = False
             xs = data.xs[train_mask]
             ys = data.ys[train_mask]
-            columns, _ = grow_tree(xs, ys, presort(xs), depth, config.min_samples_leaf)
+            columns, _ = grow_tree(xs, ys, presort(xs, config.min_samples_leaf), depth, config.min_samples_leaf)
             leaves = per_tree_leaf_index(columns, [0], data.xs[held_out])[:, 0]
             total += mse(columns[4][leaves], data.ys[held_out])
         scores[depth] = total / len(folds)

@@ -50,7 +50,7 @@ def test_perfect_depth_two_tree_has_four_leaves():
     rng = np.random.default_rng(3)
     xs = rng.random((200, 2))
     ys = 2.0 * (xs[:, 0] >= 0.5) + (xs[:, 1] >= 0.5)
-    tree = one_tree(grow_tree(xs, ys, presort(xs), max_depth=2, min_samples_leaf=5)[0], xs)
+    tree = one_tree(grow_tree(xs, ys, presort(xs, 5), max_depth=2, min_samples_leaf=5)[0], xs)
     assert tree.n_leaves == 2**2
 
 
@@ -67,7 +67,7 @@ def test_deeper_trees_never_raise_training_mse():
     data = gen_xor(300, seed=5)
     prev = np.inf
     for depth in range(1, 8):
-        tree = one_tree(grow_tree(data.xs, data.ys, presort(data.xs), depth, min_samples_leaf=5)[0], data.xs)
+        tree = one_tree(grow_tree(data.xs, data.ys, presort(data.xs, 5), depth, min_samples_leaf=5)[0], data.xs)
         cur = float(np.mean((tree.predict_batch(data.xs) - data.ys) ** 2))
         assert cur <= prev + 1e-12
         prev = cur
@@ -147,7 +147,7 @@ def test_fit_cart_refits_at_lowest_score_ties_to_earlier_depth():
 
 def test_single_leaf_count():
     data = LabeledDataset(np.random.default_rng(8).random((20, 1)), np.zeros(20))
-    tree = one_tree(grow_tree(data.xs, data.ys, presort(data.xs), max_depth=3, min_samples_leaf=5)[0], data.xs)
+    tree = one_tree(grow_tree(data.xs, data.ys, presort(data.xs, 5), max_depth=3, min_samples_leaf=5)[0], data.xs)
     assert tree.n_leaves == 1
 
 
@@ -161,7 +161,7 @@ def test_tree_renders_as_path_conjunctions():
     rng = np.random.default_rng(9)
     xs = rng.random((200, 2))
     ys = 2.0 * (xs[:, 0] >= 0.5) + (xs[:, 1] >= 0.5)
-    tree = one_tree(grow_tree(xs, ys, presort(xs), max_depth=2, min_samples_leaf=5)[0], xs)
+    tree = one_tree(grow_tree(xs, ys, presort(xs, 5), max_depth=2, min_samples_leaf=5)[0], xs)
     rules = tree_to_ruleset(tree, LabeledDataset(xs, ys, ("alpha", "beta")))
     assert len(rules.components) == 4
     assert sum(c.share for c in rules.components) == pytest.approx(1.0)
@@ -183,7 +183,7 @@ def test_tree_rules_partition_rows_by_leaf(seed, depth, dims, min_leaf):
     # threshold, where a row must go right (x >= b) and match one rule only.
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, 6, size=(60, dims)) / 5.0
-    tree = one_tree(grow_tree(xs, rng.normal(size=60), presort(xs), depth, min_leaf)[0], xs)
+    tree = one_tree(grow_tree(xs, rng.normal(size=60), presort(xs, min_leaf), depth, min_leaf)[0], xs)
     on_split = xs[rng.integers(0, 60, size=len(tree.feature))]
     internal = np.nonzero(tree.feature >= 0)[0]
     on_split[internal, tree.feature[internal]] = tree.threshold[internal]

@@ -251,10 +251,13 @@ def test_feature_columns_must_match_model(monkeypatch, tmp_path, capsys, xor_csv
     write_csv(LabeledDataset(data.xs[:, ::-1], data.ys, ("x_2", "x_1")), swapped, "y")
     one_column = tmp_path / "one_column.csv"
     write_csv(LabeledDataset(data.xs[:, :1], data.ys, ("x_1",)), one_column, "y")
+    three_columns = tmp_path / "three_columns.csv"
+    write_csv(LabeledDataset(data.xs[:, [0, 1, 0]], data.ys, ("x_1", "x_2", "x_3")), three_columns, "y")
     capsys.readouterr()
     cases = (
         (swapped, "feature column 1 is 'x_2', expected 'x_1'"),
-        (one_column, "feature column 2 is None, expected 'x_2'"),
+        (one_column, "feature column 2 is missing, expected 'x_2'"),
+        (three_columns, "feature column 3 'x_3' is extra, expected 2 feature columns"),
     )
     for path, message in cases:
         if command == "baseline":  # the test CSV must have the train CSV's columns
@@ -357,7 +360,7 @@ def test_energy_data_header_checked(tmp_path, capsys):
     with_cooling = LabeledDataset(np.column_stack([full.xs, full.ys]), full.ys, names)
     write_csv(with_cooling, cooling, ENERGY_TARGET)
     assert run(["reproduce", "energy", "--data", str(cooling), "--restarts", "1"]) == 1
-    message = "feature column 9 is 'Cooling Load', expected None"
+    message = "feature column 9 'Cooling Load' is extra, expected 8 feature columns"
     assert capsys.readouterr().err == f"error: {cooling}: {message}\n"
 
 
@@ -906,3 +909,103 @@ def test_generated_model_json_exits_cleanly(reader_files, command, model):
     else:
         assert code == 1 and err.count("\n") == 1 and err.endswith("\n")
         assert err.startswith((f"error: {path}: ", f"error: {data}: ")), err
+
+
+def test_csv_with_a_byte_order_mark_reads_as_without(tmp_path, xor_csv):
+    # Excel's "CSV UTF-8" export starts the file with one; wherever the target
+    # column is, every command reads the file as it reads it without the mark
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + xor_csv.read_bytes())
+    target_first = tmp_path / "target_first.csv"
+    rows = [line.split(",") for line in xor_csv.read_text().splitlines()]
+    target_first.write_bytes(b"\xef\xbb\xbf" + "".join(f"{r[2]},{r[0]},{r[1]}\n" for r in rows).encode())
+
+    def report(*argv):
+        out = tmp_path / "out.json"
+        assert run_quietly([*argv, "--out", str(out)]) == (0, "")
+        return out.read_bytes()
+
+    models = {}
+    for path in (xor_csv, bom, target_first):
+        models[path] = tmp_path / f"{path.stem}.json"
+        models[path].write_bytes(report("train-atm", "--train", str(path), "--trees", "5"))
+    assert models[bom].read_bytes() == models[target_first].read_bytes() == models[xor_csv].read_bytes()
+    assert json.loads(models[bom].read_text())["feature_names"] == ["x_1", "x_2"]
+    for command in ("evaluate", "baseline"):
+        reports = {
+            report(command, *(["--model", str(models[a])] if command == "evaluate" else ["--train", str(a)]),
+                   "--test", str(b))
+            for a, b in ((xor_csv, xor_csv), (bom, xor_csv), (xor_csv, bom), (target_first, target_first))
+        }
+        assert len(reports) == 1, command
+
+
+CSV_NAMES = st.sampled_from(["x_1", "x_2", "y", "", "\ufeffy", "x_1,x_2", 'say "y"'])
+CSV_NUMBERS = st.sampled_from(["0", "1", "0.5", "-2.25", "3e-320", "1e150", "-1e308"])
+CSV_BAD_CELLS = st.sampled_from(["", "a", "nan", "inf", "-inf", "1e200", "1e999", "0x1", "1,5"])
+
+
+@st.composite
+def generated_csvs(draw):
+    """CSV bytes: 1-3 rows of numbers, huge and subnormal ones included,
+    under the reader CSV's names, permuted, any name quoted or not, in half
+    the files after a byte-order mark, and a constant column in half.  About
+    half the files take one defect: 1-4 names that may repeat, be empty,
+    need quotes or carry a byte-order mark; a blank line; a short or long
+    row; or a cell that is empty, not a number, not finite or past float
+    range."""
+    defect = draw(st.none() | st.sampled_from(["names", "blank line", "short row", "long row", "bad cell"]))
+    if defect == "names":
+        names = draw(st.lists(CSV_NAMES, min_size=1, max_size=4))
+    else:
+        names = draw(st.permutations(["x_1", "x_2", "y"]))
+    rows = [[draw(CSV_NUMBERS) for _ in names] for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        c = draw(st.integers(0, len(names) - 1))
+        for row in rows:
+            row[c] = rows[0][c]
+    r, c = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(names) - 1))
+    if defect == "short row":
+        del rows[r][c]
+    elif defect == "long row":
+        rows[r].insert(c, draw(CSV_NUMBERS))
+    elif defect == "bad cell":
+        rows[r][c] = draw(CSV_BAD_CELLS)
+    header = ['"' + n.replace('"', '""') + '"' if draw(st.booleans()) or "," in n or '"' in n else n for n in names]
+    lines = [",".join(line) for line in [header, *rows]]
+    if defect == "blank line":
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + draw(st.sampled_from(["\n", "\r\n"])).join(lines + [""]).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=generated_csvs())
+def test_generated_csv_exits_cleanly(reader_files, text):
+    # every command that reads a CSV ends with exit 0 and nothing on stderr,
+    # or exit 1 and one error line naming the CSV; never a traceback or a warning
+    path = reader_files / "generated.csv"
+    path.write_bytes(text)
+    trained = reader_files / "trained.json"
+
+    def exits_cleanly(*argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = run_quietly(list(argv))
+        event(f"{argv[0]}: exit {code}")
+        assert [str(w.message) for w in caught] == [], argv
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == "", argv
+        else:
+            assert code == 1 and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+            assert err.startswith("error: ") and str(path) in err, (argv, err)
+        return code == 0
+
+    models = [reader_files / "model.json"]
+    if exits_cleanly("train-atm", "--train", str(path), "--trees", "2", "--min-samples-leaf", "1", "--out", str(trained)):
+        models.append(trained)
+    for model in models:
+        exits_cleanly("simplify", "--model", str(model), "--train", str(path), "--k", "1", "--restarts", "1")
+        exits_cleanly("evaluate", "--model", str(model), "--test", str(path))
+    exits_cleanly("baseline", "--train", str(path), "--test", str(path), "--folds", "2", "--max-depth", "3")

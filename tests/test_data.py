@@ -238,6 +238,21 @@ def test_load_csv_names_non_utf8_byte_at_its_file_offset(tmp_path):
     )
 
 
+def test_load_csv_drops_a_byte_order_mark_and_counts_it_in_offsets(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with one
+    path = tmp_path / "bom.csv"
+    text = "\ufeffy,x\n1,2\n".encode()
+    path.write_bytes(text)
+    data = load_csv(path, "y")
+    assert (data.feature_names, data.xs.tolist(), data.ys.tolist()) == (("x",), [[2.0]], [1.0])
+    path.write_bytes(text + b"\xff")
+    with pytest.raises(ValueError) as raised:
+        load_csv(path, "y")
+    assert str(raised.value) == (
+        f"{path}: 'utf-8' codec can't decode byte 0xff in position {len(text)}: invalid start byte"
+    )
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_csv(tmp_path / "nope.csv", "y")

@@ -12,7 +12,7 @@ from oracles import per_tree_check, per_tree_leaf_index, predict_by_path
 from rulemix.baseline import CartConfig, fit_cart
 from rulemix.binarizer import count_regions_exact, extract_splits
 from rulemix.data import LabeledDataset, gen_energy_like, gen_xor, split3
-from rulemix.ensemble import BLOCK_PAIRS, LEAF, SETTLE_LEVELS, TreeEnsemble, _walk, check_table, count_regions
+from rulemix.ensemble import BLOCK_PAIRS, LEAF, TreeEnsemble, _walk, check_table, count_regions
 from rulemix.trainer import (
     GbtConfig,
     ParseError,
@@ -193,7 +193,7 @@ def test_count_regions_with_leaf_indices_past_one_byte():
     # in one byte, leaves 256 apart would share a region
     rng = np.random.default_rng(3)
     xs = rng.random((600, 2))
-    columns, _ = grow_tree(xs, rng.normal(size=600), presort(xs), 10, 1)
+    columns, _ = grow_tree(xs, rng.normal(size=600), presort(xs, 1), 10, 1)
     alone = one_tree(columns, xs)
     big = json.loads(serialize_ensemble(alone))["trees"][0]["nodes"]
     assert len(big) > 256
@@ -493,15 +493,15 @@ WALK_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0, np.nan, np.inf, -np.inf])
 
 @st.composite
 def cart_trees(draw):
-    """(fit_cart's one-tree ensemble, X): grown on 200 random rows to a depth
-    past ``SETTLE_LEVELS``, so the walk drops the pairs that settled; half
-    the entries of X are training values, half are on the grid, NaN and
-    infinities included."""
-    dims, depth = draw(st.integers(1, 3)), draw(st.integers(SETTLE_LEVELS + 1, SETTLE_LEVELS + 4))
+    """(fit_cart's one-tree ensemble, X): grown on 200 random rows to depth
+    5-8, so pairs reach leaves at many levels and must stay there while the
+    rest descend; half the entries of X are training values, half are on the
+    grid, NaN and infinities included."""
+    dims, depth = draw(st.integers(1, 3)), draw(st.integers(5, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     data = LabeledDataset(rng.random((200, dims)) * 2.0, rng.normal(size=200))
     tree = fit_cart(data, CartConfig(depth_grid=(depth,), min_samples_leaf=1), {depth: 0.0})
-    assert tree.routes.depth > SETTLE_LEVELS
+    assert tree.routes.depth > 4
     on_grid = rng.random((300, dims)) < 0.5
     X = np.where(on_grid, rng.choice(WALK_GRID, size=(300, dims)), data.xs[rng.integers(0, 200, 300)])
     return tree, X

@@ -23,6 +23,19 @@ def load_tracing():
     return tracing
 
 
+def test_readme_library_snippets_run(capsys):
+    # README's python blocks, run in order in one namespace as a reader
+    # would, so an API change cannot leave them stale
+    readme = TRACING.parents[1] / "README.md"
+    blocks = [b.split("```", 1)[0] for b in readme.read_text(encoding="utf-8").split("```python\n")[1:]]
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)
+    assert capsys.readouterr().out == rulemix.render_rules_text(namespace["rules"]) + "\n"
+    assert set(namespace["scores"]) == {2, 3, 4} and namespace["tree"].tree_count == 1
+
+
 def test_every_export_resolves():
     missing = [name for name in rulemix.__all__ if not hasattr(rulemix, name)]
     assert missing == []

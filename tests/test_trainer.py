@@ -86,7 +86,7 @@ def test_split_without_a_midpoint_keeps_both_children(lo, hi):
     # the midpoint rounds down to lo or overflows, so the threshold is hi
     xs = np.array([[lo], [hi], [lo], [hi]])
     ys = np.array([0.0, 1.0, 0.0, 1.0])
-    columns, leaf = grow_tree(xs, ys, presort(xs), 1, 1)
+    columns, leaf = grow_tree(xs, ys, presort(xs, 1), 1, 1)
     tree = one_tree(columns, xs)
     assert tree.threshold[0] == hi
     assert np.array_equal(tree.value[leaf], ys)
@@ -125,7 +125,7 @@ def test_greedy_split_matches_brute_force_oracle():
         d = int(rng.integers(1, 4))
         xs = rng.random((n, d))
         ys = rng.normal(size=n)
-        tree = one_tree(grow_tree(xs, ys, presort(xs), max_depth=1, min_samples_leaf=2)[0], xs)
+        tree = one_tree(grow_tree(xs, ys, presort(xs, 2), max_depth=1, min_samples_leaf=2)[0], xs)
         expected = brute_force_best_split(xs, ys, min_samples_leaf=2)
         if expected is None:
             assert tree.n_leaves == 1
@@ -169,7 +169,7 @@ def test_best_split_equals_per_feature_reference(inputs):
     # scan that scores every position and masks ties.
     # The node's sorted columns are the whole presort filtered to its rows.
     xs, ys, rows, min_leaf = inputs
-    order = presort(xs).order
+    order = presort(xs, min_leaf)[0]
     order = order[np.isin(order, rows)].reshape(xs.shape[1], -1)
     xs_sorted = xs[order, np.arange(xs.shape[1])[:, None]]
     ysub = ys[rows]
@@ -214,7 +214,7 @@ def test_presorted_grower_equals_per_node_sort_oracle(inputs):
 def assert_grows_as_oracle(xs, ys, depth, min_leaf):
     """``grow_tree`` equals the per-node-sort grower bit for bit, and its
     leaves are those the ensemble walk finds; returns the one-tree ensemble."""
-    columns, leaf = grow_tree(xs, ys, presort(xs), depth, min_leaf)
+    columns, leaf = grow_tree(xs, ys, presort(xs, min_leaf), depth, min_leaf)
     assert_same_tree(columns, per_node_sort_grow_tree(xs, ys, depth, min_leaf))
     tree = one_tree(columns, xs)
     assert np.array_equal(leaf, tree.leaf_vector_batch(xs)[:, 0])
@@ -259,7 +259,7 @@ def test_split_search_runs_only_where_a_split_is_possible(monkeypatch):
         return _best_split(ys_sorted, *args)
 
     monkeypatch.setattr(rulemix.trainer, "_best_split", counting)
-    columns, _ = grow_tree(atm.xs, atm.ys, presort(atm.xs), 10, 5)
+    columns, _ = grow_tree(atm.xs, atm.ys, presort(atm.xs, 5), 10, 5)
     assert min(calls) >= 2 * 5
     # one search per node shallower than depth 10 with at least 10 rows: the
     # nodes the cuts at depths 0-9 reach with that many rows
@@ -280,7 +280,7 @@ def assert_fit_equals_per_node_sort_fit(monkeypatch, config):
     atm = energy_atm_split()
     text = serialize_ensemble(fit_gbt(atm, config))
 
-    def oracle(X, y, presorted, depth, leaf_size):
+    def oracle(X, y, root, depth, leaf_size):
         columns = per_node_sort_grow_tree(X, y, depth, leaf_size)
         return columns, per_tree_leaf_index(columns, [0], X)[:, 0]
 
@@ -309,12 +309,12 @@ def test_fit_gbt_whose_root_cannot_split_equals_per_node_sort_fit(monkeypatch):
 
 def test_fit_gbt_builds_its_root_once(monkeypatch):
     # one fit sorts X once, gathers the root's sorted values once and finds
-    # their boundaries once; every tree's root search reads those arrays
+    # their boundaries once; every tree's root search reads that triple
     atm = energy_atm_split()
     sorted_once, root_boundaries, root_scans = [], [], []
 
-    def counting_presort(X):
-        sorted_once.append(presort(X))
+    def counting_presort(X, min_samples_leaf):
+        sorted_once.append(presort(X, min_samples_leaf))
         return sorted_once[-1]
 
     def counting_boundaries(xs_sorted, min_samples_leaf):
@@ -331,11 +331,10 @@ def test_fit_gbt_builds_its_root_once(monkeypatch):
     monkeypatch.setattr(rulemix.trainer, "_boundaries", counting_boundaries)
     monkeypatch.setattr(rulemix.trainer, "_best_split", counting_split)
     fit_gbt(atm, GbtConfig(tree_count=20, min_samples_leaf=10))
-    [presorted] = sorted_once
-    assert len(root_boundaries) == 1 and root_boundaries[0] is presorted.values
+    [(_, values, k)] = sorted_once
+    assert len(root_boundaries) == 1 and root_boundaries[0] is values
     assert len(root_scans) == 20
-    k = presorted.boundaries(10)
-    assert all(xs_sorted is presorted.values and seen is k for xs_sorted, seen in root_scans)
+    assert all(xs_sorted is values and seen is k for xs_sorted, seen in root_scans)
 
 
 @settings(max_examples=60, deadline=None)
@@ -350,12 +349,12 @@ def test_tree_cut_at_depth_is_tree_grown_to_depth(seed, depth, min_leaf, dims, l
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, levels, size=(80, dims)) / 4.0
     ys = rng.normal(size=80)
-    order = presort(xs)
-    columns, _ = grow_tree(xs, ys, order, depth, min_leaf)
+    root = presort(xs, min_leaf)
+    columns, _ = grow_tree(xs, ys, root, depth, min_leaf)
     probes = np.concatenate([xs, rng.random((20, dims)) * levels / 4.0])
     for d in range(depth + 1):
         cut = columns[4][per_tree_leaf_index(columns, [0], probes, d)[:, 0]]
-        assert np.array_equal(cut, one_tree(grow_tree(xs, ys, order, d, min_leaf)[0], xs).predict_batch(probes))
+        assert np.array_equal(cut, one_tree(grow_tree(xs, ys, root, d, min_leaf)[0], xs).predict_batch(probes))
 
 
 @pytest.mark.parametrize("field", ["tree_count", "max_depth", "min_samples_leaf"])
