@@ -106,7 +106,11 @@ def cmd_synth(args) -> int:
 
 def cmd_train_atm(args) -> int:
     with _flag_names(
-        tree_count="--trees", max_depth="--depth", learning_rate="--lr", min_samples_leaf="--min-samples-leaf"
+        tree_count="--trees",
+        max_depth="--depth",
+        learning_rate="--lr",
+        min_samples_leaf="--min-samples-leaf",
+        seed="--seed",
     ):
         config = GbtConfig(args.trees, args.depth, args.lr, args.min_samples_leaf, args.seed)
     data = _read_csv_for(None, args.train, args.target)
@@ -200,6 +204,13 @@ def _pipeline_report(task, source, d_atm, d_train, d_test, gbt_config, em_config
     if em_config.n_components > len(d_train):
         raise ValueError(
             f"n_components must be at most the {len(d_train)} training rows, got {em_config.n_components}"
+        )
+    if len(d_atm) < 2:
+        raise ValueError(f"{source}: the ATM split has {len(d_atm)} row(s), need at least 2 to fit the ensemble")
+    if len(d_train) < cart_config.folds:
+        raise ValueError(
+            f"{source}: the training split has {len(d_train)} row(s), "
+            f"need at least one per CART fold ({cart_config.folds})"
         )
     start = time.perf_counter()
     ensemble = fit_gbt(d_atm, gbt_config)

@@ -212,6 +212,8 @@ def load_csv(path, target_column: str) -> LabeledDataset:
             raise ValueError(f"{path}: no feature column besides the target {target_column!r}")
         rows = []
         for row_number, row in enumerate(reader, start=1):
+            if not row:  # a blank line, which csv.DictReader skips too
+                continue
             try:
                 values = list(map(float, row))
             except ValueError:

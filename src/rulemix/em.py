@@ -20,7 +20,6 @@ from .mixture import MixtureModel, log_joint_matrix, softmax_columns
 DEGENERATE_MASS_FACTOR = 1e-10
 MAX_RESEEDS_PER_RUN = 5
 GATE_RIDGE = 1e-8  # ridge penalty of the gate M-step
-BETA_ROW_SUM_TOL = 1e-9  # how far a responsibility row's sum may lie from 1
 LAMBDA_BOUNDS = (1e-6, 1e6)  # clamp on the Gaussian precisions
 
 
@@ -85,11 +84,11 @@ def gate_objective(
     ``weights`` and ``moments`` are (K, W), or stacks (R, K, W) of independent
     problems on one ``design``; a stack gives a list of R values and an
     (R, K, N) softmax, each slice the floats it gives alone.  ``moments`` is
-    ``beta.T @ design``.  As every row of ``beta`` sums to 1, the
-    ``beta``-weighted sum of the log softmax of the logits
-    ``weights @ design.T`` is ``sum(moments * weights)`` less the rows'
-    log-sum-exps, so a trial point costs one logits product and one
-    ``softmax_columns``, made in place on the logits.
+    ``beta.T @ design``, and the value is ``sum(moments * weights)`` less the
+    rows' log-sum-exps of the logits ``weights @ design.T``: when every row of
+    ``beta`` sums to 1, the ``beta``-weighted sum of their log softmax.  A
+    trial point costs one logits product and one ``softmax_columns``, made in
+    place on the logits.
     """
     probs = np.matmul(weights, design.T)
     value = (
@@ -113,48 +112,36 @@ def gate_gradient(
 
 
 def m_step_gate(
-    beta: np.ndarray,
-    data: BinaryDataset,
+    moments: np.ndarray,
+    design: np.ndarray,
     w_init: np.ndarray,
     config: EmConfig,
     restart_ids=None,
 ) -> tuple[np.ndarray, list[int], list[float]]:
     """Weighted multinomial logistic regression by backtracking gradient
-    ascent, for a stack of R independent problems on one dataset: ``beta`` is
-    (R, N, K) and ``w_init`` (R, K, W).
-
-    Every row of ``beta`` must sum to 1 (within ``BETA_ROW_SUM_TOL``): the
-    objective is scored from the moments ``beta.T @ design``, taken once per
-    call, a plain product when ``beta`` is the transpose of a C-ordered
-    (R, K, N) array, as ``fit`` stacks it.  Each slice runs its own line
-    search: only improving steps are accepted, so its weights never score
-    below its ``w_init`` on the ridge-penalized objective; each search starts at the step the slice's
-    last one accepted, doubled if that was its first trial; each gradient
-    reads the softmax of the objective call that accepted its point; and
-    each slice has its own ``gate_max_iters`` budget.  A round scores one
-    trial for every slice still searching in one ``gate_objective`` call and
-    takes the gradients of the slices that accepted in one ``gate_gradient``
-    call, so every slice gets the floats it would get alone.
+    ascent, for a stack of R independent problems on one (N, W) ``design``:
+    ``moments`` and ``w_init`` are (R, K, W), ``moments`` holding each
+    problem's ``beta.T @ design``, all that ``gate_objective`` reads of its
+    responsibilities ``beta``.  Each slice runs its own line search: only
+    improving steps are accepted, so its weights never score below its
+    ``w_init`` on the ridge-penalized objective; each search starts at the
+    step the slice's last one accepted, doubled if that was its first trial;
+    each gradient reads the softmax of the objective call that accepted its
+    point; and each slice has its own ``gate_max_iters`` budget.  A round
+    scores one trial for every slice still searching in one
+    ``gate_objective`` call and takes the gradients of the slices that
+    accepted in one ``gate_gradient`` call, so every slice gets the floats it
+    would get alone.
 
     Returns the (R, K, W) weights and, per slice, the number of gradients
     taken and the norm of the last one.  Errors name a slice by its entry in
     ``restart_ids`` (default: its index).
     """
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.ndim != 3 or beta.shape[1] != len(data):
-        raise ValueError("beta must be (R, N, K) with one row per data row")
-    ids = range(len(beta)) if restart_ids is None else restart_ids
-    sums = beta.sum(axis=-1)
-    off = np.argwhere(~(np.abs(sums - 1.0) <= BETA_ROW_SUM_TOL))
-    if off.size:
-        r, row = off[0]
-        raise ValueError(f"restart {ids[r]}: beta row {row} sums to {float(sums[r, row])!r}, not 1")
-    S1 = data.design
+    ids = range(len(moments)) if restart_ids is None else restart_ids
     W = np.array(w_init, dtype=np.float64)
-    if W.shape != (len(beta), beta.shape[2], S1.shape[1]):
-        raise ValueError(f"gate weights must have shape ({len(beta)}, {beta.shape[2]}, {S1.shape[1]})")
-    moments = np.matmul(beta.swapaxes(-1, -2), S1)
-    J, probs = gate_objective(W, moments, S1, GATE_RIDGE)
+    if W.ndim != 3 or W.shape != moments.shape or W.shape[2] != design.shape[1]:
+        raise ValueError(f"gate weights and moments must be (R, K, {design.shape[1]}) stacks of one shape")
+    J, probs = gate_objective(W, moments, design, GATE_RIDGE)
     for r, value in enumerate(J):
         if not math.isfinite(value):
             raise RuntimeError(f"restart {ids[r]}: gate objective non-finite at the initial point")
@@ -164,18 +151,18 @@ def m_step_gate(
     # slice leaves or only some slices accepted.
     n_slices = len(W)
     gsq, step, t, iters = [0.0] * n_slices, [1.0] * n_slices, [1.0] * n_slices, [0] * n_slices
-    gsq_stop = 1e-18 * max(1.0, len(data) ** 2)
+    gsq_stop = 1e-18 * max(1.0, len(design) ** 2)
     live = list(range(n_slices))
     W_live, G_live, moments_live = W, None, moments
     fresh, leaving = list(range(n_slices)), []  # stack positions at a new point; leaving the stack
     while True:
         if fresh:  # gradients at the newly accepted points, from their softmax
             if len(fresh) == len(live):
-                G_live = G_new = gate_gradient(W_live, moments_live, S1, GATE_RIDGE, probs)
+                G_live = G_new = gate_gradient(W_live, moments_live, design, GATE_RIDGE, probs)
             else:
                 at = np.array(fresh)
                 W_at, moments_at, probs_at = (a.take(at, axis=0) for a in (W_live, moments_live, probs))
-                G_new = gate_gradient(W_at, moments_at, S1, GATE_RIDGE, probs_at)
+                G_new = gate_gradient(W_at, moments_at, design, GATE_RIDGE, probs_at)
                 G_live[at] = G_new
             for p, g in zip(fresh, (G_new * G_new).sum(axis=(-2, -1)).tolist()):
                 r = live[p]
@@ -196,7 +183,7 @@ def m_step_gate(
             live = [live[p] for p in keep]
             leaving = []
         W_try = W_live + np.array([t[r] for r in live])[:, None, None] * G_live
-        J_try, probs = gate_objective(W_try, moments_live, S1, GATE_RIDGE)
+        J_try, probs = gate_objective(W_try, moments_live, design, GATE_RIDGE)
         fresh, accepted = [], []
         for p, r in enumerate(live):
             if not math.isfinite(J_try[p]):
@@ -305,9 +292,8 @@ def fit(data: BinaryDataset, config: EmConfig):
         live = list(params)
         if not live:
             break
-        # (R, K, N) rows, handed over as its (R, N, K) transpose
-        beta = np.stack([betas[r].T for r in live]).swapaxes(-1, -2)
-        stepped = m_step_gate(beta, data, np.stack([weights[r] for r in live]), config, live)
+        moments = np.stack([betas[r].T for r in live]) @ data.design
+        stepped = m_step_gate(moments, data.design, np.stack([weights[r] for r in live]), config, live)
         going = []
         for r, w, iters, grad_norm in zip(live, *stepped):
             trace, objective = traces[r], traces[r].objective_trace

@@ -30,6 +30,7 @@ class GbtConfig:
     def __post_init__(self):
         for name in ("tree_count", "max_depth", "min_samples_leaf"):
             check_count(name, getattr(self, name), 1)
+        check_count("seed", self.seed, 0)
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
 

@@ -10,7 +10,7 @@ import rulemix
 import rulemix.em
 from rulemix.binarizer import BinaryDataset, SplitSchema
 from rulemix.ensemble import TreeEnsemble
-from rulemix.mixture import MixtureModel, gate_design
+from rulemix.mixture import MixtureModel
 from rulemix.trainer import read_nodes
 
 
@@ -93,13 +93,12 @@ def gate_gradient_norms(monkeypatch):
     stack = []  # (moments, norms) of each slice of the running m_step_gate call
     step, gradient = rulemix.em.m_step_gate, rulemix.em.gate_gradient
 
-    def counted_step(beta, data, w_init, config, restart_ids=None):
-        ids = range(len(beta)) if restart_ids is None else restart_ids
-        moments = np.matmul(np.swapaxes(beta, -1, -2), gate_design(data.bits))
+    def counted_step(moments, design, w_init, config, restart_ids=None):
+        ids = range(len(moments)) if restart_ids is None else restart_ids
         stack[:] = [(m, []) for m in moments]
         for r, (_, norms) in zip(ids, stack):
             steps.setdefault(r, []).append(norms)
-        return step(beta, data, w_init, config, restart_ids)
+        return step(moments, design, w_init, config, restart_ids)
 
     def counted_gradient(*args):
         G = gradient(*args)

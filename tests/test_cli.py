@@ -331,6 +331,26 @@ def test_k_checked_before_fit(monkeypatch, capsys, task, rows):
         pipeline(0, k=rows + 1, restarts=1)
 
 
+@pytest.mark.parametrize(
+    "rows, k, message",
+    [
+        (12, 4, "the training split has 4 row(s), need at least one per CART fold (5)"),
+        (3, 1, "the ATM split has 1 row(s), need at least 2 to fit the ensemble"),
+    ],
+    ids=["training-split", "atm-split"],
+)
+def test_small_energy_csv_refused_before_fit(monkeypatch, tmp_path, capsys, rows, k, message):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_gbt reached")
+
+    full, path = gen_energy_like(seed=0), tmp_path / "energy.csv"
+    write_csv(LabeledDataset(full.xs[:rows], full.ys[:rows], full.feature_names), path, ENERGY_TARGET)
+    monkeypatch.setattr(rulemix.cli, "fit_gbt", no_fit)
+    capsys.readouterr()
+    assert run(["reproduce", "energy", "--data", str(path), "--restarts", "1", "--k", str(k)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["train-atm", "simplify", "evaluate", "baseline"])
 def test_csv_without_feature_column_exits_one(tmp_path, capsys, xor_csv, command):
     model_path = tmp_path / "model.json"
@@ -520,13 +540,14 @@ def test_csv_defect_is_one_error_line_naming_row_and_column(reader_files, comman
     "argv",
     [
         ["synth", "--out", "{tmp}/d.csv"],
+        ["train-atm", "--train", "{csv}", "--out", "{tmp}/m.json"],
         ["simplify", "--model", "{model}", "--train", "{csv}", "--k", "2", "--restarts", "1"],
         ["baseline", "--train", "{csv}"],
         ["reproduce", "synthetic"],
         ["reproduce", "energy"],
         ["reproduce", "energy", "--data", "{energy}"],
     ],
-    ids=["synth", "simplify", "baseline", "reproduce-synthetic", "reproduce-energy", "reproduce-energy-data"],
+    ids=["synth", "train-atm", "simplify", "baseline", "reproduce-synthetic", "reproduce-energy", "reproduce-energy-data"],
 )
 def test_negative_seed_named(monkeypatch, tmp_path, capsys, xor_csv, argv):
     model, energy = tmp_path / "model.json", tmp_path / "energy.csv"
@@ -537,7 +558,7 @@ def test_negative_seed_named(monkeypatch, tmp_path, capsys, xor_csv, argv):
     capsys.readouterr()
     assert run([a.format(**paths) for a in argv] + ["--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
-    assert not (tmp_path / "d.csv").exists()
+    assert not (tmp_path / "d.csv").exists() and not (tmp_path / "m.json").exists()
 
 
 def deep_json(path):
@@ -951,9 +972,9 @@ def generated_csvs(draw):
     under the reader CSV's names, permuted, any name quoted or not, in half
     the files after a byte-order mark, and a constant column in half.  About
     half the files take one defect: 1-4 names that may repeat, be empty,
-    need quotes or carry a byte-order mark; a blank line; a short or long
-    row; or a cell that is empty, not a number, not finite or past float
-    range."""
+    need quotes or carry a byte-order mark; a blank line, which the reader
+    skips; a short or long row; or a cell that is empty, not a number, not
+    finite or past float range."""
     defect = draw(st.none() | st.sampled_from(["names", "blank line", "short row", "long row", "bad cell"]))
     if defect == "names":
         names = draw(st.lists(CSV_NAMES, min_size=1, max_size=4))

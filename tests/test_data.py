@@ -192,6 +192,17 @@ def test_load_csv_exact_small_file(tmp_path):
     assert data.feature_names == ("a", "b")
 
 
+@pytest.mark.parametrize("text", ["x,y\n1,2\n3,4\n5,6\n\n", "x,y\n1,2\n\n3,4\n5,6\n"], ids=["at-end", "between-rows"])
+def test_load_csv_skips_blank_lines_and_counts_them(tmp_path, text):
+    path = tmp_path / "blank.csv"
+    path.write_text(text)
+    data = load_csv(path, "y")
+    assert (data.xs.tolist(), data.ys.tolist(), data.feature_names) == ([[1.0], [3.0], [5.0]], [2.0, 4.0, 6.0], ("x",))
+    path.write_text(text + "z,8\n")  # row 5: row numbers still count the blank line
+    with pytest.raises(ValueError, match=r"blank.csv: row 5, column 'x': non-numeric cell 'z'$"):
+        load_csv(path, "y")
+
+
 def test_load_csv_names_bad_cell_location(tmp_path):
     path = tmp_path / "bad.csv"
     rows = ["a,y"] + [f"{i},{i}" for i in range(1, 5)] + ["abc,9", "6,6"]

@@ -22,7 +22,6 @@ from oracles import (
 )
 from rulemix.binarizer import BinaryDataset
 from rulemix.em import (
-    BETA_ROW_SUM_TOL,
     GATE_RIDGE,
     LAMBDA_BOUNDS,
     DegenerateComponentError,
@@ -125,9 +124,10 @@ def gate_value(weights, beta, design):
 
 
 def gate_alone(beta, data, w_init, config):
-    """``m_step_gate`` on a stack of one: the weights, the number of gradients
-    and the last gradient's norm."""
-    weights, iters, norms = m_step_gate(beta[None], data, w_init[None], config)
+    """``m_step_gate`` on a stack of one, given responsibilities: the weights,
+    the number of gradients and the last gradient's norm."""
+    moments = beta.T @ data.design
+    weights, iters, norms = m_step_gate(moments[None], data.design, w_init[None], config)
     return weights[0], iters[0], norms[0]
 
 
@@ -193,6 +193,8 @@ def gate_problem(ds, rng, k, kind, w_scale):
         beta = rng.dirichlet(np.ones(k), size=n)
     elif kind == "labels":  # a function of the bits: separable, weights run off
         beta = np.eye(k)[(ds.bits @ 2.0 ** np.arange(l)).astype(int) % k]
+    elif kind == "zeros":  # zero moments: rows not summing to 1 are valid input too
+        beta = np.zeros((n, k))
     else:
         beta = np.full((n, k), 1.0 / k)
     return beta, rng.normal(0.0, w_scale, size=(k, l + 1))
@@ -232,7 +234,7 @@ def fused_gate_matches_unfused(seed, n, l, k, kind, w_scale, gate_max_iters):
     n=st.integers(1, 40),
     l=st.integers(1, 5),
     k=st.integers(1, 4),
-    kind=st.sampled_from(["soft", "labels", "uniform"]),
+    kind=st.sampled_from(["soft", "labels", "uniform", "zeros"]),
     w_scale=st.sampled_from([0.0, 0.5, 3.0]),
     gate_max_iters=st.integers(1, 120),
 )
@@ -246,11 +248,12 @@ def test_fused_gate_step_matches_unfused_oracle(seed, n, l, k, kind, w_scale, ga
         ((0, 30, 4, 3, "soft", 0.5, 40), "cap"),
         ((0, 30, 3, 2, "labels", 0.0, 120), "gradient"),  # after 76 gradients
         ((1, 30, 4, 2, "soft", 0.5, 120), "gradient"),  # after 83 gradients
+        ((0, 30, 3, 2, "zeros", 0.0, 120), "gradient"),  # after 29 gradients
     ],
 )
 def test_fused_gate_step_matches_unfused_oracle_at_each_stop(case, stop):
-    # No row-normalised beta reaches the step floor: the gradient is then an
-    # ascent direction, and rows that do not sum to 1 are rejected (below).
+    # No input of these kinds reaches the step floor: the gradient is the
+    # objective's for any moments, so some trial gains; see the test below.
     assert fused_gate_matches_unfused(*case) == stop
 
 
@@ -261,7 +264,7 @@ def test_fused_gate_step_matches_unfused_oracle_at_each_stop(case, stop):
     l=st.integers(1, 5),
     k=st.integers(1, 4),
     problems=st.lists(
-        st.tuples(st.sampled_from(["soft", "labels", "uniform"]), st.sampled_from([0.0, 0.5, 3.0])),
+        st.tuples(st.sampled_from(["soft", "labels", "uniform", "zeros"]), st.sampled_from([0.0, 0.5, 3.0])),
         min_size=1,
         max_size=4,
     ),
@@ -274,13 +277,37 @@ def test_stacked_gate_step_matches_oracle_per_slice(seed, n, l, k, problems, gat
     rng = np.random.default_rng(seed + 1)
     betas, w0s = zip(*(gate_problem(ds, rng, k, kind, w_scale) for kind, w_scale in problems))
     config = EmConfig(n_components=k, gate_max_iters=gate_max_iters)
-    weights, iters, grad_norms = m_step_gate(np.stack(betas), ds, np.stack(w0s), config)
+    moments = np.stack([beta.T @ ds.design for beta in betas])
+    weights, iters, grad_norms = m_step_gate(moments, ds.design, np.stack(w0s), config)
     assert len(weights) == len(iters) == len(grad_norms) == len(problems)
     for r, (beta, w0) in enumerate(zip(betas, w0s)):
         want, _, norms, stop = unfused_m_step_gate(beta, ds, w0, gate_max_iters)
         assert np.array_equal(weights[r], want)
         assert (iters[r], grad_norms[r]) == (len(norms), norms[-1])
         event(stop)
+
+
+def test_gate_slice_at_step_floor_leaves_with_its_start(monkeypatch):
+    # every trial of slice 0 is scored 1 lower, so its line search halves
+    # from 1 down past the 1e-20 floor (67 trials) while the others go on
+    ds, moments, w0, config = gate_stack()
+    alone = [m_step_gate(m[None], ds.design, w[None], config) for m, w in zip(moments, w0)]
+    objective, calls = rulemix.em.gate_objective, []
+
+    def lowered(weights, stacked, *args):
+        values, probs = objective(weights, stacked, *args)
+        calls.append(np.array_equal(stacked[0], moments[0]))  # slice 0 is live
+        if len(calls) > 1 and calls[-1]:
+            values[0] -= 1.0
+        return values, probs
+
+    monkeypatch.setattr(rulemix.em, "gate_objective", lowered)
+    weights, iters, norms = m_step_gate(moments, ds.design, w0, config)
+    assert sum(calls[1:]) == 67
+    assert np.array_equal(weights[0], w0[0]) and iters[0] == 1
+    for r in (1, 2):
+        assert np.array_equal(weights[r], alone[r][0][0])
+        assert (iters[r], norms[r]) == (alone[r][1][0], alone[r][2][0])
 
 
 @settings(deadline=None)
@@ -307,40 +334,19 @@ def test_gate_moments_value_equals_weighted_log_softmax(seed, n, l, k, scale, ri
 
 
 def gate_stack():
-    """Dataset, one-hot responsibilities, zero start weights and config for a
-    stack of three K = 3 gate problems."""
+    """Dataset, moments of one-hot responsibilities, zero start weights and
+    config for a stack of three K = 3 gate problems."""
     ds = random_dataset(0, n=30, l=4)
-    beta = np.eye(3)[np.random.default_rng(1).integers(0, 3, size=(3, 30))]
-    return ds, beta, np.zeros((3, 3, 5)), EmConfig(n_components=3)
-
-
-@pytest.mark.parametrize(
-    "row, scale, message",
-    [
-        (17, 0.0, "restart 2: beta row 17 sums to 0.0, not 1"),
-        (3, 2.0, "restart 2: beta row 3 sums to 2.0, not 1"),
-        (5, math.nan, "restart 2: beta row 5 sums to nan, not 1"),
-    ],
-    ids=["zero", "doubled", "nan"],
-)
-def test_gate_rejects_beta_rows_not_summing_to_one(row, scale, message):
-    # the moments form of the objective and its gradient hold only for rows
-    # summing to 1; an all-zero beta used to send the line search to its floor
-    ds, beta, w0, config = gate_stack()
-    beta[2, row:] *= scale
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        m_step_gate(beta, ds, w0, config)
-    with pytest.raises(ValueError, match=f"^{message.replace('restart 2', 'restart 7')}$"):
-        m_step_gate(beta, ds, w0, config, [0, 4, 7])
-    beta[:] = 1.0 / 3.0 + BETA_ROW_SUM_TOL / 4  # a few ulps off is rounding, not an error
-    m_step_gate(beta, ds, w0, config)
+    betas = np.eye(3)[np.random.default_rng(1).integers(0, 3, size=(3, 30))]
+    moments = np.stack([beta.T @ ds.design for beta in betas])
+    return ds, moments, np.zeros((3, 3, 5)), EmConfig(n_components=3)
 
 
 def test_gate_names_restart_non_finite_at_start():
-    ds, beta, w0, config = gate_stack()
+    ds, moments, w0, config = gate_stack()
     w0[1, 2, 0] = math.nan
     with pytest.raises(RuntimeError, match="^restart 4: gate objective non-finite at the initial point$"):
-        m_step_gate(beta, ds, w0, config, [0, 4, 7])
+        m_step_gate(moments, ds.design, w0, config, [0, 4, 7])
 
 
 def test_gate_names_restart_non_finite_in_line_search(monkeypatch, gate_gradient_norms):
@@ -357,9 +363,9 @@ def test_gate_names_restart_non_finite_in_line_search(monkeypatch, gate_gradient
         return values, shifted
 
     monkeypatch.setattr(rulemix.em, "gate_objective", poisoned)
-    ds, beta, w0, config = gate_stack()
+    ds, moments, w0, config = gate_stack()
     with pytest.raises(RuntimeError) as raised:
-        rulemix.em.m_step_gate(beta, ds, w0, config, [0, 4, 7])
+        rulemix.em.m_step_gate(moments, ds.design, w0, config, [0, 4, 7])
     assert stacks == [3] * 12  # every slice was searching, so the last is restart 7
     (norms,) = gate_gradient_norms[7]  # its gradients before the bad trial
     assert len(norms) > 1
@@ -524,10 +530,10 @@ def test_fit_best_restart_rule(monkeypatch):
         stub_fit([(1.0, True), (2.0, True)])
 
 
-def gate_slice_by_slice(beta, data, w_init, config, restart_ids=None):
+def gate_slice_by_slice(moments, design, w_init, config, restart_ids=None):
     """``m_step_gate`` run on each slice of the stack alone."""
-    weights, iters, norms = zip(*(gate_alone(b, data, w, config) for b, w in zip(beta, w_init)))
-    return np.stack(weights), list(iters), list(norms)
+    weights, iters, norms = zip(*(m_step_gate(m[None], design, w[None], config) for m, w in zip(moments, w_init)))
+    return np.concatenate(weights), [i for (i,) in iters], [g for (g,) in norms]
 
 
 lockstep_cases = pytest.mark.parametrize(
