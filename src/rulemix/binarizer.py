@@ -35,11 +35,12 @@ class SplitSchema:
         return list(zip(self.features.tolist(), self.thresholds.tolist()))
 
     def encode_batch(self, X) -> np.ndarray:
-        """Bit l of row n is 1 iff X[n, feature_l] >= threshold_l."""
+        """Bit l of row n is 1 iff the walk sends row n right at rule l, that is
+        iff not X[n, feature_l] < threshold_l (so a NaN gets bit 1)."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] <= self.features.max(initial=-1):
             raise ValueError(f"input matrix {X.shape} too narrow for schema")
-        return (X[:, self.features] >= self.thresholds[None, :]).astype(np.float64)
+        return (~(X[:, self.features] < self.thresholds[None, :])).astype(np.float64)
 
 
 def extract_splits(ensemble: TreeEnsemble) -> SplitSchema:
@@ -58,20 +59,18 @@ def count_regions_exact(ensemble: TreeEnsemble) -> int:
     """Exact region count via one probe per cell of the grid that the
     ``extract_splits`` thresholds cut each feature axis into.  A row with
     ``x >= t`` goes right, so each threshold lies in the cell it opens and
-    probes it; -inf probes the cell below the lowest threshold.
+    probes it; -inf probes the cell below the lowest threshold, or the one
+    cell of a feature without thresholds.
 
     Only supported for feature_count <= 2 (the grid is exponential in D).
     """
     if ensemble.feature_count > 2:
         raise ValueError("exact region counting supported only for D <= 2")
     schema = extract_splits(ensemble)
-    axes = []
-    for d in range(ensemble.feature_count):
-        ts = schema.thresholds[schema.features == d]
-        if len(ts) == 0:
-            axes.append(np.array([0.0]))
-        else:
-            axes.append(np.concatenate([[-np.inf], ts]))
+    axes = [
+        np.concatenate([[-np.inf], schema.thresholds[schema.features == d]])
+        for d in range(ensemble.feature_count)
+    ]
     grids = np.meshgrid(*axes, indexing="ij")
     probes = np.stack([g.ravel() for g in grids], axis=1)
     return count_regions(ensemble, probes)

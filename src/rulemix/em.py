@@ -239,21 +239,14 @@ class FitReport:
     best_restart: int
 
 
-def reseed_components(beta: np.ndarray, bad, scores: np.ndarray) -> int:
-    """Hand each dead component a one-hot chunk of the worst-explained rows.
-
-    ``scores`` orders rows by how well the current model explains them;
-    chunks of ceil(N/K) rows are disjoint across the components being
-    reseeded.  Rows stay normalized because whole rows are overwritten.
-    """
-    n, k = beta.shape
-    chunk = math.ceil(n / k)
-    ranked = np.argsort(scores, kind="stable")
-    for j, comp in enumerate(bad):
-        start = (j * chunk) % n
-        sel = np.concatenate([ranked, ranked])[start : start + chunk]
-        beta[sel, :] = 0.0
-        beta[sel, comp] = 1.0
+def reseed_components(beta: np.ndarray, bad) -> int:
+    """Revive each dead component with half the responsibilities of the one
+    then holding the most mass (at least N/K), which keeps the other half: both
+    end with at least N/(2K), and no other column and no row sum changes."""
+    for comp in bad:
+        donor = np.argmax(beta.sum(axis=0))
+        beta[:, donor] *= 0.5
+        beta[:, comp] += beta[:, donor]
     return len(bad)
 
 
@@ -262,8 +255,9 @@ def fit(data: BinaryDataset, config: EmConfig):
 
     The restarts advance in lockstep, one EM iteration at a time: the gate
     M-steps of all live restarts run as one stacked ``m_step_gate`` call, and
-    a restart leaves when it converges or fails.  Each restart draws from its
-    own generator and makes the calls it would make alone, in that order.
+    a restart leaves when it converges or fails.  Each restart draws its
+    initial responsibilities from its own generator and makes the calls it
+    would make alone, in that order.
     Targets whose squares, times the largest precision, overflow are refused
     before any restart.
     """
@@ -272,10 +266,9 @@ def fit(data: BinaryDataset, config: EmConfig):
         raise ValueError("need at least one row per component")
     check_sum_of_squares("targets", data.z, LAMBDA_BOUNDS[1])
     restarts = range(config.restarts)
-    rngs = [np.random.default_rng([config.seed, r]) for r in restarts]
-    betas = [rng.dirichlet(np.ones(k), size=n) for rng in rngs]
+    betas = [np.random.default_rng([config.seed, r]).dirichlet(np.ones(k), size=n) for r in restarts]
     weights = [np.zeros((k, data.n_bits + 1)) for _ in restarts]
-    row_lls, models = [None] * len(restarts), [None] * len(restarts)
+    models = [None] * len(restarts)
     traces = [RestartTrace(0, [], False, 0, [], []) for _ in restarts]
     live = list(restarts)
     for _ in range(config.max_iters):
@@ -283,8 +276,7 @@ def fit(data: BinaryDataset, config: EmConfig):
         for r in live:
             bad = np.nonzero(betas[r].sum(axis=0) < DEGENERATE_MASS_FACTOR * n)[0]
             if bad.size:
-                scores = row_lls[r] if row_lls[r] is not None else rngs[r].random(n)
-                traces[r].reseed_events += reseed_components(betas[r], bad, scores)
+                traces[r].reseed_events += reseed_components(betas[r], bad)
                 if traces[r].reseed_events > MAX_RESEEDS_PER_RUN:
                     traces[r].failed = True
                     continue
@@ -301,8 +293,8 @@ def fit(data: BinaryDataset, config: EmConfig):
             trace.gate_final_grad_norms.append(grad_norm)
             weights[r] = w
             models[r] = MixtureModel(w, *params[r], data.schema)
-            betas[r], row_lls[r] = e_step(models[r], data)
-            objective.append(float(row_lls[r].sum()))
+            betas[r], row_ll = e_step(models[r], data)
+            objective.append(float(row_ll.sum()))
             trace.iters = len(objective)
             if not (
                 len(objective) > 1

@@ -33,6 +33,14 @@ def test_encode_basic_and_boundary():
     assert schema.encode_batch([[0.5, 0.5]]).tolist() == [[1.0, 1.0]]
 
 
+def test_nan_gets_the_bit_of_the_side_the_walk_takes():
+    # the walk sends a row left iff x < t, so a NaN goes right
+    ens = ensemble_of((stump(0, 0.5, 0.0, 1.0),), np.ones(1), 1)
+    ds = build_dataset(ens, extract_splits(ens), [[np.nan], [0.2], [0.8]])
+    assert ds.bits.tolist() == [[1.0], [0.0], [1.0]]
+    assert ds.z.tolist() == [1.0, 0.0, 1.0]
+
+
 def test_encode_dimension_mismatch():
     schema = SplitSchema(np.array([0, 1]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
@@ -93,8 +101,8 @@ def test_encode_monotone_in_each_coordinate():
 XOR_DATA = gen_xor(100, seed=10)
 XOR_GBT = fit_gbt(XOR_DATA, GbtConfig(tree_count=5, max_depth=2))
 XOR_SCHEMA = extract_splits(XOR_GBT)
-# Probe coordinates: anywhere around the unit square, or exactly on a split.
-probe_cells = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(XOR_SCHEMA.thresholds.tolist()))
+# Probe coordinates: anywhere around the unit square, exactly on a split, or NaN.
+probe_cells = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([*XOR_SCHEMA.thresholds.tolist(), np.nan]))
 
 
 @settings(max_examples=50, deadline=None)

@@ -180,6 +180,20 @@ def test_simplify_warns_on_degenerate_fit(tmp_path, capsys, xor_csv, tree, k, pa
     assert len(doc["rules"]["components"]) == k
 
 
+def test_simplify_with_more_components_than_bit_patterns_exits_cleanly(tmp_path, capsys):
+    # five rows on the two sides of one split: with K = 3 a component dies
+    # in most restarts and is revived, and every seed's fit finishes
+    train = tmp_path / "train.csv"
+    train.write_text("x,y\n0.2,-10\n0.8,10\n0.2,-10\n0.8,10\n0.8,10\n")
+    model = tmp_path / "model.json"
+    model.write_text(serialize_ensemble(ensemble_of((stump(0, 0.5, -10.0, 10.0),), np.ones(1), 1)))
+    for seed in range(10):
+        args = ["simplify", "--model", str(model), "--train", str(train), "--k", "3", "--seed", str(seed)]
+        assert run(args + ["--restarts", "10"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["warnings"] == ["K=3 but 2 distinct bit pattern(s): spare components repeat a rule"]
+
+
 def test_baseline_command(tmp_path, capsys, xor_csv):
     test_path = tmp_path / "test.csv"
     write_csv(gen_xor(150, seed=3), test_path, "y")

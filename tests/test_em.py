@@ -6,7 +6,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from scipy.special import log_softmax as scipy_log_softmax
 
@@ -20,7 +20,7 @@ from oracles import (
     naive_posterior_row,
     unfused_m_step_gate,
 )
-from rulemix.binarizer import BinaryDataset
+from rulemix.binarizer import BinaryDataset, SplitSchema
 from rulemix.em import (
     GATE_RIDGE,
     LAMBDA_BOUNDS,
@@ -465,22 +465,58 @@ def three_clusters():
     return BinaryDataset(bits, z, schema_of_length(2))
 
 
-# No small natural dataset drives a component's mass below 1e-10 * N, so the
-# tests below raise DEGENERATE_MASS_FACTOR (and lower MAX_RESEEDS_PER_RUN) to
-# reach the reseed and failure paths of the EM driver.
+def five_rows():
+    """One split at 0.5 over five rows, z -10 on its left and 10 on its right:
+    two bit patterns, so with K = 3 a component can die and be revived."""
+    bits = np.array([[0.0], [1.0], [0.0], [1.0], [1.0]])
+    return BinaryDataset(bits, np.array([-10.0, 10.0, -10.0, 10.0, 10.0]), SplitSchema([0], [0.5]))
 
 
-def test_fit_restarts_reseed_and_finish(monkeypatch):
-    monkeypatch.setattr(rulemix.em, "DEGENERATE_MASS_FACTOR", 0.3)
-    model, report = fit(three_clusters(), EmConfig(n_components=3, restarts=6, seed=0))
+def test_fit_with_more_components_than_bit_patterns_finishes():
+    reseeds = 0
+    for seed in range(20):
+        _, report = fit(five_rows(), EmConfig(n_components=3, restarts=10, seed=seed))
+        assert not any(r.failed for r in report.restarts)
+        reseeds += sum(r.reseed_events for r in report.restarts)
+    assert reseeds > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 12),
+    l=st.integers(0, 3),
+    k=st.integers(1, 5),
+    restarts=st.integers(1, 10),
+)
+def test_fit_finishes_when_z_is_a_function_of_the_bits(seed, n, l, k, restarts):
+    # random bit patterns, and z one random value per pattern, as an
+    # ensemble's predictions are; with K above the number of patterns a
+    # component can die and be revived, and none may reach the M-step with
+    # zero mass
+    assume(k <= n)
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 1 << l, size=n)
+    bits = ((codes[:, None] >> np.arange(l)) & 1).astype(float)
+    data = BinaryDataset(bits, rng.integers(-20, 21, size=1 << l).astype(float)[codes], schema_of_length(l))
+    _, report = fit(data, EmConfig(n_components=k, restarts=restarts, seed=seed))
+    event(f"reseeded: {any(r.reseed_events for r in report.restarts)}")
+    assert not report.restarts[report.best_restart].failed
+
+
+def test_fit_restarts_reseed_and_finish():
+    data = five_rows()
+    model, report = fit(data, EmConfig(n_components=3, restarts=10, seed=7))  # three restarts reseed
     runs = report.restarts
     assert any(r.reseed_events > 0 for r in runs)
     assert not any(r.failed for r in runs)
     finals = [r.objective_trace[-1] for r in runs]
     assert report.best_restart == finals.index(max(finals))
-    # every restart, reseeded or not, converges (rel_tol 1e-6) to the three-cluster optimum
-    assert finals == pytest.approx([max(finals)] * 6, rel=1e-6)
-    assert float(e_step(model, three_clusters())[1].sum()) == max(finals)
+    assert float(e_step(model, data)[1].sum()) == max(finals)
+
+
+# The tests below raise DEGENERATE_MASS_FACTOR (and lower MAX_RESEEDS_PER_RUN)
+# so that restarts on the three-cluster data fail on reseed.
 
 
 def test_fit_best_restart_skips_failed_restarts(monkeypatch):
@@ -627,18 +663,19 @@ def test_fit_relabeling_keeps_likelihood():
     )
 
 
-def test_reseed_assigns_worst_rows_one_hot():
-    rng = np.random.default_rng(44)
-    beta = rng.dirichlet(np.ones(4), size=10)
-    beta[:, 2] = 0.0
-    beta /= beta.sum(axis=1, keepdims=True)
-    scores = np.arange(10.0)  # row 0 is explained worst
-    events = reseed_components(beta, [2], scores)
-    assert events == 1
-    chunk = math.ceil(10 / 4)
-    assert np.all(beta[:chunk, 2] == 1.0)
-    assert np.allclose(beta.sum(axis=1), 1.0, atol=1e-12)
-    assert beta[:chunk, [0, 1, 3]].sum() == 0.0
+def test_reseed_halves_the_largest_component():
+    # components 1 and 3 are dead (3 holds a trace of mass); 1 takes half of
+    # component 0, the largest (mass 2.2), then 3 half of component 2, the
+    # largest once 0 is halved (1.8 against 1.1)
+    beta = np.array([[0.7, 0.0, 0.3, 0.0], [0.9, 0.0, 0.1, 1e-12], [0.5, 0.0, 0.5, 0.0], [0.1, 0.0, 0.9, 0.0]])
+    beta[1, 0] -= 1e-12
+    before = beta.copy()
+    assert reseed_components(beta, [1, 3]) == 2
+    assert np.array_equal(beta[:, 0], before[:, 0] / 2) and np.array_equal(beta[:, 1], before[:, 0] / 2)
+    assert np.array_equal(beta[:, 2], before[:, 2] / 2)
+    assert np.array_equal(beta[:, 3], before[:, 3] + before[:, 2] / 2)
+    assert np.allclose(beta.sum(axis=1), before.sum(axis=1), rtol=0.0, atol=1e-15)
+    assert (beta.sum(axis=0) > 0.0).all()
 
 
 def test_config_validation():
