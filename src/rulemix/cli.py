@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import json
@@ -77,42 +76,20 @@ def _read_csv_for(expected, path, target):
     return data
 
 
-@contextlib.contextmanager
-def _flag_names(**flags):
-    """Checks of flag values fail naming the flag as typed: a ValueError whose
-    message starts with a field of ``flags`` (as the library's checks name
-    them) is raised again with that field replaced by its flag."""
-    try:
-        yield
-    except ValueError as e:
-        field, space, rest = str(e).partition(" ")
-        if field not in flags:
-            raise
-        raise ValueError(flags[field] + space + rest) from e
-
-
-def _check_at_most_rows(flag, value, data, path) -> None:
+def _check_at_most_rows(field, value, data, path) -> None:
     if value > len(data):
-        raise ValueError(f"{flag} must be at most the {len(data)} rows of {path}, got {value}")
+        raise ValueError(f"{field} must be at most the {len(data)} rows of {path}, got {value}")
 
 
 def cmd_synth(args) -> int:
-    with _flag_names(n="--n", noise_sd="--noise-sd", seed="--seed"):
-        data = gen_xor(args.n, args.noise_sd, args.seed)
+    data = gen_xor(args.n, args.noise_sd, args.seed)
     write_csv(data, args.out, "y")
     print(f"wrote {len(data)} rows to {args.out}")
     return 0
 
 
 def cmd_train_atm(args) -> int:
-    with _flag_names(
-        tree_count="--trees",
-        max_depth="--depth",
-        learning_rate="--lr",
-        min_samples_leaf="--min-samples-leaf",
-        seed="--seed",
-    ):
-        config = GbtConfig(args.trees, args.depth, args.lr, args.min_samples_leaf, args.seed)
+    config = GbtConfig(args.tree_count, args.max_depth, args.learning_rate, args.min_samples_leaf, args.seed)
     data = _read_csv_for(None, args.train, args.target)
     try:
         ensemble = fit_gbt(data, config)
@@ -138,7 +115,10 @@ def _fit_rules(ensemble, xs, em_config, tau, source="the ensemble's predictions"
         raise RuntimeError(f"{source}: {e}") from e
     rules = extract_rules(model, tau, dataset)
     k, patterns = em_config.n_components, count_patterns(dataset.bits)
-    note = f"K={k} but {patterns} distinct bit pattern(s): spare components repeat a rule"
+    note = (
+        f"K={k} but {patterns} distinct bit pattern(s): "
+        f"the gate gives each to one component, so at least {k - patterns} get share 0"
+    )
     warnings = [note] if patterns < k else []
     return dataset, model, fit_report, rules, warnings
 
@@ -150,16 +130,15 @@ def _fit_baseline(data, cart_config):
 
 
 def cmd_simplify(args) -> int:
-    with _flag_names(tau="--tau", n_components="--k", restarts="--restarts", seed="--seed"):
-        check_tau(args.tau)
-        config = em.EmConfig(args.k, restarts=args.restarts, seed=args.seed)
+    check_tau(args.tau)
+    config = em.EmConfig(args.n_components, restarts=args.restarts, seed=args.seed)
     ensemble = _read_model(args.model)
     train = _read_csv_for(ensemble.feature_names or ensemble.feature_count, args.train, args.target)
-    _check_at_most_rows("--k", args.k, train, args.train)
+    _check_at_most_rows("n_components", args.n_components, train, args.train)
     source = f"{args.model}: predictions on {args.train}"
     dataset, model, fit_report, rules, warnings = _fit_rules(ensemble, train.xs, config, args.tau, source)
     report = {
-        "counts": {"n_train": len(train), "split_rules": dataset.n_bits, "components": args.k},
+        "counts": {"n_train": len(train), "split_rules": dataset.n_bits, "components": args.n_components},
         "rules": rules_to_json_dict(rules),
         "train_mse_vs_atm": mse(model.predict_batch(dataset.bits), dataset.z),
         "fit": asdict(fit_report),
@@ -170,14 +149,13 @@ def cmd_simplify(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    check_count("--min-depth", args.min_depth, 0)
+    check_count("min_depth", args.min_depth, 0)
     if args.max_depth < args.min_depth:
-        raise ValueError(f"--max-depth must be >= --min-depth {args.min_depth}, got {args.max_depth}")
+        raise ValueError(f"max_depth must be >= --min-depth {args.min_depth}, got {args.max_depth}")
     depths = tuple(range(args.min_depth, args.max_depth + 1))
-    with _flag_names(folds="--folds", min_samples_leaf="--min-samples-leaf", seed="--seed"):
-        config = CartConfig(depths, args.folds, args.min_samples_leaf, args.seed)
+    config = CartConfig(depths, args.folds, args.min_samples_leaf, args.seed)
     train = _read_csv_for(None, args.train, args.target)
-    _check_at_most_rows("--folds", args.folds, train, args.train)
+    _check_at_most_rows("folds", args.folds, train, args.train)
     test = _read_csv_for(train.feature_names, args.test, args.target) if args.test else None
     scores, tree = _fit_baseline(train, config)
     report = {"cv_mse_by_depth": {str(d): v for d, v in scores.items()}, "leaves": tree.n_leaves}
@@ -301,18 +279,19 @@ def energy_pipeline(seed, data_path=None, k=4, tau=0.05, restarts=10):
 
 
 def cmd_reproduce(args) -> int:
-    with _flag_names(seed="--seed", tau="--tau", n_components="--k", restarts="--restarts"):
-        if args.task == "synthetic":
-            report, rules = synthetic_pipeline(args.seed, args.k, args.tau, args.restarts)
-        else:
-            report, rules = energy_pipeline(args.seed, args.data, args.k, args.tau, args.restarts)
+    if args.task == "synthetic":
+        report, rules = synthetic_pipeline(args.seed, args.n_components, args.tau, args.restarts)
+    else:
+        report, rules = energy_pipeline(args.seed, args.data, args.n_components, args.tau, args.restarts)
     _emit_report(report, args.out, rules)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser; ``args.command`` names the subcommand, which
-    ``run`` dispatches to ``cmd_<command>`` (dashes as underscores)."""
+    ``run`` dispatches to ``cmd_<command>`` (dashes as underscores).  Each
+    option's dest is the library field it feeds, and ``args.flags`` maps the
+    chosen subcommand's dests to their flags."""
     parser = argparse.ArgumentParser(
         prog="rulemix",
         description="Approximate a boosted tree ensemble by a few readable interval rules.",
@@ -328,18 +307,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-atm", help="fit a boosted tree ensemble on a CSV")
     p.add_argument("--train", required=True)
     p.add_argument("--target", default="y")
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--trees", dest="tree_count", metavar="TREES", type=int, default=100)
+    p.add_argument("--depth", dest="max_depth", metavar="DEPTH", type=int, default=3)
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=0.1)
     p.add_argument("--min-samples-leaf", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="checked, but unused: boosting draws no random numbers")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("simplify", help="fit the mixture surrogate and extract rules")
     p.add_argument("--model", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--target", default="y")
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", dest="n_components", metavar="K", type=int, default=4)
     p.add_argument("--tau", type=float, default=0.05)
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -365,11 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run a full pipeline with stock settings")
     p.add_argument("task", choices=("synthetic", "energy"))
     p.add_argument("--data", default=None, help="energy CSV (default: built-in stand-in)")
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", dest="n_components", metavar="K", type=int, default=4)
     p.add_argument("--tau", type=float, default=0.05)
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
+
+    for p in sub.choices.values():
+        p.set_defaults(flags={a.dest: a.option_strings[0] for a in p._actions if a.option_strings})
     return parser
 
 
@@ -408,6 +390,10 @@ def _reads_as_float(text) -> bool:
 
 
 def run(argv) -> int:
+    """Parse ``argv``, run its subcommand and return the exit code.  The
+    parser maps each flag to its field once: a ValueError that starts with
+    a field an option feeds (a library check of its value) prints that word
+    as the flag; a file's error starts with ``path:``, so it stays."""
     try:
         args = _parser().parse_args(_join_negative_values(argv))
     except SystemExit as e:
@@ -418,7 +404,10 @@ def run(argv) -> int:
     try:
         return command(args)
     except Exception as e:  # surfaced as a one-line diagnostic, exit 1
-        print(f"error: {e}", file=sys.stderr)
+        field, space, rest = str(e).partition(" ")
+        if isinstance(e, ValueError) and field in args.flags:
+            field = args.flags[field]
+        print(f"error: {field}{space}{rest}", file=sys.stderr)
         return 1
 
 

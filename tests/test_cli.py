@@ -1,5 +1,8 @@
+import argparse
 import contextlib
 import csv
+import dataclasses
+import inspect
 import io
 import json
 import re
@@ -20,7 +23,7 @@ import rulemix.baseline
 import rulemix.cli
 import rulemix.em
 from rulemix.baseline import CartConfig, cv_mse_by_depth
-from rulemix.cli import build_parser, energy_pipeline, run
+from rulemix.cli import build_parser, energy_pipeline, run, synthetic_pipeline
 from rulemix.data import (
     ENERGY_FEATURES,
     ENERGY_TARGET,
@@ -30,7 +33,7 @@ from rulemix.data import (
     load_csv,
     write_csv,
 )
-from rulemix.trainer import serialize_ensemble
+from rulemix.trainer import GbtConfig, serialize_ensemble
 
 
 @pytest.fixture
@@ -168,15 +171,18 @@ def test_simplify_end_to_end(tmp_path, capsys, xor_csv):
 )
 def test_simplify_warns_on_degenerate_fit(tmp_path, capsys, xor_csv, tree, k, patterns):
     # Fewer distinct bit patterns than components (a constant tree has an
-    # empty schema, hence one pattern): the spare components repeat a rule.
+    # empty schema, hence one pattern): the argmax gate gives each pattern
+    # to one component, so at least K - patterns components get share 0.
     model_path = tmp_path / "model.json"
     model_path.write_text(serialize_ensemble(ensemble_of((tree,), np.ones(1), 2)))
     args = ["simplify", "--model", str(model_path), "--train", str(xor_csv), "--k", str(k)]
     assert run(args + ["--restarts", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["warnings"] == [
-        f"K={k} but {patterns} distinct bit pattern(s): spare components repeat a rule"
+        f"K={k} but {patterns} distinct bit pattern(s): "
+        f"the gate gives each to one component, so at least {k - patterns} get share 0"
     ]
+    assert sorted(c["share"] for c in doc["rules"]["components"])[: k - patterns] == [0.0] * (k - patterns)
     assert len(doc["rules"]["components"]) == k
 
 
@@ -191,7 +197,9 @@ def test_simplify_with_more_components_than_bit_patterns_exits_cleanly(tmp_path,
         args = ["simplify", "--model", str(model), "--train", str(train), "--k", "3", "--seed", str(seed)]
         assert run(args + ["--restarts", "10"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["warnings"] == ["K=3 but 2 distinct bit pattern(s): spare components repeat a rule"]
+        assert doc["warnings"] == [
+            "K=3 but 2 distinct bit pattern(s): the gate gives each to one component, so at least 1 get share 0"
+        ]
 
 
 def test_baseline_command(tmp_path, capsys, xor_csv):
@@ -810,6 +818,103 @@ def test_flag_value_error_names_the_flag(reader_files, argv, message):
     assert READER_CSV_ROWS == 12
     code, err = run_quietly([a.format(**paths) for a in argv])
     assert (code, err) == (1, f"error: {message.format(**paths)}\n")
+
+
+def subcommand_parsers():
+    """(name, parser) of each subcommand, by name."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(sub.choices.items())
+
+
+def required_argv(name, parser):
+    """The shortest command line of subcommand ``name``: its positional's
+    first choice and each required option with the value "x"."""
+    argv = [name]
+    for action in parser._actions:
+        if not action.option_strings:
+            argv.append(action.choices[0])
+        elif action.required:
+            argv += [action.option_strings[0], "x"]
+    return argv
+
+
+OPTIONS = [(name, parser, a) for name, parser in subcommand_parsers() for a in parser._actions if a.option_strings]
+
+
+@pytest.mark.parametrize("command, parser, action", OPTIONS, ids=[f"{n}-{a.option_strings[0]}" for n, _, a in OPTIONS])
+def test_value_error_naming_a_field_prints_its_flag(monkeypatch, command, parser, action):
+    def failing(args):
+        raise ValueError(f"{action.dest} must be >= 1, got 0")
+
+    monkeypatch.setattr(rulemix.cli, "cmd_" + command.replace("-", "_"), failing)
+    code, err = run_quietly(required_argv(command, parser))
+    assert (code, err) == (1, f"error: {action.option_strings[0]} must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        RuntimeError("seed must be >= 0, got -1"),  # only a ValueError is a check of a value
+        ValueError("depth_grid must be nonempty"),  # no option feeds depth_grid
+        ValueError("seed: row 3: field larger than field limit (131072)"),  # a file named seed
+    ],
+    ids=["runtime-error", "not-a-dest", "path-led"],
+)
+def test_other_errors_print_as_raised(monkeypatch, error):
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(rulemix.cli, "cmd_simplify", failing)
+    code, err = run_quietly(["simplify", "--model", "model.json", "--train", "seed"])
+    assert (code, err) == (1, f"error: {error}\n")
+
+
+def field_defaults(config):
+    return {f.name: f.default for f in dataclasses.fields(config) if f.default is not dataclasses.MISSING}
+
+
+def keyword_defaults(function, **renamed):
+    params = inspect.signature(function).parameters.values()
+    return {renamed.get(p.name, p.name): p.default for p in params if p.default is not p.empty}
+
+
+def merged(*sources):
+    """One field -> default map of ``sources``, which must agree where they overlap."""
+    out = {}
+    for source in sources:
+        for field, default in source.items():
+            assert out.setdefault(field, default) == default, field
+    return out
+
+
+# options that name a file or a column, not a library field
+NOT_LIBRARY_FIELDS = {"help", "train", "test", "model", "target", "out", "data"}
+
+
+def test_parser_defaults_are_the_library_defaults():
+    # each default is written in the parser and in the library; they agree
+    pipelines = merged(
+        keyword_defaults(synthetic_pipeline, k="n_components"),
+        keyword_defaults(energy_pipeline, k="n_components"),
+    )
+    cart = field_defaults(CartConfig)
+    grid = cart.pop("depth_grid")
+    assert grid == tuple(range(grid[0], grid[-1] + 1))
+    library = {
+        "synth": merged(keyword_defaults(gen_xor), pipelines),  # gen_xor's n has no default
+        "train-atm": field_defaults(GbtConfig),
+        "simplify": merged(field_defaults(rulemix.em.EmConfig), pipelines),
+        "baseline": {**cart, "min_depth": grid[0], "max_depth": grid[-1]},
+        "evaluate": {},
+        "reproduce": merged(field_defaults(rulemix.em.EmConfig), pipelines),
+    }
+    checked = 0
+    for name, parser in subcommand_parsers():
+        for action in parser._actions:
+            if action.option_strings and action.dest not in NOT_LIBRARY_FIELDS:
+                assert (name, action.dest, action.default) == (name, action.dest, library[name][action.dest])
+                checked += 1
+    assert checked == 21
 
 
 @pytest.fixture(scope="module")
