@@ -89,7 +89,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train_atm(args) -> int:
-    config = GbtConfig(args.tree_count, args.max_depth, args.learning_rate, args.min_samples_leaf, args.seed)
+    check_count("seed", args.seed, 0)  # accepted and checked, but it feeds nothing
+    config = GbtConfig(args.tree_count, args.max_depth, args.learning_rate, args.min_samples_leaf)
     data = _read_csv_for(None, args.train, args.target)
     try:
         ensemble = fit_gbt(data, config)
@@ -258,7 +259,7 @@ def synthetic_pipeline(seed, k=4, tau=0.05, restarts=10, n=1000):
     d_atm = gen_xor(n, seed=seed)
     d_train = gen_xor(n, seed=seed + 1)
     d_test = gen_xor(n, seed=seed + 2)
-    gbt = GbtConfig(min_samples_leaf=50, seed=seed)
+    gbt = GbtConfig(min_samples_leaf=50)
     emc = em.EmConfig(n_components=k, restarts=restarts, seed=seed)
     cart = CartConfig(min_samples_leaf=15, seed=seed)
     return _pipeline_report("synthetic", "generated", d_atm, d_train, d_test, gbt, emc, cart, tau)
@@ -272,7 +273,7 @@ def energy_pipeline(seed, data_path=None, k=4, tau=0.05, restarts=10):
         full = gen_energy_like(seed=seed)
         source = "synthetic stand-in"
     d_atm, d_train, d_test = split3(full, (0.4, 0.3, 0.3), seed)
-    gbt = GbtConfig(min_samples_leaf=10, seed=seed)
+    gbt = GbtConfig(min_samples_leaf=10)
     emc = em.EmConfig(n_components=k, restarts=restarts, seed=seed)
     cart = CartConfig(seed=seed)
     return _pipeline_report("energy", source, d_atm, d_train, d_test, gbt, emc, cart, tau)
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", dest="max_depth", metavar="DEPTH", type=int, default=3)
     p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=0.1)
     p.add_argument("--min-samples-leaf", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0, help="checked, but unused: boosting draws no random numbers")
+    p.add_argument("--seed", type=int, default=0, help="checked, but feeds nothing: boosting draws no random numbers")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("simplify", help="fit the mixture surrogate and extract rules")

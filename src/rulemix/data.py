@@ -32,7 +32,7 @@ def check_real(name: str, value) -> float:
 def check_sum_of_squares(name: str, values: np.ndarray, scale: float = 1.0) -> None:
     """Reject ``values`` unless ``4 * scale * len(values) * sum(values**2)`` is
     finite: at ``scale`` 1 that bounds every sum of squares the tree grower
-    and ``mse`` form from them; EM passes its largest precision."""
+    and ``mse`` form from them; EM passes ``LAMBDA_BOUNDS[1]``."""
     with np.errstate(over="ignore"):
         sum_sq = float(values @ values)
     if not math.isfinite(4.0 * scale * len(values) * sum_sq):

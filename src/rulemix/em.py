@@ -20,7 +20,9 @@ from .mixture import MixtureModel, log_joint_matrix, softmax_columns
 DEGENERATE_MASS_FACTOR = 1e-10
 MAX_RESEEDS_PER_RUN = 5
 GATE_RIDGE = 1e-8  # ridge penalty of the gate M-step
-LAMBDA_BOUNDS = (1e-6, 1e6)  # clamp on the Gaussian precisions
+LAMBDA_BOUNDS = (1e-6, 1e6)  # clamp on the Gaussian precisions, times 1 / var(z)
+MAX_ITERS = 100  # EM iterations of a restart
+REL_TOL = 1e-6  # a restart stops once its objective moves by <= REL_TOL * max(1, |objective|)
 
 
 class DegenerateComponentError(RuntimeError):
@@ -32,18 +34,14 @@ class DegenerateComponentError(RuntimeError):
 @dataclass(frozen=True)
 class EmConfig:
     n_components: int
-    max_iters: int = 100
-    rel_tol: float = 1e-6
     restarts: int = 10
     seed: int = 0
     gate_max_iters: int = 50
 
     def __post_init__(self):
-        for name in ("n_components", "max_iters", "restarts", "gate_max_iters"):
+        for name in ("n_components", "restarts", "gate_max_iters"):
             check_count(name, getattr(self, name), 1)
         check_count("seed", self.seed, 0)
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError("rel_tol must lie in (0, 1)")
 
 
 def e_step(model: MixtureModel, data: BinaryDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -56,7 +54,8 @@ def e_step(model: MixtureModel, data: BinaryDataset) -> tuple[np.ndarray, np.nda
 
 
 def m_step_closed_form(beta: np.ndarray, data: BinaryDataset):
-    """Exact weighted-moment updates for (eta, mu, lam) given responsibilities."""
+    """Exact weighted-moment updates for (eta, mu, lam) given responsibilities;
+    ``lam`` is clamped to ``LAMBDA_BOUNDS / var(z)``, free of z's units."""
     beta = np.asarray(beta, dtype=np.float64)
     if beta.ndim != 2 or len(beta) != len(data):
         raise ValueError("beta must be (N, K) with one row per data row")
@@ -66,11 +65,14 @@ def m_step_closed_form(beta: np.ndarray, data: BinaryDataset):
             raise DegenerateComponentError(k)
     # differing reduction orders can push a constant-bit column 1 ulp past 1
     eta = np.clip((beta.T @ data.bits) / mass[:, None], 0.0, 1.0)
-    mu = (beta.T @ data.z) / mass
-    denom = (beta * (data.z[:, None] - mu[None, :]) ** 2).sum(axis=0)
-    # mass > 0, so a zero or tiny denom gives inf, clipped to the upper bound
+    z, constant = data.z, data.z.min() == data.z.max()
+    mu = np.full(len(mass), z[0]) if constant else (beta.T @ z) / mass  # no rounded mean of a constant
+    denom = (beta * (z[:, None] - mu[None, :]) ** 2).sum(axis=0)
+    # mass > 0, so a zero or tiny denom gives inf, clipped to the upper bound;
+    # a constant or tiny var(z) gives infinite bounds, replaced by the absolute ones
     with np.errstate(divide="ignore", over="ignore"):
-        lam = np.clip(mass / denom, *LAMBDA_BOUNDS)
+        bounds = np.divide(LAMBDA_BOUNDS, 0.0 if constant else z.var())
+        lam = np.clip(mass / denom, *(bounds if np.isfinite(bounds).all() else LAMBDA_BOUNDS))
     return eta, mu, lam
 
 
@@ -258,7 +260,7 @@ def fit(data: BinaryDataset, config: EmConfig):
     a restart leaves when it converges or fails.  Each restart draws its
     initial responsibilities from its own generator and makes the calls it
     would make alone, in that order.
-    Targets whose squares, times the largest precision, overflow are refused
+    Targets whose squares, times ``LAMBDA_BOUNDS[1]``, overflow are refused
     before any restart.
     """
     n, k = len(data), config.n_components
@@ -271,7 +273,7 @@ def fit(data: BinaryDataset, config: EmConfig):
     models = [None] * len(restarts)
     traces = [RestartTrace(0, [], False, 0, [], []) for _ in restarts]
     live = list(restarts)
-    for _ in range(config.max_iters):
+    for _ in range(MAX_ITERS):
         params = {}  # live restart -> its closed-form (eta, mu, lam)
         for r in live:
             bad = np.nonzero(betas[r].sum(axis=0) < DEGENERATE_MASS_FACTOR * n)[0]
@@ -296,10 +298,7 @@ def fit(data: BinaryDataset, config: EmConfig):
             betas[r], row_ll = e_step(models[r], data)
             objective.append(float(row_ll.sum()))
             trace.iters = len(objective)
-            if not (
-                len(objective) > 1
-                and abs(objective[-1] - objective[-2]) <= config.rel_tol * max(1.0, abs(objective[-2]))
-            ):
+            if len(objective) < 2 or not abs(objective[-1] - objective[-2]) <= REL_TOL * max(1.0, abs(objective[-2])):
                 going.append(r)
         live = going
     done = [r for r in restarts if not traces[r].failed]

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rulemix.em
 from conftest import random_dataset, random_model
 from oracles import (
     component_bound,
@@ -127,7 +128,8 @@ def test_criterion_3_energy_pipeline(capsys):
         announce(3, f"energy pipeline ({report['dataset']})")
 
 
-def test_criterion_4_em_monotonicity(capsys):
+def test_criterion_4_em_monotonicity(monkeypatch, capsys):
+    monkeypatch.setattr(rulemix.em, "MAX_ITERS", 60)
     rng = np.random.default_rng(2024)
     runs = 0
     while runs < 50:
@@ -135,7 +137,7 @@ def test_criterion_4_em_monotonicity(capsys):
         l = int(rng.integers(2, 11))
         k = int(rng.integers(2, 5))
         ds = random_dataset(int(rng.integers(1e9)), n=n, l=l)
-        config = EmConfig(n_components=k, restarts=1, max_iters=60, seed=int(rng.integers(1e9)))
+        config = EmConfig(n_components=k, restarts=1, seed=int(rng.integers(1e9)))
         _, report = fit(ds, config)
         for trace_obj in report.restarts:
             trace = trace_obj.objective_trace
@@ -215,12 +217,11 @@ def small_two_group_dataset(seed=0):
     return BinaryDataset(np.array(rows), np.array(zs), schema)
 
 
-def test_criterion_7_matches_naive_em_optimum(capsys):
+def test_criterion_7_matches_naive_em_optimum(monkeypatch, capsys):
     ds = small_two_group_dataset(seed=5)
-    config = EmConfig(
-        n_components=2, restarts=10, max_iters=2000, rel_tol=1e-12, seed=0
-    )
-    model, report = fit(ds, config)
+    monkeypatch.setattr(rulemix.em, "MAX_ITERS", 2000)
+    monkeypatch.setattr(rulemix.em, "REL_TOL", 1e-12)
+    model, report = fit(ds, EmConfig(n_components=2, restarts=10, seed=0))
     ours = report.restarts[report.best_restart].objective_trace[-1]
     best_naive = max(naive_em(ds, k=2, seed=s, max_iters=1000) for s in range(200))
     assert ours >= best_naive - 1e-6, f"ours {ours} vs naive best {best_naive}"

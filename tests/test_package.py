@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -34,6 +35,24 @@ def test_readme_library_snippets_run(capsys):
         exec(compile(block, str(readme), "exec"), namespace)
     assert capsys.readouterr().out == rulemix.render_rules_text(namespace["rules"]) + "\n"
     assert set(namespace["scores"]) == {2, 3, 4} and namespace["tree"].tree_count == 1
+
+
+def test_readme_cli_block_runs_as_written():
+    # every rulemix line of README's CLI block parses, and each file it reads
+    # is one an earlier line writes; energy.csv is the user's download
+    readme = TRACING.parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")  # a trailing backslash continues a command
+    commands = [shlex.split(line)[1:] for line in joined.splitlines() if line.startswith("rulemix ")]
+    assert len(commands) == 8
+    parser = rulemix.cli.build_parser()
+    written = {"energy.csv"}
+    for argv in commands:
+        args = parser.parse_args(argv)
+        for dest in ("train", "test", "model", "data"):
+            path = getattr(args, dest, None)
+            assert path in written | {None}, f"rulemix {shlex.join(argv)} reads {path}, which no line before it writes"
+        written.add(args.out)
 
 
 def test_every_export_resolves():

@@ -110,7 +110,7 @@ def test_training_mse_nonincreasing_in_tree_count():
 
 def test_fit_is_deterministic():
     data = gen_xor(200, seed=4)
-    config = GbtConfig(tree_count=10, max_depth=3, min_samples_leaf=5, seed=9)
+    config = GbtConfig(tree_count=10, max_depth=3, min_samples_leaf=5)
     a = fit_gbt(data, config)
     b = fit_gbt(data, config)
     assert serialize_ensemble(a) == serialize_ensemble(b)
