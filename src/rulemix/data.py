@@ -45,11 +45,6 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
-def check_noise_sd(noise_sd) -> None:
-    if not (math.isfinite(noise_sd) and noise_sd >= 0.0):
-        raise ValueError(f"noise_sd must be a finite number >= 0, got {noise_sd!r}")
-
-
 @dataclass(frozen=True)
 class LabeledDataset:
     xs: np.ndarray
@@ -77,26 +72,22 @@ class LabeledDataset:
         return self.xs.shape[1]
 
 
-def _add_noise(signal, noise_sd, rng):
-    """``signal`` plus Gaussian noise; a target beyond the float range fails
-    naming ``noise_sd``, the value that put it there."""
-    # abs: numpy rejects -0.0, which passes the >= 0 check, as a negative scale
-    ys = signal + rng.normal(0.0, abs(noise_sd), size=len(signal))
-    if not np.isfinite(ys).all():
-        raise ValueError(f"noise_sd {noise_sd!r} draws noise beyond the float range")
-    return ys
-
-
 def gen_xor(n: int, noise_sd: float = 0.1, seed: int = 0) -> LabeledDataset:
     """x uniform on [0,1]^2; y = 1 iff exactly one coordinate is < 0.5, plus
-    Gaussian noise."""
+    Gaussian noise; a target beyond the float range fails naming ``noise_sd``,
+    the value that put it there."""
     check_count("n", n, 1)
-    check_noise_sd(noise_sd)
+    if not (math.isfinite(noise_sd) and noise_sd >= 0.0):
+        raise ValueError(f"noise_sd must be a finite number >= 0, got {noise_sd!r}")
     check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     xs = rng.random((n, 2))
     signal = np.logical_xor(xs[:, 0] < 0.5, xs[:, 1] < 0.5).astype(np.float64)
-    return LabeledDataset(xs, _add_noise(signal, noise_sd, rng), ("x_1", "x_2"))
+    # abs: numpy rejects -0.0, which passes the >= 0 check, as a negative scale
+    ys = signal + rng.normal(0.0, abs(noise_sd), size=n)
+    if not np.isfinite(ys).all():
+        raise ValueError(f"noise_sd {noise_sd!r} draws noise beyond the float range")
+    return LabeledDataset(xs, ys, ("x_1", "x_2"))
 
 
 ENERGY_FEATURES = (
@@ -110,6 +101,7 @@ ENERGY_FEATURES = (
     "Glazing Area Distribution",
 )
 ENERGY_TARGET = "Heating Load"
+ENERGY_NOISE_SD = 1.0  # sd of the Gaussian noise on the stand-in's heating load
 
 # Twelve building geometries (relative compactness, surface area, wall area,
 # roof area, overall height); tall buildings are exactly those with
@@ -136,16 +128,16 @@ _ENERGY_GLAZING = ((0.0, 0.0),) + tuple(
 )
 
 
-def gen_energy_like(seed: int = 0, noise_sd: float = 1.0) -> LabeledDataset:
+def gen_energy_like(seed: int = 0) -> LabeledDataset:
     """Synthetic stand-in for the UCI energy-efficiency table (768 rows,
     8 features, heating-load target).
 
     The feature grid copies the UCI design (12 geometries x 4 orientations x
     glazing options); the target is an invented heating-load model whose
-    dominant effect is the compact/tall building group, so it exercises the
-    same rule structure without shipping the original simulation outputs.
+    dominant effect is the compact/tall building group, plus Gaussian noise
+    of sd ``ENERGY_NOISE_SD``, so it exercises the same rule structure
+    without shipping the original simulation outputs.
     """
-    check_noise_sd(noise_sd)
     check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     # every geometry with every (orientation, glazing area, distribution)
@@ -170,7 +162,7 @@ def gen_energy_like(seed: int = 0, noise_sd: float = 1.0) -> LabeledDataset:
         + 0.012 * (wall - 245.0)
         + 0.2 * (height - 3.5)
     )
-    return LabeledDataset(xs, _add_noise(load, noise_sd, rng), ENERGY_FEATURES)
+    return LabeledDataset(xs, load + rng.normal(0.0, ENERGY_NOISE_SD, size=len(load)), ENERGY_FEATURES)
 
 
 def _csv_rows(path, fh):

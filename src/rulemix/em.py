@@ -25,12 +25,6 @@ MAX_ITERS = 100  # EM iterations of a restart
 REL_TOL = 1e-6  # a restart stops once its objective moves by <= REL_TOL * max(1, |objective|)
 
 
-class DegenerateComponentError(RuntimeError):
-    def __init__(self, component: int):
-        super().__init__(f"component {component} has zero responsibility mass")
-        self.component = component
-
-
 @dataclass(frozen=True)
 class EmConfig:
     n_components: int
@@ -55,14 +49,16 @@ def e_step(model: MixtureModel, data: BinaryDataset) -> tuple[np.ndarray, np.nda
 
 def m_step_closed_form(beta: np.ndarray, data: BinaryDataset):
     """Exact weighted-moment updates for (eta, mu, lam) given responsibilities;
-    ``lam`` is clamped to ``LAMBDA_BOUNDS / var(z)``, free of z's units."""
+    ``lam`` is clamped to ``LAMBDA_BOUNDS / var(z)``, free of z's units.  A
+    malformed ``beta`` or a component without mass raises ``ValueError``
+    (``fit`` reseeds components below ``DEGENERATE_MASS_FACTOR * N`` first)."""
     beta = np.asarray(beta, dtype=np.float64)
     if beta.ndim != 2 or len(beta) != len(data):
         raise ValueError("beta must be (N, K) with one row per data row")
     mass = beta.sum(axis=0)
     for k, m in enumerate(mass):
         if m <= 0.0:
-            raise DegenerateComponentError(k)
+            raise ValueError(f"component {k} has zero responsibility mass")
     # differing reduction orders can push a constant-bit column 1 ulp past 1
     eta = np.clip((beta.T @ data.bits) / mass[:, None], 0.0, 1.0)
     z, constant = data.z, data.z.min() == data.z.max()
@@ -77,11 +73,12 @@ def m_step_closed_form(beta: np.ndarray, data: BinaryDataset):
 
 
 def gate_objective(
-    weights: np.ndarray, moments: np.ndarray, design: np.ndarray, ridge: float
+    weights: np.ndarray, moments: np.ndarray, design: np.ndarray
 ) -> tuple[float | list[float], np.ndarray]:
-    """Ridge-penalized weighted log-likelihood of the gate at ``weights``,
-    and the gate's softmax there, (K, N) with one row per component, from
-    which ``gate_gradient`` takes the gradient at the same point.
+    """Weighted log-likelihood of the gate at ``weights``, less the ridge
+    penalty ``GATE_RIDGE / 2 * |weights|^2``, and the gate's softmax there,
+    (K, N) with one row per component, from which ``gate_gradient`` takes the
+    gradient at the same point.
 
     ``weights`` and ``moments`` are (K, W), or stacks (R, K, W) of independent
     problems on one ``design``; a stack gives a list of R values and an
@@ -96,21 +93,15 @@ def gate_objective(
     value = (
         (moments * weights).sum(axis=(-2, -1))
         - softmax_columns(probs).sum(axis=-1)
-        - 0.5 * ridge * (weights * weights).sum(axis=(-2, -1))
+        - 0.5 * GATE_RIDGE * (weights * weights).sum(axis=(-2, -1))
     )
     return value.tolist(), probs
 
 
-def gate_gradient(
-    weights: np.ndarray,
-    moments: np.ndarray,
-    design: np.ndarray,
-    ridge: float,
-    probs: np.ndarray,
-) -> np.ndarray:
+def gate_gradient(weights: np.ndarray, moments: np.ndarray, design: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Gradient of ``gate_objective`` at ``weights``, whose softmax is
     ``probs``; stacks as ``gate_objective`` does."""
-    return moments - np.matmul(probs, design) - ridge * weights
+    return moments - np.matmul(probs, design) - GATE_RIDGE * weights
 
 
 def m_step_gate(
@@ -143,7 +134,7 @@ def m_step_gate(
     W = np.array(w_init, dtype=np.float64)
     if W.ndim != 3 or W.shape != moments.shape or W.shape[2] != design.shape[1]:
         raise ValueError(f"gate weights and moments must be (R, K, {design.shape[1]}) stacks of one shape")
-    J, probs = gate_objective(W, moments, design, GATE_RIDGE)
+    J, probs = gate_objective(W, moments, design)
     for r, value in enumerate(J):
         if not math.isfinite(value):
             raise RuntimeError(f"restart {ids[r]}: gate objective non-finite at the initial point")
@@ -160,11 +151,11 @@ def m_step_gate(
     while True:
         if fresh:  # gradients at the newly accepted points, from their softmax
             if len(fresh) == len(live):
-                G_live = G_new = gate_gradient(W_live, moments_live, design, GATE_RIDGE, probs)
+                G_live = G_new = gate_gradient(W_live, moments_live, design, probs)
             else:
                 at = np.array(fresh)
                 W_at, moments_at, probs_at = (a.take(at, axis=0) for a in (W_live, moments_live, probs))
-                G_new = gate_gradient(W_at, moments_at, design, GATE_RIDGE, probs_at)
+                G_new = gate_gradient(W_at, moments_at, design, probs_at)
                 G_live[at] = G_new
             for p, g in zip(fresh, (G_new * G_new).sum(axis=(-2, -1)).tolist()):
                 r = live[p]
@@ -185,7 +176,7 @@ def m_step_gate(
             live = [live[p] for p in keep]
             leaving = []
         W_try = W_live + np.array([t[r] for r in live])[:, None, None] * G_live
-        J_try, probs = gate_objective(W_try, moments_live, design, GATE_RIDGE)
+        J_try, probs = gate_objective(W_try, moments_live, design)
         fresh, accepted = [], []
         for p, r in enumerate(live):
             if not math.isfinite(J_try[p]):

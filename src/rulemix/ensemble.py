@@ -32,7 +32,7 @@ class Routes(NamedTuple):
     depth: int
 
 
-def check_table(feature, threshold, left, right, value, roots, feature_count=None) -> Routes:
+def check_table(feature, threshold, left, right, value, roots, feature_count) -> Routes:
     """The ``Routes`` of a table of trees, tree t's nodes from ``roots[t]`` on,
     children counted within the tree, checked whole in this order: children in
     range; no node reached twice (two parents, or a root as a child); every
@@ -76,7 +76,7 @@ def check_table(feature, threshold, left, right, value, roots, feature_count=Non
     if bad.any():
         i = int(np.argmax(bad))
         fail(i, f"non-finite {'threshold' if internal[i] else 'leaf value'}")
-    if feature_count is not None and (feature >= feature_count).any():
+    if (feature >= feature_count).any():
         i = int(np.argmax(feature >= feature_count))
         fail(i, f"feature index {feature[i]} out of range (feature_count {feature_count})")
     to_left, to_right = index.copy(), index.copy()

@@ -443,13 +443,13 @@ def test_table_check_names_what_the_per_tree_walk_names(trees):
             per_tree_check(table_arrays([tree])[0])
         except ValueError as e:
             with pytest.raises(ValueError) as caught:
-                check_table(*columns, roots)
+                check_table(*columns, roots, 3)
             assert str(caught.value) == f"tree {t}: {e}"
             with pytest.raises(ValueError) as alone:
-                check_table(*table_arrays([tree])[0], [0])
+                check_table(*table_arrays([tree])[0], [0], 3)
             assert str(alone.value) == f"tree 0: {e}"
             return
-    routes = check_table(*columns, roots)
+    routes = check_table(*columns, roots, 3)
     levels = [lv for tree in trees for lv in oracle_levels(tree)]
     assert routes.level.tolist() == levels and routes.depth == max(levels)
     internal = np.flatnonzero(columns[0] >= 0)

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.special import softmax as scipy_softmax
 
+import rulemix.em
 from conftest import random_dataset, random_model, schema_of_length
 from oracles import naive_joint_ll
 from rulemix.binarizer import BinaryDataset, SplitSchema
@@ -366,7 +367,7 @@ def test_gate_batch_is_the_gate_objective_softmax(n, k, l, seed):
     ds = random_dataset(seed, n=n, l=l)
     model = random_model(seed, k=k, schema=ds.schema)
     beta = np.full((n, k), 1.0 / k)
-    _, probs = gate_objective(model.gate_weights, beta.T @ ds.design, ds.design, 0.0)
+    _, probs = gate_objective(model.gate_weights, beta.T @ ds.design, ds.design)
     assert model.gate_batch(ds.bits).T.tobytes() == probs.tobytes()
 
 
@@ -388,7 +389,9 @@ def test_gate_objective_matches_scipy_reference(n, k, l, ridge, scale, seed):
     expected = (beta * (logits - scipy_logsumexp(logits, axis=1, keepdims=True))).sum() - (
         0.5 * ridge * (weights**2).sum()
     )
-    got, probs = gate_objective(weights, beta.T @ design, design, ridge)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rulemix.em, "GATE_RIDGE", ridge)
+        got, probs = gate_objective(weights, beta.T @ design, design)
     # the moments form sums terms as large as |W| times the design: allow their rounding
     moments_atol = 1e-14 * (design @ np.abs(weights).T).sum()
     assert got == pytest.approx(expected, rel=1e-12, abs=n * LSE_ATOL + moments_atol)
