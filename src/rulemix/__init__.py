@@ -9,7 +9,7 @@ conjunction of feature intervals with one predictor value.
 from .baseline import CartConfig, cv_mse_by_depth, fit_cart, tree_to_ruleset
 from .binarizer import BinaryDataset, SplitSchema, build_dataset, count_regions_exact, extract_splits
 from .data import LabeledDataset, gen_energy_like, gen_xor, load_csv, mse, split3
-from .em import EmConfig, FitReport, e_step, fit, lower_bound, m_step_closed_form, m_step_gate
+from .em import EmConfig, FitReport, e_step, fit, m_step_closed_form, m_step_gate
 from .ensemble import TreeEnsemble, count_regions
 from .mixture import MixtureModel, RuleSet, extract_rules, render_rules_text, rules_to_json_dict
 from .trainer import GbtConfig, ParseError, fit_gbt, grow_tree, parse_ensemble_json, presort, serialize_ensemble
@@ -40,7 +40,6 @@ __all__ = [
     "gen_xor",
     "grow_tree",
     "load_csv",
-    "lower_bound",
     "m_step_closed_form",
     "m_step_gate",
     "mse",

@@ -31,6 +31,8 @@ from .ensemble import count_regions
 from .mixture import check_tau, extract_rules, render_rules_text, rules_to_json_dict
 from .trainer import GbtConfig, ParseError, fit_gbt, parse_ensemble_json, serialize_ensemble
 
+TAU_BOUNDARY_ATOL = 1e-9  # an eta this close to tau or 1 - tau gets a warning
+
 
 def _emit(text: str, out_path) -> None:
     if out_path:
@@ -105,7 +107,9 @@ def _fit_rules(ensemble, xs, em_config, tau, source="the ensemble's predictions"
     off its rules; callers check ``tau`` first.  ``source`` names the
     predictions in an error: too large to fit, or every restart failed.
     ``warnings`` names a degenerate fit: fewer distinct bit patterns than
-    components (an empty schema has one pattern)."""
+    components (an empty schema has one pattern).  It also names each
+    (component, split) whose eta lies within ``TAU_BOUNDARY_ATOL`` of tau or
+    1 - tau, where rounding decides whether the bound prints."""
     schema = extract_splits(ensemble)
     dataset = build_dataset(ensemble, schema, xs)
     try:
@@ -121,6 +125,17 @@ def _fit_rules(ensemble, xs, em_config, tau, source="the ensemble's predictions"
         f"the gate gives each to one component, so at least {k - patterns} get share 0"
     )
     warnings = [note] if patterns < k else []
+    near = [
+        f"component {c}: {rules.name_of(d)} >= {b:g} (eta {e!r})"
+        for c, etas in enumerate(model.eta.tolist())
+        for (d, b), e in zip(dataset.schema.rules, etas)
+        if min(abs(e - tau), abs(e - (1.0 - tau))) <= TAU_BOUNDARY_ATOL
+    ]
+    if near:
+        warnings.append(
+            f"eta within {TAU_BOUNDARY_ATOL:g} of tau {tau:g} or 1 - tau, so rounding decides "
+            f"whether the bound prints: {'; '.join(near)}"
+        )
     return dataset, model, fit_report, rules, warnings
 
 

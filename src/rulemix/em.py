@@ -30,7 +30,7 @@ class EmConfig:
     n_components: int
     restarts: int = 10
     seed: int = 0
-    gate_max_iters: int = 50
+    gate_max_iters: int = 25  # gradients per gate M-step; generalized EM needs only an ascent
 
     def __post_init__(self):
         for name in ("n_components", "restarts", "gate_max_iters"):
@@ -199,21 +199,6 @@ def m_step_gate(
             for p in accepted:
                 W_live[p] = W_try[p]
     return W, iters, [math.sqrt(g) for g in gsq]
-
-
-def lower_bound(model: MixtureModel, beta: np.ndarray, data: BinaryDataset) -> float:
-    """Jensen bound on the data log-likelihood at responsibilities ``beta``.
-
-    Equals the data log-likelihood, ``e_step(model, data)[1].sum()``, when
-    ``beta`` is the exact posterior.
-    """
-    beta = np.asarray(beta, dtype=np.float64)
-    lj = log_joint_matrix(model, data).T
-    if beta.shape != lj.shape:
-        raise ValueError("beta shape must match (N, K)")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = np.where(beta > 0.0, beta * np.log(np.where(beta > 0.0, beta, 1.0)), 0.0)
-    return float((beta * lj).sum() - ent.sum())
 
 
 @dataclass

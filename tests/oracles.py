@@ -293,16 +293,37 @@ def naive_posterior_row(model, s, z):
     return [v / total for v in joint]
 
 
+def log_density(eta_k, mu_k, lam_k, s, z):
+    """log p(s | eta_k) + log N(z; mu_k, 1/lam_k) of one row, one term at a time."""
+    ll = 0.0
+    for sl, e in zip(s, eta_k):
+        e = min(max(e, 1e-6), 1 - 1e-6)
+        ll += math.log(e) if sl else math.log(1 - e)
+    return ll + 0.5 * math.log(lam_k / (2 * math.pi)) - 0.5 * lam_k * (z - mu_k) ** 2
+
+
 def component_bound(eta_k, mu_k, lam_k, beta_k, bits, z):
     """The responsibility-weighted expected log density of one component."""
     total = 0.0
     for w, s, zv in zip(beta_k, bits, z):
-        ll = 0.0
-        for sl, e in zip(s, eta_k):
-            e = min(max(e, 1e-6), 1 - 1e-6)
-            ll += math.log(e) if sl else math.log(1 - e)
-        ll += 0.5 * math.log(lam_k / (2 * math.pi)) - 0.5 * lam_k * (zv - mu_k) ** 2
-        total += w * ll
+        total += w * log_density(eta_k, mu_k, lam_k, s, zv)
+    return total
+
+
+def lower_bound(model, beta, data):
+    """Jensen bound on the data log-likelihood at responsibilities ``beta``,
+    row by row: the sum of ``beta[n, k] * (log gate_k(s_n) + log
+    density_k(s_n, z_n) - log beta[n, k])``, with 0 log 0 = 0.  Equals the
+    data log-likelihood when ``beta`` is the exact posterior."""
+    total = 0.0
+    for s, z, row in zip(data.bits, data.z, beta):
+        logits = [sum(w * v for w, v in zip(weights, list(s) + [1.0])) for weights in model.gate_weights]
+        top = max(logits)
+        log_norm = top + math.log(sum(math.exp(a - top) for a in logits))
+        for k, b in enumerate(row):
+            if b > 0.0:
+                k_density = log_density(model.eta[k], model.mu[k], model.lam[k], s, z)
+                total += b * (logits[k] - log_norm + k_density - math.log(b))
     return total
 
 

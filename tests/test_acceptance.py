@@ -18,12 +18,13 @@ from conftest import random_dataset, random_model
 from oracles import (
     component_bound,
     finite_diff_gate_gradient,
+    lower_bound,
     maximize_component_bound,
     naive_em,
 )
 from rulemix.binarizer import BinaryDataset
 from rulemix.cli import energy_pipeline, run, synthetic_pipeline
-from rulemix.em import LAMBDA_BOUNDS, EmConfig, e_step, fit, gate_gradient, gate_objective, lower_bound, m_step_closed_form
+from rulemix.em import LAMBDA_BOUNDS, EmConfig, e_step, fit, gate_gradient, gate_objective, m_step_closed_form
 
 PIPELINE_SEED = 0
 

@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import constant_tree, ensemble_of, src_env, stump
+from golden.compare import MU_RTOL, OBJECTIVE_ATOL_PER_ROW, _rule_key
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -30,9 +31,11 @@ from rulemix.data import (
     gen_energy_like,
     gen_xor,
     load_csv,
+    split3,
     write_csv,
 )
-from rulemix.trainer import GbtConfig, serialize_ensemble
+from rulemix.mixture import rules_to_json_dict
+from rulemix.trainer import GbtConfig, fit_gbt, serialize_ensemble
 
 
 @pytest.fixture
@@ -187,6 +190,43 @@ def test_simplify_with_more_components_than_bit_patterns_exits_cleanly(tmp_path,
         ]
 
 
+def test_fit_rules_warns_when_an_eta_sits_on_tau():
+    # an eta at tau or 1 - tau prints its bound or not by rounding alone: the
+    # warning names the component and the split, and the fit stays as it is
+    data = gen_xor(200, seed=1)
+    ensemble = fit_gbt(data, GbtConfig(tree_count=10))
+    config = rulemix.em.EmConfig(4, restarts=2)
+    dataset, model, _, _, warnings = rulemix.cli._fit_rules(ensemble, data.xs, config, 0.05)
+    assert warnings == []
+    (c, l), (c_hi, l_hi) = (np.argwhere((model.eta > lo) & (model.eta < lo + 0.48))[0] for lo in (0.01, 0.51))
+    for tau, (comp, bit) in ((model.eta[c, l], (c, l)), (1.0 - model.eta[c_hi, l_hi], (c_hi, l_hi))):
+        _, again, _, _, warnings = rulemix.cli._fit_rules(ensemble, data.xs, config, float(tau))
+        assert again.eta.tobytes() == model.eta.tobytes()
+        d, b = dataset.schema.rules[bit]
+        (line,) = warnings
+        assert line.startswith(f"eta within 1e-09 of tau {tau:g} or 1 - tau, so rounding decides")
+        assert f"component {comp}: x_{d + 1} >= {b:g} (eta {float(model.eta[comp, bit])!r})" in line
+
+
+def test_stock_gate_budget_prints_the_rules_of_a_50_step_budget():
+    # a gate M-step only has to raise the objective (generalized EM): on the
+    # energy stand-in the stock budget prints the rules that a 50-step budget
+    # prints, at the same objective
+    for seed in range(3):
+        d_atm, d_train, _ = split3(gen_energy_like(seed=seed), (0.4, 0.3, 0.3), seed)
+        ensemble = fit_gbt(d_atm, GbtConfig(min_samples_leaf=10))
+        fits = []
+        for config in (rulemix.em.EmConfig(4, seed=seed), rulemix.em.EmConfig(4, seed=seed, gate_max_iters=50)):
+            _, _, report, rules, _ = rulemix.cli._fit_rules(ensemble, d_train.xs, config, 0.05)
+            components = sorted(rules_to_json_dict(rules)["components"], key=lambda c: (_rule_key(c), c["mu"]))
+            best = report.restarts[report.best_restart].objective_trace[-1]
+            fits.append(([_rule_key(c) for c in components], [c["mu"] for c in components], best))
+        (keys, mus, objective), (keys_50, mus_50, objective_50) = fits
+        assert keys == keys_50, seed
+        assert mus == pytest.approx(mus_50, rel=MU_RTOL), seed
+        assert abs(objective - objective_50) <= OBJECTIVE_ATOL_PER_ROW * len(d_train), seed
+
+
 @pytest.mark.parametrize("value", [8.1e28, 1e20])
 def test_simplify_fits_large_constant_predictions(reader_files, tmp_path, value):
     # every component's mu is the constant itself, not its weighted mean
@@ -264,7 +304,8 @@ def test_pipeline_reports_gate_summary(gate_gradient_norms):
     assert sorted(gate_gradient_norms) == [0, 1]
     steps = [s for per_restart in gate_gradient_norms.values() for s in per_restart]
     iters = [len(s) for s in steps]
-    assert report["em_fit"]["gate_cap_share"] == iters.count(50) / len(iters)
+    budget = report["config"]["em"]["gate_max_iters"]
+    assert report["em_fit"]["gate_cap_share"] == iters.count(budget) / len(iters)
     assert report["em_fit"]["gate_max_final_grad_norm"] == max(s[-1] for s in steps)
 
 
