@@ -38,32 +38,46 @@ class EmConfig:
         check_count("seed", self.seed, 0)
 
 
-def e_step(model: MixtureModel, data: BinaryDataset) -> tuple[np.ndarray, np.ndarray]:
+def e_step(model, data: BinaryDataset) -> tuple[np.ndarray, np.ndarray]:
     """Posterior responsibilities (row softmax of log gate + log density) and
     each row's log-likelihood (their log-sum-exp), normalized in place on the
     joint matrix.  The (N, K) responsibilities are the transpose of that
-    C-ordered (K, N) array."""
+    C-ordered (K, N) array.  ``model`` is a ``MixtureModel`` or a stack of R
+    models' arrays, as ``log_joint_matrix`` takes them; a stack gives (R, N,
+    K) responsibilities and (R, N) log-likelihoods, each slice the floats its
+    model gives alone."""
     joint = log_joint_matrix(model, data)
-    return joint.T, softmax_columns(joint)  # the view sees the normalization
+    return joint.swapaxes(-1, -2), softmax_columns(joint)  # the view sees the normalization
 
 
 def m_step_closed_form(beta: np.ndarray, data: BinaryDataset):
     """Exact weighted-moment updates for (eta, mu, lam) given responsibilities;
     ``lam`` is clamped to ``LAMBDA_BOUNDS / var(z)``, free of z's units.  A
     malformed ``beta`` or a component without mass raises ``ValueError``
-    (``fit`` reseeds components below ``DEGENERATE_MASS_FACTOR * N`` first)."""
+    (``fit`` reseeds components below ``DEGENERATE_MASS_FACTOR * N`` first).
+
+    ``beta`` is (N, K), or a stack (R, N, K) of independent problems, which
+    gives (R, K, L), (R, K) and (R, K) stacks, each slice the floats it gives
+    alone.  Each sum over the rows runs in the order ``beta``'s layout gives
+    it alone, and the precisions' sum runs over the rows of a C-ordered
+    (..., N, K) product, one row after another.
+    """
     beta = np.asarray(beta, dtype=np.float64)
-    if beta.ndim != 2 or len(beta) != len(data):
-        raise ValueError("beta must be (N, K) with one row per data row")
-    mass = beta.sum(axis=0)
-    for k, m in enumerate(mass):
-        if m <= 0.0:
-            raise ValueError(f"component {k} has zero responsibility mass")
+    if beta.ndim < 2 or beta.shape[-2] != len(data):
+        raise ValueError("beta must be (N, K) with one row per data row, or a stack of such")
+    mass = beta.sum(axis=-2)
+    empty = np.argwhere(mass <= 0.0)
+    if len(empty):
+        raise ValueError(f"component {empty[0, -1]} has zero responsibility mass")
+    beta_kn = beta.swapaxes(-1, -2)
     # differing reduction orders can push a constant-bit column 1 ulp past 1
-    eta = np.clip((beta.T @ data.bits) / mass[:, None], 0.0, 1.0)
+    eta = np.clip(np.matmul(beta_kn, data.bits) / mass[..., None], 0.0, 1.0)
     z, constant = data.z, data.z.min() == data.z.max()
-    mu = np.full(len(mass), z[0]) if constant else (beta.T @ z) / mass  # no rounded mean of a constant
-    denom = (beta * (z[:, None] - mu[None, :]) ** 2).sum(axis=0)
+    mu = np.full(mass.shape, z[0]) if constant else np.matmul(beta_kn, z) / mass  # no rounded mean of a constant
+    spread = z[:, None] - mu[..., None, :]
+    spread *= spread
+    spread *= beta
+    denom = spread.sum(axis=-2)
     # mass > 0, so a zero or tiny denom gives inf, clipped to the upper bound;
     # a constant or tiny var(z) gives infinite bounds, replaced by the absolute ones
     with np.errstate(divide="ignore", over="ignore"):
@@ -231,11 +245,16 @@ def reseed_components(beta: np.ndarray, bad) -> int:
 def fit(data: BinaryDataset, config: EmConfig):
     """Best-of-restarts EM fit; returns (model, report with per-run traces).
 
-    The restarts advance in lockstep, one EM iteration at a time: the gate
-    M-steps of all live restarts run as one stacked ``m_step_gate`` call, and
-    a restart leaves when it converges or fails.  Each restart draws its
-    initial responsibilities from its own generator and makes the calls it
-    would make alone, in that order.
+    The restarts advance in lockstep, one EM iteration at a time, on one
+    stack of the live restarts' (N, K) responsibilities: each restart's
+    reseed check runs on its slice, and then one ``m_step_closed_form``, one
+    ``m_step_gate`` and one ``e_step`` call serve all of them.  A restart
+    leaves the stack when it converges or fails.  Each restart draws its
+    initial responsibilities from its own generator, and every slice gets
+    the floats it would get alone: the stack holds the C-ordered draws, then
+    each E-step's C-ordered (R, K, N) joint with its last two axes swapped,
+    as a restart alone holds them.  Each restart's ``MixtureModel`` is built
+    once, from its last parameters, after the loop.
     Targets whose squares, times ``LAMBDA_BOUNDS[1]``, overflow are refused
     before any restart.
     """
@@ -244,41 +263,43 @@ def fit(data: BinaryDataset, config: EmConfig):
         raise ValueError("need at least one row per component")
     check_sum_of_squares("targets", data.z, LAMBDA_BOUNDS[1])
     restarts = range(config.restarts)
-    betas = [np.random.default_rng([config.seed, r]).dirichlet(np.ones(k), size=n) for r in restarts]
-    weights = [np.zeros((k, data.n_bits + 1)) for _ in restarts]
-    models = [None] * len(restarts)
+    beta = np.stack([np.random.default_rng([config.seed, r]).dirichlet(np.ones(k), size=n) for r in restarts])
+    weights = np.zeros((len(restarts), k, data.n_bits + 1))
+    params = [None] * len(restarts)  # each restart's last (gate_weights, eta, mu, lam)
     traces = [RestartTrace(0, [], False, 0, [], []) for _ in restarts]
-    live = list(restarts)
+    live = list(restarts)  # the restart of each slice of the stacks
     for _ in range(MAX_ITERS):
-        params = {}  # live restart -> its closed-form (eta, mu, lam)
-        for r in live:
-            bad = np.nonzero(betas[r].sum(axis=0) < DEGENERATE_MASS_FACTOR * n)[0]
-            if bad.size:
-                traces[r].reseed_events += reseed_components(betas[r], bad)
-                if traces[r].reseed_events > MAX_RESEEDS_PER_RUN:
-                    traces[r].failed = True
-                    continue
-            params[r] = m_step_closed_form(betas[r], data)
-        live = list(params)
+        short = beta.sum(axis=-2) < DEGENERATE_MASS_FACTOR * n
+        for p in np.flatnonzero(short.any(axis=-1)):
+            trace = traces[live[p]]
+            trace.reseed_events += reseed_components(beta[p], np.flatnonzero(short[p]))
+            trace.failed = trace.reseed_events > MAX_RESEEDS_PER_RUN
+        keep = [p for p, r in enumerate(live) if not traces[r].failed]
+        if len(keep) < len(live):  # fancy indexing keeps each slice's layout
+            beta, weights, live = beta[keep], weights[keep], [live[p] for p in keep]
         if not live:
             break
-        moments = np.stack([betas[r].T for r in live]) @ data.design
-        stepped = m_step_gate(moments, data.design, np.stack([weights[r] for r in live]), config, live)
+        eta, mu, lam = m_step_closed_form(beta, data)
+        moments = np.matmul(beta.swapaxes(-1, -2), data.design)
+        del beta  # the gate M-step and the E-step make R-slice stacks of their own
+        weights, gate_iters, grad_norms = m_step_gate(moments, data.design, weights, config, live)
+        beta, row_ll = e_step((weights, eta, mu, lam), data)
         going = []
-        for r, w, iters, grad_norm in zip(live, *stepped):
+        stepped = zip(live, row_ll.sum(axis=-1).tolist(), gate_iters, grad_norms, zip(weights, eta, mu, lam))
+        for p, (r, value, iters, grad_norm, last) in enumerate(stepped):
             trace, objective = traces[r], traces[r].objective_trace
             trace.gate_iters.append(iters)
             trace.gate_final_grad_norms.append(grad_norm)
-            weights[r] = w
-            models[r] = MixtureModel(w, *params[r], data.schema)
-            betas[r], row_ll = e_step(models[r], data)
-            objective.append(float(row_ll.sum()))
+            params[r] = last
+            objective.append(value)
             trace.iters = len(objective)
             if len(objective) < 2 or not abs(objective[-1] - objective[-2]) <= REL_TOL * max(1.0, abs(objective[-2])):
-                going.append(r)
-        live = going
+                going.append(p)
+        if len(going) < len(live):
+            beta, weights, live = beta[going], weights[going], [live[p] for p in going]
     done = [r for r in restarts if not traces[r].failed]
     if not done:
         raise RuntimeError("all EM restarts failed (persistent degenerate components)")
+    models = {r: MixtureModel(*params[r], data.schema) for r in done}
     best = max(done, key=lambda r: traces[r].objective_trace[-1])  # first of equal maxima
     return models[best], FitReport(traces, best)

@@ -81,12 +81,7 @@ class MixtureModel:
     def log_density_matrix(self, S: np.ndarray, z: np.ndarray) -> np.ndarray:
         """(n, K) matrix of log p(s | eta_k) + log N(z; mu_k, 1/lam_k) over
         the (s, z) rows, always finite."""
-        eta = np.clip(self.eta, BERNOULLI_EPS, 1.0 - BERNOULLI_EPS)
-        log_off = np.log1p(-eta)
-        bern = S @ (np.log(eta) - log_off).T + log_off.sum(axis=1)
-        resid = z[:, None] - self.mu[None, :]
-        gauss = 0.5 * np.log(self.lam / (2.0 * np.pi))[None, :] - 0.5 * self.lam[None, :] * resid**2
-        return bern + gauss
+        return log_density_matrix(self.eta, self.mu, self.lam, S, z)
 
     def predict_batch(self, S: np.ndarray, soft: bool = False) -> np.ndarray:
         """Per bit row, the predictor value of the argmax-gate component (ties
@@ -103,13 +98,39 @@ def _check_schema(model: MixtureModel, data: BinaryDataset) -> None:
         raise ValueError("dataset schema does not match model schema")
 
 
-def log_joint_matrix(model: MixtureModel, data: BinaryDataset) -> np.ndarray:
+def log_density_matrix(eta, mu, lam, S: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """C-ordered (..., n, K) log densities of the (s, z) rows under the
+    components ``eta`` (..., K, L), ``mu`` and ``lam`` (..., K); leading axes
+    stack independent models, each getting the floats it would get alone.
+    Built in place on the Bernoulli product and one Gaussian temporary, which
+    add as ``bern + (log_norm - 0.5 * lam * resid**2)``."""
+    eta = np.clip(eta, BERNOULLI_EPS, 1.0 - BERNOULLI_EPS)
+    log_off = np.log1p(-eta)
+    density = np.matmul(S, (np.log(eta) - log_off).swapaxes(-1, -2))
+    density += log_off.sum(axis=-1)[..., None, :]
+    gauss = z[:, None] - mu[..., None, :]
+    gauss *= gauss
+    gauss *= (-0.5 * lam)[..., None, :]
+    gauss += (0.5 * np.log(lam / (2.0 * np.pi)))[..., None, :]
+    density += gauss
+    return density
+
+
+def log_joint_matrix(model, data: BinaryDataset) -> np.ndarray:
     """C-ordered (K, N) matrix of log gate_k(s_n) + log density_k(s_n, z_n),
-    one row per component, built in place on the gate logits."""
-    _check_schema(model, data)
-    joint = model.gate_weights @ data.design.T
-    joint -= softmax_columns(joint.copy())
-    joint += model.log_density_matrix(data.bits, data.z).T
+    one row per component, built in place on the gate logits.
+
+    ``model`` is a ``MixtureModel``, or the ``(gate_weights, eta, mu, lam)``
+    of R models on ``data``'s schema as (R, K, ...) stacks, unchecked; a stack
+    gives an (R, K, N) stack, each slice the floats its model gives alone.
+    """
+    if isinstance(model, MixtureModel):
+        _check_schema(model, data)
+        model = model.gate_weights, model.eta, model.mu, model.lam
+    gate_weights, eta, mu, lam = model
+    joint = np.matmul(gate_weights, data.design.T)
+    joint -= softmax_columns(joint.copy())[..., None, :]
+    joint += log_density_matrix(eta, mu, lam, data.bits, data.z).swapaxes(-1, -2)
     return joint
 
 

@@ -2,19 +2,21 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, direct probability arithmetic, generic numerical optimizers) and
-shares no code paths with the package internals it checks.  The six
+shares no code paths with the package internals it checks.  The eight
 exact references (``per_feature_best_split``, ``per_node_sort_grow_tree``,
-``cv_mse_per_depth``, ``unfused_m_step_gate``, ``per_tree_leaf_index`` and
-``per_tree_check``) are the package's earlier loops, kept so that the faster forms can be
-required to return the very same floats or nodes.  Trees are node columns
+``cv_mse_per_depth``, ``unfused_m_step_gate``, ``unstacked_m_step_closed_form``,
+``unstacked_e_step``, ``per_tree_leaf_index`` and ``per_tree_check``) are the
+package's earlier loops, kept so that the faster forms can be required to
+return the very same floats or nodes.  Trees are node columns
 in the package's order (``feature``, ``threshold``, ``left``, ``right``,
 ``value``; children counted within a tree), walked from each tree's root;
 ``per_node_sort_grow_tree`` returns them as ``grow_tree`` does.
 ``cv_mse_per_depth`` calls the package's ``grow_tree``, ``presort``,
 ``cv_folds`` and ``mse``, because what it checks is only the
-one-tree-per-fold cut, not the grower, and ``unfused_m_step_gate`` calls
-``gate_design`` and ``softmax_columns``, because what it checks is only the
-fused value and gradient, not the softmax kernel.
+one-tree-per-fold cut, not the grower, and ``unfused_m_step_gate`` and
+``unstacked_e_step`` call ``gate_design`` and ``softmax_columns``, because what
+they check is only the fused value and gradient and the stacked joint, not the
+softmax kernel.
 """
 
 import itertools
@@ -412,6 +414,38 @@ def unfused_m_step_gate(beta, data, w_init, gate_max_iters, ridge=1e-8):
         else:
             return W, objective_calls, norms, "floor"
     return W, objective_calls, norms, "cap"
+
+
+def unstacked_m_step_closed_form(beta, data, lambda_bounds=(1e-6, 1e6)):
+    """The closed-form M-step as one restart ran it before the restarts were
+    stacked, on an (N, K) ``beta`` in the layout that restart held it in:
+    (eta, mu, lam) from its weighted moments, the precisions clamped to
+    ``lambda_bounds / var(z)``."""
+    mass = beta.sum(axis=0)
+    eta = np.clip((beta.T @ data.bits) / mass[:, None], 0.0, 1.0)
+    z, constant = data.z, data.z.min() == data.z.max()
+    mu = np.full(len(mass), z[0]) if constant else (beta.T @ z) / mass
+    denom = (beta * (z[:, None] - mu[None, :]) ** 2).sum(axis=0)
+    with np.errstate(divide="ignore", over="ignore"):
+        bounds = np.divide(lambda_bounds, 0.0 if constant else z.var())
+        lam = np.clip(mass / denom, *(bounds if np.isfinite(bounds).all() else lambda_bounds))
+    return eta, mu, lam
+
+
+def unstacked_e_step(model, data, eps=1e-6):
+    """The E-step as one restart ran it before the restarts were stacked:
+    the (N, K) responsibilities, the transpose of the normalized C-ordered
+    (K, N) joint, and each row's log-likelihood; Bernoulli parameters
+    clamped to [eps, 1 - eps]."""
+    eta = np.clip(model.eta, eps, 1.0 - eps)
+    log_off = np.log1p(-eta)
+    bern = data.bits @ (np.log(eta) - log_off).T + log_off.sum(axis=1)
+    resid = data.z[:, None] - model.mu[None, :]
+    gauss = 0.5 * np.log(model.lam / (2.0 * np.pi))[None, :] - 0.5 * model.lam[None, :] * resid**2
+    joint = model.gate_weights @ gate_design(data.bits).T
+    joint -= softmax_columns(joint.copy())
+    joint += (bern + gauss).T
+    return joint.T, softmax_columns(joint)
 
 
 def naive_em(data, k, seed, ridge=1e-8, lambda_bounds=(1e-6, 1e6), max_iters=3000, tol=1e-12):

@@ -22,6 +22,8 @@ from oracles import (
     naive_joint_ll,
     naive_posterior_row,
     unfused_m_step_gate,
+    unstacked_e_step,
+    unstacked_m_step_closed_form,
 )
 from rulemix.binarizer import BinaryDataset, SplitSchema, build_dataset, extract_splits
 from rulemix.data import gen_xor
@@ -549,29 +551,41 @@ def test_fit_best_restart_skips_failed_restarts(monkeypatch):
 
 
 def test_fit_best_restart_rule(monkeypatch):
-    # Stubbed E-steps give restart r the objective finals[r] at each step; a
-    # restart marked failed gets responsibilities that leave component 1
-    # empty, so with no reseed allowed it fails at its second iteration.
+    # A stubbed stacked E-step gives restart r the objective finals[r] at each
+    # step; a restart marked failed gets responsibilities that leave component
+    # 1 empty, so with no reseed allowed it fails at its second iteration.
     finals = [(1.0, False), (9.0, True), (3.0, False), (3.0, False), (2.0, False)]
     data = random_dataset(48, n=10, l=2)
     monkeypatch.setattr(rulemix.em, "MAX_RESEEDS_PER_RUN", 0)
     monkeypatch.setattr(rulemix.em, "MAX_ITERS", 2)
 
     def stub_fit(finals):
-        steps = iter([*range(len(finals)), *(r for r, (_, failed) in enumerate(finals) if not failed)])
-        models = {}
+        done = [r for r, (_, failed) in enumerate(finals) if not failed]
+        stacks = iter([range(len(finals)), done])  # the restarts of each E-step's stack
+        built = []
 
-        def stub_e_step(model, data):
-            r = next(steps)
-            models[r] = model
-            objective, failed = finals[r]
-            row_ll = np.zeros(len(data))
-            row_ll[0] = objective
-            return np.eye(2)[[0] * len(data)] if failed else np.full((len(data), 2), 0.5), row_ll
+        def stub_e_step(stacked, data):
+            restarts = next(stacks)
+            assert len(stacked[0]) == len(restarts)
+            beta = np.full((len(restarts), len(data), 2), 0.5)
+            row_ll = np.zeros((len(restarts), len(data)))
+            for p, r in enumerate(restarts):
+                objective, failed = finals[r]
+                row_ll[p, 0] = objective
+                if failed:
+                    beta[p] = np.eye(2)[[0] * len(data)]
+            return beta, row_ll
+
+        def recorded_model(*args):
+            built.append(MixtureModel(*args))
+            return built[-1]
 
         monkeypatch.setattr(rulemix.em, "e_step", stub_e_step)
+        monkeypatch.setattr(rulemix.em, "MixtureModel", recorded_model)
         config = EmConfig(n_components=2, restarts=len(finals))
-        return fit(data, config), models
+        fitted = fit(data, config)
+        assert len(built) == len(done)  # once per restart, after the loop, in restart order
+        return fitted, dict(zip(done, built))
 
     (model, report), models = stub_fit(finals)
     assert report.best_restart == 2  # not the failed restart 1; restart 2 before the equal 3
@@ -582,10 +596,79 @@ def test_fit_best_restart_rule(monkeypatch):
         stub_fit([(1.0, True), (2.0, True)])
 
 
+def responsibility_stack(rng, n, k, restarts, layout):
+    """Each restart's (N, K) responsibilities as ``fit`` holds them alone, and
+    their (R, N, K) stack as ``fit`` holds them together: the C-ordered
+    Dirichlet draws, or ("e-step") each the transpose of a C-ordered (K, N)
+    array, as an E-step returns it."""
+    alone = [rng.dirichlet(np.ones(k), size=n) for _ in range(restarts)]
+    if layout == "draw":
+        return alone, np.stack(alone)
+    alone = [np.ascontiguousarray(b.T).T for b in alone]
+    return alone, np.stack([b.T for b in alone]).swapaxes(-1, -2)
+
+
+def layout_of(a):
+    return a.flags.c_contiguous, a.flags.f_contiguous
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 40),
+    l=st.integers(0, 8),
+    k=st.integers(1, 6),
+    restarts=st.integers(1, 10),
+    layout=st.sampled_from(["draw", "e-step"]),
+)
+def test_stacked_closed_form_and_e_step_equal_slices_alone(seed, n, l, k, restarts, layout):
+    # one call on a stack gives each slice the very floats of a call on that
+    # slice alone, and those are the floats of the unstacked forms; one
+    # slice's dead component is revived on the stack and alone, as fit does
+    ds = random_dataset(seed, n=n, l=l)
+    rng = np.random.default_rng(seed + 1)
+    alone, beta = responsibility_stack(rng, n, k, restarts, layout)
+    if k > 1:
+        r, dead = rng.integers(restarts), rng.integers(1, k)
+        for b in (alone[r], beta[r]):
+            b[:, 0] += b[:, dead]
+            b[:, dead] = 0.0
+            assert reseed_components(b, [dead]) == 1
+    event(layout)
+    stacked = m_step_closed_form(beta, ds)
+    assert [a.shape for a in stacked] == [(restarts, k, l), (restarts, k), (restarts, k)]
+    for r, b in enumerate(alone):
+        assert layout_of(beta[r]) == layout_of(b)
+        want = m_step_closed_form(b, ds)
+        for got, one, unstacked in zip(stacked, want, unstacked_m_step_closed_form(b, ds)):
+            assert np.array_equal(got[r], one) and np.array_equal(one, unstacked)
+    weights = rng.normal(0.0, 1.0, size=(restarts, k, l + 1))
+    stacked_beta, stacked_ll = e_step((weights, *stacked), ds)
+    assert stacked_beta.shape == (restarts, n, k) and stacked_ll.shape == (restarts, n)
+    for r in range(restarts):
+        model = MixtureModel(weights[r], *(a[r] for a in stacked), ds.schema)
+        (want_beta, want_ll), (old_beta, old_ll) = e_step(model, ds), unstacked_e_step(model, ds)
+        assert layout_of(stacked_beta[r]) == layout_of(want_beta) == layout_of(old_beta)
+        assert np.array_equal(stacked_beta[r], want_beta) and np.array_equal(want_beta, old_beta)
+        assert np.array_equal(stacked_ll[r], want_ll) and np.array_equal(want_ll, old_ll)
+
+
 def gate_slice_by_slice(moments, design, w_init, config, restart_ids=None):
     """``m_step_gate`` run on each slice of the stack alone."""
     weights, iters, norms = zip(*(m_step_gate(m[None], design, w[None], config) for m, w in zip(moments, w_init)))
     return np.concatenate(weights), [i for (i,) in iters], [g for (g,) in norms]
+
+
+def closed_form_slice_by_slice(beta, data):
+    """``m_step_closed_form`` run on each slice of the stack alone."""
+    return tuple(np.stack(a) for a in zip(*(m_step_closed_form(b, data) for b in beta)))
+
+
+def e_step_slice_by_slice(stacked, data):
+    """``e_step`` run on each restart's model alone, its responsibilities
+    stacked in the layout of a stacked call."""
+    betas, row_lls = zip(*(e_step(MixtureModel(*params, data.schema), data) for params in zip(*stacked)))
+    return np.stack([b.T for b in betas]).swapaxes(-1, -2), np.stack(row_lls)
 
 
 lockstep_cases = pytest.mark.parametrize(
@@ -609,6 +692,8 @@ def test_lockstep_restarts_equal_restarts_run_alone(monkeypatch, data, config, r
     cap_reseeds(monkeypatch, reseed_cap)
     model, report = fit(data, config)
     monkeypatch.setattr(rulemix.em, "m_step_gate", gate_slice_by_slice)
+    monkeypatch.setattr(rulemix.em, "m_step_closed_form", closed_form_slice_by_slice)
+    monkeypatch.setattr(rulemix.em, "e_step", e_step_slice_by_slice)
     alone_model, alone = fit(data, config)
     if reseed_cap is not None:
         failed = [trace.failed for trace in alone.restarts]
